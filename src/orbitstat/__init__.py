@@ -81,7 +81,7 @@ from orbitstat.sampler import (
     write_samples_csv,
 )
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "BACKEND",

@@ -86,12 +86,19 @@ class OrbitCensus:
         if X_max < 1:
             raise ValueError("X_max >= 1 required")
         sigma = systems.sigma_table(source, X_max)
-        if validate:
-            report = systems.validate_dold(sigma[1:])
-            if not report.ok:
-                ell, reason = report.first_failure
-                raise ValueError(f"sigma fails the Dold condition at ell={ell}: {reason}")
-        primes = prime_counts(sigma)
+        # prime_counts makes the one Mobius pass; the Dold report is only
+        # needed to word a failure
+        try:
+            primes = prime_counts(sigma)
+        except ValueError:
+            if validate:
+                report = systems.validate_dold(sigma[1:])
+                if not report.ok:
+                    ell, reason = report.first_failure
+                    raise ValueError(
+                        f"sigma fails the Dold condition at ell={ell}: {reason}"
+                    ) from None
+            raise
         totals = orbit_counts(sigma)
         lam = systems.growth_rate(source, precision)
         census = cls(source, X_max, sigma, primes, totals, lam, precision)

@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 validation/spec failure (line-anchored message),
 import argparse
 import io
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -44,6 +45,15 @@ def _parse_value(text):
     return int(text)
 
 
+def _unique_keys(pairs):
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"key {key!r} given more than once")
+        obj[key] = value
+    return obj
+
+
 def parse_system(spec):
     """SigmaSource from shorthand or a JSON file path.
 
@@ -61,7 +71,10 @@ def parse_system(spec):
                 if "=" not in part:
                     raise ValueError(f"expected key=value, got {part!r}")
                 key, _, value = part.partition("=")
-                params[key.strip()] = _parse_value(value)
+                key = key.strip()
+                if key in params:
+                    raise ValueError(f"parameter {key} given more than once")
+                params[key] = _parse_value(value)
             return systems.builtin_source(name, **params)
         if spec.startswith("table:"):
             values = _parse_value(spec[len("table:") :])
@@ -72,11 +85,13 @@ def parse_system(spec):
         raise CliError(f"{anchor}: {exc}") from exc
     try:
         with open(spec, "r", encoding="utf-8") as handle:
-            obj = json.load(handle)
+            obj = json.load(handle, object_pairs_hook=_unique_keys)
     except FileNotFoundError:
         raise CliError(f"{spec}:1: no such system spec (not shorthand, not a readable file)")
     except json.JSONDecodeError as exc:
         raise CliError(f"{spec}:{exc.lineno}: {exc.msg}")
+    except ValueError as exc:
+        raise CliError(f"{spec}:1: {exc}") from exc
     try:
         return systems.source_from_json(obj)
     except ValueError as exc:
@@ -148,7 +163,12 @@ class RunConfig:
         if not 0 <= self.seed < 2**64:
             raise CliError("--seed must fit in 64 bits")
         self.samples = args.samples
+        if self.samples < 1:
+            raise CliError("--samples must be at least 1")
         self.epsilons = args.epsilon or [1.0]
+        for eps in self.epsilons:
+            if not math.isfinite(eps):
+                raise CliError(f"--epsilon must be a finite number, got {eps}")
         self.out = args.out
         self.format = args.format
         self.skip_validate = args.skip_validate

@@ -1,10 +1,8 @@
-"""Pure-Python power-series kernels over big integers.
+"""Power-series kernels over big integers.
 
 These three routines are the inner loops of the whole library: expanding
 exp(sum sigma_k z^k / k) through its derivative recurrence, and expanding
 Euler products prod (1 - z^l)^(-P_l) by repeated factor multiplication.
-A Cython twin lives in _series.pyx; both must produce identical output
-(big-integer equality, tested).
 """
 
 BACKEND = "pure"

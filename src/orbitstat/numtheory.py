@@ -128,15 +128,6 @@ def lte_params(n, p):
     return d, e
 
 
-def nk_minus_one_valuation(n, k, p, d=None, e=None):
-    """v_p(n^k - 1) via lifting the exponent; cheap even for huge k."""
-    if d is None or e is None:
-        d, e = lte_params(n, p)
-    if k % d:
-        return 0
-    return e + p_valuation(k // d, p)[0]
-
-
 @dataclass(frozen=True)
 class PeriodicSequence:
     """Periodic sequence a_1, a_2, ... of non-negative rationals.

@@ -119,6 +119,47 @@ def poly_int(f):
     return out
 
 
+def _divide_linear(f, r):
+    """Quotient and remainder of f by (x - r), by synthetic division."""
+    q = [0] * (len(f) - 1)
+    acc = 0
+    for i in range(len(f) - 1, 0, -1):
+        acc = acc * r + f[i]
+        q[i - 1] = acc
+    return q, acc * r + f[0]
+
+
+def integer_outside_product(f):
+    """prod |root| over roots of f with |root| > 1, exactly, when every root
+    of the monic integer polynomial f is an integer; otherwise None.
+
+    The candidates are the nearest integers to the numeric roots of the
+    square-free part of f, whose roots are simple, so root-finding converges;
+    a root's modulus is at most 1 + max|coefficient|, so that many bits plus
+    a margin round it correctly. Each candidate is confirmed and divided out
+    of f exactly, as often as it goes.
+    """
+    f = poly_int(poly_trim(list(f)))
+    while len(f) > 1 and f[0] == 0:
+        f = f[1:]  # zero roots add nothing to the product
+    if len(f) == 1:
+        return 1
+    squarefree = poly_int(poly_divmod(f, poly_gcd(f, poly_deriv(f)))[0])
+    bits = max(abs(c) for c in squarefree).bit_length() + 16
+    with mp.workprec(bits):
+        candidates = {int(mp.nint(mp.re(x))) for x in poly_roots(squarefree, bits)}
+    product = 1
+    for r in candidates:
+        if r == 0 or squarefree[0] % r:
+            continue
+        q, rem = _divide_linear(f, r)
+        while rem == 0:
+            product *= abs(r)
+            f = q
+            q, rem = _divide_linear(f, r)
+    return product if len(f) == 1 else None
+
+
 # ---------------------------------------------------------------------------
 # cyclotomic polynomials
 

@@ -1,12 +1,16 @@
 """Fixed-point sequence sources and their spectral data.
 
 A source produces the sequence sigma_k = number of fixed points of the
-k-th iterate. Three variants:
+k-th iterate. Two models:
 
-  * fad     - product form c^k |det(A^k - 1)| r_k prod_p |k|_p^{s_{p,k}}
-              p^{-t_{p,k} |k|_p^{-1}} with periodic gcd-sequence data,
-  * builtin - the worked examples FF(q), E(p,n), GA, GM, periodic(values),
-  * table   - an explicit prefix sigma_1..sigma_X.
+  * product form - c^k |det(A^k - 1)| r_k prod_p |k|_p^{s_{p,k}}
+                   p^{-t_{p,k} |k|_p^{-1}} with periodic gcd-sequence data
+                   (a FadSpec),
+  * table        - an explicit prefix sigma_1..sigma_X.
+
+The worked examples FF(q), E(p,n), GA, GM and periodic(values) are named
+product forms: builtin_source attaches their FadSpec and keeps the name and
+parameters only for display and for the closed-form asymptotic constants.
 
 Also here: growth rate Lambda, unit-circle eigenvalue angles of the matrix
 part (which control the oscillatory factor in Cesaro means), and the Dold
@@ -26,7 +30,6 @@ from orbitstat.numtheory import (
     is_prime,
     lte_params,
     mobius,
-    nk_minus_one_valuation,
     p_valuation,
 )
 from orbitstat import polyops
@@ -107,10 +110,10 @@ class FadSpec:
 
 @dataclass(frozen=True)
 class SigmaSource:
-    """A sigma_k provider: one of the variants in the module docstring."""
+    """A sigma_k provider: one of the models in the module docstring."""
 
-    kind: str  # "fad" | "table" | "builtin"
-    fad: FadSpec = None
+    kind: str  # "fad" | "table" | "builtin" (a named fad)
+    fad: FadSpec = None  # set for every kind but "table"
     table: tuple = None
     name: str = None
     params: tuple = ()  # sorted (key, value) pairs for builtins
@@ -158,13 +161,16 @@ def table_source(values):
 
 
 def builtin_source(name, **params):
-    """Construct a named example source.
+    """Construct a named example source: a product form with a name.
 
     FF(q): sigma_k = q^k (Frobenius on a finite field of q elements).
     E(p,n): sigma_k = (n^k-1)^2 |n^k-1|_p (elliptic curve reductions flavor).
     GA: sigma_k = 2^(k - |k|_2^(-1)) (additive cellular automaton).
     GM: sigma_k = |det(A^k-1)| |det(A^k-1)|_5 for the Salem companion matrix.
     periodic(values): sigma_k cycles through the given positive integers.
+
+    The attached FadSpec is not validated: periodic values may be 0, which
+    FadSpec.validate rejects as an r value.
     """
     if name not in BUILTIN_NAMES:
         raise ValueError(f"unknown builtin {name!r}")
@@ -172,11 +178,13 @@ def builtin_source(name, **params):
     for key in required:
         if key not in params:
             raise ValueError(f"builtin {name} requires parameter {key}")
+    zero = PeriodicSequence.constant(0)
     if name == "FF":
         q = int(params.pop("q"))
         if q < 2:
             raise ValueError("q >= 2 required")
         items = (("q", q),)
+        spec = FadSpec(c=q)
     elif name == "E":
         p = int(params.pop("p"))
         n = int(params.pop("n"))
@@ -185,85 +193,78 @@ def builtin_source(name, **params):
         if n < 2:
             raise ValueError("n >= 2 required")
         items = (("n", n), ("p", p))
+        matrix = ((n, 0), (0, n))
+        if n % p == 0:
+            spec = FadSpec(matrix=matrix)
+        else:
+            # |n^k - 1|_p = p^(-e) |k|_p when d | k, else 1 (lifting the exponent)
+            d, e = lte_params(n, p)
+            r_vals = [Fraction(1)] * d
+            r_vals[d - 1] = Fraction(1, p**e)
+            s_vals = [0] * d
+            s_vals[d - 1] = 1
+            spec = FadSpec(
+                matrix=matrix,
+                r=PeriodicSequence(tuple(r_vals)),
+                primes=(FadPrime(p, PeriodicSequence(tuple(s_vals)), zero),),
+            )
     elif name == "periodic":
         values = tuple(int(v) for v in params.pop("values"))
         if not values or any(v < 0 for v in values):
             raise ValueError("periodic values must be non-negative integers")
         items = (("values", values),)
-    else:
+        spec = FadSpec(r=PeriodicSequence(values))
+    elif name == "GA":
         items = ()
+        spec = FadSpec(c=2, primes=(FadPrime(2, zero, PeriodicSequence.constant(1)),))
+    else:  # GM
+        items = ()
+        spec = FadSpec(
+            matrix=gm_matrix(),
+            r=PeriodicSequence((1, 1, Fraction(1, 25))),
+            primes=(FadPrime(5, PeriodicSequence((0, 0, 4)), zero),),
+        )
     if params:
         raise ValueError(f"unexpected parameters {sorted(params)} for {name}")
-    return SigmaSource(kind="builtin", name=name, params=items)
+    return SigmaSource(kind="builtin", fad=spec, name=name, params=items)
 
 
 def fad_spec_for(source):
-    """The FadSpec carrying the same sigma as a builtin source.
-
-    Raw tables have no canonical product form and raise.
-    """
-    if source.kind == "fad":
-        return source.fad
-    if source.kind != "builtin":
+    """The FadSpec of a product-form or builtin source; raw tables raise."""
+    if source.fad is None:
         raise ValueError("no FAD form for a raw table")
-    name = source.name
-    if name == "FF":
-        return FadSpec(c=source.param("q"))
-    if name == "GA":
-        one = PeriodicSequence.constant(1)
-        zero = PeriodicSequence.constant(0)
-        return FadSpec(c=2, primes=(FadPrime(2, zero, one),))
-    if name == "GM":
-        return FadSpec(
-            c=1,
-            matrix=gm_matrix(),
-            r=PeriodicSequence((1, 1, Fraction(1, 25))),
-            primes=(FadPrime(5, PeriodicSequence((0, 0, 4)), PeriodicSequence.constant(0)),),
-        )
-    if name == "E":
-        p, n = source.param("p"), source.param("n")
-        zero = PeriodicSequence.constant(0)
-        if n % p == 0:
-            return FadSpec(c=1, matrix=((n, 0), (0, n)))
-        d, e = lte_params(n, p)
-        r_vals = [Fraction(1)] * d
-        r_vals[d - 1] = Fraction(1, p**e)
-        s_vals = [0] * d
-        s_vals[d - 1] = 1
-        return FadSpec(
-            c=1,
-            matrix=((n, 0), (0, n)),
-            r=PeriodicSequence(tuple(r_vals)),
-            primes=(FadPrime(p, PeriodicSequence(tuple(s_vals)), zero),),
-        )
-    if name == "periodic":
-        return FadSpec(c=1, r=PeriodicSequence(source.param("values")))
-    raise AssertionError(name)
+    return source.fad
 
 
 # ---------------------------------------------------------------------------
 # sigma evaluation
 
 
-def _fad_sigma_from_det(spec, k, det_value):
-    """Assemble sigma_k from a precomputed det(A^k - 1) (or None if no matrix)."""
-    value = Fraction(spec.c) ** k
-    if spec.matrix is not None:
-        if det_value == 0:
-            return 0
-        value *= abs(det_value)
-    value *= spec.r.at(k)
+def _fad_sigma_from_det(spec, k, ck, det_value):
+    """Assemble sigma_k from c^k and a precomputed det(A^k - 1) (None if no
+    matrix) in integers: the r and p-adic denominators are collected and
+    divided out once."""
+    if det_value == 0:
+        return 0
+    r = spec.r.at(k)
+    num = ck.numerator * r.numerator
+    den = ck.denominator * r.denominator
+    if det_value is not None:
+        num *= abs(det_value)
     for fp in spec.primes:
-        v, absk = p_valuation(k, fp.p)
-        s = int(fp.s.at(k))
-        t = int(fp.t.at(k))
-        value *= absk**s
-        value *= Fraction(1, fp.p ** (t * fp.p**v))
-    if value.denominator != 1:
+        # |k|_p^s p^(-t |k|_p^(-1)) = p^(-(v s + t p^v)) with v = v_p(k)
+        v, _ = p_valuation(k, fp.p)
+        e = v * int(fp.s.at(k)) + int(fp.t.at(k)) * fp.p**v
+        if e >= 0:
+            den *= fp.p**e
+        else:
+            num *= fp.p**-e
+    value, rem = divmod(num, den)
+    if rem:
         raise ValueError(f"non-realizable parameters at k={k}")
     if value < 0:
         raise ValueError(f"negative sigma at k={k}")
-    return int(value)
+    return value
 
 
 def sigma_eval(source, k):
@@ -274,37 +275,13 @@ def sigma_eval(source, k):
         if k > len(source.table):
             raise ValueError(f"table covers only k <= {len(source.table)}")
         return source.table[k - 1]
-    if source.kind == "fad":
-        spec = source.fad
-        det_value = None
-        if spec.matrix is not None:
-            A = [list(row) for row in spec.matrix]
-            M = polyops.mat_sub(polyops.mat_pow(A, k), polyops.mat_identity(len(A)))
-            det_value = polyops.int_det(M)
-        return _fad_sigma_from_det(spec, k, det_value)
-    name = source.name
-    if name == "FF":
-        return source.param("q") ** k
-    if name == "GA":
-        v, _ = p_valuation(k, 2)
-        return 2 ** (k - 2**v)
-    if name == "E":
-        p, n = source.param("p"), source.param("n")
-        m = n**k - 1
-        if n % p == 0:
-            return m * m
-        v = nk_minus_one_valuation(n, k, p)
-        return m * m // p**v
-    if name == "GM":
-        A = gm_matrix()
-        M = polyops.mat_sub(polyops.mat_pow(A, k), polyops.mat_identity(4))
+    spec = source.fad
+    det_value = None
+    if spec.matrix is not None:
+        A = [list(row) for row in spec.matrix]
+        M = polyops.mat_sub(polyops.mat_pow(A, k), polyops.mat_identity(len(A)))
         det_value = polyops.int_det(M)
-        v, _ = p_valuation(det_value, 5) if det_value else (0, None)
-        return abs(det_value) // 5**v
-    if name == "periodic":
-        values = source.param("values")
-        return values[(k - 1) % len(values)]
-    raise AssertionError(name)
+    return _fad_sigma_from_det(spec, k, spec.c**k, det_value)
 
 
 def sigma_table(source, X):
@@ -324,46 +301,14 @@ def sigma_table(source, X):
             raise ValueError(f"table covers only k <= {len(source.table)}")
         out[1 : X + 1] = source.table[:X]
         return out
-    if source.kind == "builtin" and source.name == "FF":
-        q = source.param("q")
-        acc = 1
-        for k in range(1, X + 1):
-            acc *= q
-            out[k] = acc
-        return out
-    if source.kind == "builtin" and source.name == "E":
-        p, n = source.param("p"), source.param("n")
-        de = None if n % p == 0 else lte_params(n, p)
-        acc = 1
-        for k in range(1, X + 1):
-            acc *= n
-            m = acc - 1
-            if de is None:
-                out[k] = m * m
-            else:
-                v = nk_minus_one_valuation(n, k, p, *de)
-                out[k] = m * m // p**v
-        return out
-    if source.kind == "builtin" and source.name in ("GA", "GM", "periodic"):
-        if source.name == "GA":
-            for k in range(1, X + 1):
-                v, _ = p_valuation(k, 2)
-                out[k] = 2 ** (k - 2**v)
-            return out
-        if source.name == "periodic":
-            values = source.param("values")
-            for k in range(1, X + 1):
-                out[k] = values[(k - 1) % len(values)]
-            return out
-        source = fad_source(fad_spec_for(source), validate=False)
-        # fall through to the fad path with the GM spec, then undo the r/s
-        # bookkeeping: the GM builtin and its spec agree exactly.
     spec = source.fad
     dets = None
     if spec.matrix is not None:
         dets = polyops.det_iterate_minus_identity([list(row) for row in spec.matrix], X)
+    ck = 1
     for k in range(1, X + 1):
-        out[k] = _fad_sigma_from_det(spec, k, dets[k] if dets is not None else None)
+        ck *= spec.c
+        out[k] = _fad_sigma_from_det(spec, k, ck, dets[k] if dets is not None else None)
     return out
 
 
@@ -393,41 +338,20 @@ def _exact_rate(q, precision):
 def growth_rate(source, precision=128):
     """Growth rate Lambda of sigma_k at the given binary precision.
 
-    FAD sources use c times the product of |root| > 1 of the characteristic
-    polynomial (sampling sigma_k^(1/k) would be polluted by the r and p-adic
-    factors, which are subexponential). Tables get an empirical tail
-    estimate flagged low-confidence.
+    Product forms use c times the product of |root| > 1 of the
+    characteristic polynomial (sampling sigma_k^(1/k) would be polluted by
+    the r and p-adic factors, which are subexponential). When every root is
+    an integer the product is exact; otherwise it is rooted numerically.
+    Tables get an empirical tail estimate flagged low-confidence.
     """
-    if source.kind == "builtin":
-        name = source.name
-        if name == "FF":
-            return _exact_rate(source.param("q"), precision)
-        if name == "E":
-            return _exact_rate(source.param("n") ** 2, precision)
-        if name == "GA":
-            return _exact_rate(2, precision)
-        if name == "periodic":
-            return _exact_rate(1, precision)
-        if name == "GM":
-            with mp.workprec(precision + 16):
-                v = +polyops.outside_unit_product(list(GM_POLY), precision)
-            return GrowthRate(value=v)
-    if source.kind == "fad":
-        spec = source.fad
+    spec = source.fad
+    if spec is not None:
         if spec.matrix is None:
             return _exact_rate(spec.c, precision)
         cp = polyops.charpoly([list(row) for row in spec.matrix])
-        # Split off exact unit-circle content so the outside product only
-        # sees well-separated roots.
-        rev = polyops.poly_reversal(cp)
-        g = polyops.poly_gcd(cp, rev)
-        h = cp
-        if polyops.poly_degree(g) >= 1:
-            h, r = polyops.poly_divmod(cp, g)
-            assert polyops.poly_degree(r) < 0
-            # unit-circle factors of g contribute nothing to the product;
-            # off-circle reciprocal pairs contribute via g as well, so keep
-            # the g-part product too.
+        exact = polyops.integer_outside_product(cp)
+        if exact is not None:
+            return _exact_rate(spec.c * exact, precision)
         with mp.workprec(precision + 16):
             prod = polyops.outside_unit_product(cp, precision)
             if abs(prod - 1) < mp.mpf(2) ** (-(precision // 2)):
@@ -505,7 +429,11 @@ def fluctuation_spectrum(A, precision=128, c=1, extra_notes=()):
                     if abs(abs(root) - 1) < eps and mp.im(root) > eps:
                         angles.append((+mp.arg(root), False, None))
         angles.sort(key=lambda a: a[0])
-        lam = +(c * polyops.outside_unit_product(f, precision))
+        exact = polyops.integer_outside_product(f)
+        if exact is not None:
+            lam = mp.mpf(c * exact)
+        else:
+            lam = +(c * polyops.outside_unit_product(f, precision))
     return SpectrumReport(
         lam=lam,
         unit_angles=tuple(a[0] for a in angles),
@@ -519,7 +447,7 @@ def fluctuation_spectrum(A, precision=128, c=1, extra_notes=()):
 
 def spectrum_for(source, precision=128):
     """SpectrumReport for a source's matrix part (m = 0 when there is none)."""
-    spec = fad_spec_for(source) if source.kind != "fad" else source.fad
+    spec = fad_spec_for(source)
     notes = ()
     if source.kind == "builtin" and source.name == "GM":
         with mp.workprec(precision + 16):

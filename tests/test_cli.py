@@ -209,6 +209,11 @@ def test_json_file_ingestion(capsys, tmp_path):
         (("census", "--system", "builtin:FF,q=2"), "--X is required"),
         (("census", "--system", "table:[1,1,2]", "--X", "3"), "Dold"),
         (("ldp", "--system", "builtin:periodic,values=[1,3]", "--X", "8"), "growth rate 1"),
+        (("sample", "--system", "builtin:FF,q=2", "--X", "4", "--samples", "0"), "--samples must be at least 1"),
+        (("sample", "--system", "builtin:FF,q=2", "--X", "4", "--samples", "-3"), "--samples must be at least 1"),
+        (("census", "--system", "builtin:FF,q=2,q=3", "--X", "4"), "parameter q given more than once"),
+        (("ldp", "--system", "builtin:FF,q=2", "--X", "9", "--epsilon", "nan"), "--epsilon must be a finite number"),
+        (("ldp", "--system", "builtin:FF,q=2", "--X", "9", "--epsilon", "inf"), "--epsilon must be a finite number"),
     ],
 )
 def test_spec_failures_exit_2(capsys, argv, needle):
@@ -232,6 +237,14 @@ def test_json_semantic_error_anchored(capsys, tmp_path):
     code, _, err = run(capsys, "census", "--system", str(spec), "--X", "2")
     assert code == 2
     assert f"{spec}:1: unknown system type" in err
+
+
+def test_json_repeated_key_is_rejected(capsys, tmp_path):
+    spec = tmp_path / "dup.json"
+    spec.write_text('{"type": "builtin", "name": "FF", "q": 2, "q": 3}')
+    code, out, err = run(capsys, "census", "--system", str(spec), "--X", "2")
+    assert code == 2 and out == ""
+    assert f"{spec}:1: key 'q' given more than once" in err
 
 
 def test_skip_validate_defers_to_prime_counts(capsys):

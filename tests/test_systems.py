@@ -1,11 +1,14 @@
 """Sources, sigma evaluation, growth rates, spectra, Dold validation."""
 
 from fractions import Fraction
+from math import prod
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from orbitstat import systems
+from orbitstat import census, systems
 from orbitstat.numtheory import PeriodicSequence
 from orbitstat.systems import (
     FadPrime,
@@ -71,21 +74,6 @@ def test_sigma_periodic_and_table():
         sigma_eval(tab, 4)
     with pytest.raises(ValueError, match="covers only"):
         sigma_table(tab, 4)
-
-
-def test_fad_spec_reproduces_builtins():
-    # The product-form spec of each builtin must give the same sigma table.
-    for src in (
-        builtin_source("FF", q=3),
-        builtin_source("E", p=3, n=2),
-        builtin_source("E", p=3, n=6),
-        builtin_source("GA"),
-        builtin_source("GM"),
-        builtin_source("periodic", values=(2, 4)),
-    ):
-        spec = fad_spec_for(src)
-        via_fad = sigma_table(fad_source(spec), 18)
-        assert via_fad == sigma_table(src, 18)
 
 
 def test_fad_spec_for_rejects_tables():
@@ -181,6 +169,27 @@ def test_growth_rate_fad_without_matrix():
     assert growth_rate(fad_source(spec)).exact == 5
 
 
+def test_growth_rate_user_matrices():
+    # Integer eigenvalues give an exact rate; the golden-mean matrix does not.
+    rate = growth_rate(fad_source(FadSpec(matrix=((3, 0), (0, 2)))))
+    assert rate.exact == 6 and float(rate) == 6.0
+    golden = growth_rate(fad_source(FadSpec(matrix=((2, 1), (1, 1)))))
+    assert golden.exact is None
+    with mp.workprec(160):
+        assert abs(golden.value - ((3 + mp.sqrt(5)) / 2)) < mp.mpf(2) ** -100
+
+
+def test_growth_rate_large_integer_roots():
+    # The exact rate must not depend on factoring the determinant.
+    for n in (2**61 - 1, 2**255 - 19):
+        assert growth_rate(builtin_source("E", p=3, n=n)).exact == n**2
+    big = 2**89 - 1
+    mixed = ((big, 0, 0, 0), (0, -3, 0, 0), (0, 0, 2, 1), (0, 0, 1, 1))
+    assert growth_rate(fad_source(FadSpec(matrix=mixed), validate=False)).exact is None
+    diagonal = FadSpec(c=2, matrix=((big, 0, 0), (0, big + 2, 0), (0, 0, -3)))
+    assert growth_rate(fad_source(diagonal)).exact == 2 * big * (big + 2) * 3
+
+
 def test_growth_rate_table_is_low_confidence():
     src = table_source(tuple(2**k for k in range(1, 17)))
     rate = growth_rate(src)
@@ -204,6 +213,15 @@ def test_gm_spectrum():
         assert abs(2 * mp.cos(theta) - (3 - mp.sqrt(5)) / 2) < mp.mpf(2) ** -100
     assert abs(float(rep.lam) - float(growth_rate(builtin_source("GM")).value)) < 1e-30
     assert rep.notes  # dual-reading provenance is recorded
+
+
+def test_spectrum_of_repeated_integer_eigenvalues():
+    # (x - 10)^2 has a double root that numeric root finding cannot settle;
+    # integer spectra are handled exactly.
+    rep = spectrum_for(builtin_source("E", p=7, n=10))
+    assert rep.m == 0
+    assert rep.lam == 100
+    assert fluctuation_spectrum(((3, 0), (0, 2)), c=2).lam == 12
 
 
 def test_rotation_matrix_has_rational_angle():
@@ -299,3 +317,32 @@ def test_describe_strings():
     assert builtin_source("FF", q=2).describe() == "builtin:FF,q=2"
     assert table_source((1, 2, 3)).describe() == "table[3]"
     assert fad_source(FadSpec(c=2)).describe() == "fad"
+
+
+# -- random product forms -----------------------------------------------------
+
+
+@st.composite
+def diagonal_specs(draw):
+    """Realizable product forms c^k |det(A^k - 1)| r_k with A diagonal and
+    r_k = 1 + a m [m | k]: the fixed points of c-shift x toral map x a
+    permutation with a m-cycles and one fixed point."""
+    entries = draw(st.lists(st.sampled_from((-3, -2, 0, 2, 3, 4)), min_size=1, max_size=3))
+    matrix = tuple(tuple(d if i == j else 0 for j in range(len(entries))) for i, d in enumerate(entries))
+    m = draw(st.integers(1, 4))
+    a = draw(st.integers(0, 2))
+    r = PeriodicSequence(tuple(1 + a * m if k == m else 1 for k in range(1, m + 1)))
+    return FadSpec(c=draw(st.integers(1, 3)), matrix=matrix, r=r).validate(), entries
+
+
+@settings(max_examples=40, deadline=None)
+@given(diagonal_specs())
+def test_random_diagonal_product_forms(case):
+    spec, entries = case
+    src = fad_source(spec)
+    X = 16
+    table = sigma_table(src, X)
+    assert all(sigma_eval(src, k) == table[k] for k in range(1, X + 1))
+    P = census.prime_counts(table)
+    assert census.orbit_counts(table) == census.euler_orbit_counts(P, X)
+    assert growth_rate(src).exact == spec.c * prod(abs(d) for d in entries if abs(d) > 1)
