@@ -242,16 +242,16 @@ def cesaro_exact_fad(spec, spectrum=None, independent=True, j_max=60, tol=None, 
     of unity eigenvalues) must be folded into the periodic factor r first.
     """
     if spectrum is None:
-        if spec.matrix is not None:
-            spectrum = systems.fluctuation_spectrum(
-                [list(row) for row in spec.matrix], precision=precision, c=spec.c
-            )
-        else:
-            spectrum = systems.spectrum_for(systems.fad_source(spec, validate=False), precision)
+        spectrum = systems.spectrum_for(systems.fad_source(spec, validate=False), precision)
     if spectrum.contains_root_of_unity or any(spectrum.theta_rational_flags):
         raise ValueError(
             "an eigenvalue angle lies in pi*Q (root of unity): fold the "
             "resulting periodic determinant factor into r and retry"
+        )
+    if len(set(spectrum.unit_angles)) < spectrum.m:
+        raise ValueError(
+            "a unit-circle eigenvalue is repeated, so its angles are "
+            "rationally dependent: no evaluation is possible"
         )
     if spectrum.m > 0 and not independent:
         raise ValueError(

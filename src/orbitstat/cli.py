@@ -237,7 +237,7 @@ def cmd_wdist(config):
     g = distribution.unit_weights(cen)
     bc = distribution.joint_census(g, cen.X_max, census=cen)
     pmf = distribution.w_pmf(bc)
-    lemma_mean, pmf_mean = distribution.expected_w(cen, cen.X_max)
+    lemma_mean, pmf_mean = distribution.expected_w(cen, cen.X_max, bc)
     if config.format == "csv":
         lines = ["value,mass"]
         for v, m in pmf.atoms:

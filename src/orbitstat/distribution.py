@@ -269,11 +269,13 @@ def w_pmf(bc, X=None):
     return pmf
 
 
-def expected_w(census, X):
+def expected_w(census, X, bc=None):
     """E[W(X)] two independent ways: the prime-sum identity
     sum_ell P_ell N(X-ell)/N(X) and the mean of the exact PMF.
 
-    Returns (lemma_value, pmf_value) after asserting exact equality.
+    bc is the census's unit-weight joint census up to length >= X, built
+    here when not given. Returns (lemma_value, pmf_value) after asserting
+    exact equality.
     """
     if X < 0 or X > census.X_max:
         raise ValueError("X outside census")
@@ -282,7 +284,8 @@ def expected_w(census, X):
     for ell in range(1, X + 1):
         if census.primes[ell]:
             acc += Fraction(census.primes[ell] * census.count_orbits(X - ell), denom)
-    bc = joint_census(unit_weights(census), X, census=census)
+    if bc is None:
+        bc = joint_census(unit_weights(census), X, census=census)
     via_pmf = w_pmf(bc, X).mean()
     if acc != via_pmf:
         raise ValueError(

@@ -6,6 +6,7 @@ ints. Everything is exact except the numeric root finding at the bottom,
 which runs in mpmath at a caller-chosen precision.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -129,35 +130,22 @@ def _divide_linear(f, r):
     return q, acc * r + f[0]
 
 
-def integer_outside_product(f):
-    """prod |root| over roots of f with |root| > 1, exactly, when every root
-    of the monic integer polynomial f is an integer; otherwise None.
-
-    The candidates are the nearest integers to the numeric roots of the
-    square-free part of f, whose roots are simple, so root-finding converges;
-    a root's modulus is at most 1 + max|coefficient|, so that many bits plus
-    a margin round it correctly. Each candidate is confirmed and divided out
-    of f exactly, as often as it goes.
-    """
-    f = poly_int(poly_trim(list(f)))
-    while len(f) > 1 and f[0] == 0:
-        f = f[1:]  # zero roots add nothing to the product
-    if len(f) == 1:
-        return 1
-    squarefree = poly_int(poly_divmod(f, poly_gcd(f, poly_deriv(f)))[0])
-    bits = max(abs(c) for c in squarefree).bit_length() + 16
-    with mp.workprec(bits):
-        candidates = {int(mp.nint(mp.re(x))) for x in poly_roots(squarefree, bits)}
-    product = 1
-    for r in candidates:
-        if r == 0 or squarefree[0] % r:
-            continue
-        q, rem = _divide_linear(f, r)
-        while rem == 0:
-            product *= abs(r)
-            f = q
-            q, rem = _divide_linear(f, r)
-    return product if len(f) == 1 else None
+def squarefree_factors(f):
+    """Square-free decomposition of a monic polynomial (Musser): pairs
+    (s, i) with f = prod s^i, each s monic, square-free, of degree >= 1 and
+    coprime to the others."""
+    out = []
+    a = poly_gcd(f, poly_deriv(f))  # prod s^(i-1)
+    b = poly_divmod(f, a)[0]  # prod s
+    i = 1
+    while poly_degree(b) >= 1:
+        y = poly_gcd(a, b)  # prod of the s with multiplicity > i
+        if poly_degree(b) > poly_degree(y):
+            out.append((poly_divmod(b, y)[0], i))
+        a = poly_divmod(a, y)[0]
+        b = y
+        i += 1
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -279,27 +267,24 @@ def int_det(A):
 
 
 def charpoly(A):
-    """Monic characteristic polynomial det(xI - A), ascending int coefficients.
+    """Monic characteristic polynomial det(xI - A), ascending int coefficients
+    (1 for the empty matrix).
 
-    Faddeev-LeVerrier: M_1 = A, c_1 = -tr M_1, M_{k+1} = A(M_k + c_k I),
-    c_{k+1} = -tr(M_{k+1})/(k+1); all c_k are integers for integer A.
+    Faddeev-LeVerrier: M_0 = 0, c_0 = 1, M_k = A(M_(k-1) + c_(k-1) I),
+    c_k = -tr(M_k)/k; all c_k are integers for integer A.
     """
     d = len(A)
     if any(len(row) != d for row in A):
         raise ValueError("matrix must be square")
-    coeffs = [0] * (d + 1)
-    coeffs[d] = 1
-    M = [row[:] for row in A]
-    c = -mat_trace(M)
-    coeffs[d - 1] = c
-    for k in range(2, d + 1):
+    coeffs = [0] * d + [1]
+    M = [[0] * d for _ in range(d)]
+    c = 1
+    for k in range(1, d + 1):
         for i in range(d):
             M[i][i] += c
         M = mat_mul(A, M)
-        t = mat_trace(M)
-        q, r = divmod(-t, k)
+        c, r = divmod(-mat_trace(M), k)
         assert r == 0, "Faddeev-LeVerrier trace not divisible"
-        c = q
         coeffs[d - k] = c
     return coeffs
 
@@ -412,18 +397,65 @@ def poly_roots(f, precision):
     return polished
 
 
-def outside_unit_product(f, precision):
-    """prod |root| over roots of f with |root| > 1, as an mpf.
+@dataclass(frozen=True)
+class RootSplit:
+    """The roots of a monic integer polynomial, as root_split sorts them:
+    outside, the mpf product of |root| > 1; exact, the same product as an
+    int when every root that is not a root of unity is an integer, else
+    None; cyclotomic, each n with Phi_n | f; unit_roots, the other
+    unit-circle roots with Im > 0. Everything counts multiplicity."""
 
-    Roots within 2^(-precision/2) of the unit circle are treated as on it
-    and excluded; exact unit-circle factors should be split off beforehand
-    (via gcd with the reversal) when certainty matters.
+    outside: object
+    exact: int
+    cyclotomic: tuple
+    unit_roots: tuple
+
+
+def root_split(f, precision):
+    """Split the roots of a monic integer polynomial f, exact parts first.
+
+    Zero roots are dropped; the rest is split into square-free factors s^i,
+    and every Phi_n dividing s is divided out exactly. What is left of s is
+    rooted once, as g = gcd(s, reversal s), which holds every remaining
+    unit-circle root, and s/g. A part is rooted at max(precision + 48,
+    coefficient bits + 16) bits, so its integer roots round correctly; its
+    roots are simple, so root finding converges. Roots within
+    2^(-precision/2) of the unit circle count as on it.
     """
-    with mp.workprec(precision + 48):
-        eps = mp.mpf(2) ** (-(precision // 2))
-        prod = mp.mpf(1)
-        for r in poly_roots(f, precision + 48):
-            m = abs(r)
-            if m > 1 + eps:
-                prod *= m
-        return +prod
+    f = poly_int(poly_trim(list(f)))
+    while len(f) > 1 and f[0] == 0:
+        f = f[1:]
+    eps = mp.mpf(2) ** (-(precision // 2))
+    outside = mp.mpf(1)
+    exact = 1
+    cyclo = []
+    unit = []
+    for s, i in squarefree_factors(f):
+        for n in cyclotomic_divisors(s):
+            s = poly_divmod(s, cyclotomic(n))[0]
+            cyclo += [n] * i
+        g = poly_gcd(s, poly_reversal(s))
+        for part, reciprocal in ((g, True), (poly_divmod(s, g)[0], False)):
+            part = poly_int(part)
+            if len(part) == 1:
+                continue
+            bits = max(precision + 48, max(abs(c) for c in part).bit_length() + 16)
+            with mp.workprec(bits):
+                roots = poly_roots(part, bits)
+                for r in roots:
+                    m = abs(r)
+                    if m > 1 + eps:
+                        outside *= m**i
+                    elif reciprocal and abs(m - 1) < eps and mp.im(r) > eps:
+                        unit += [r] * i
+                candidates = {int(mp.nint(mp.re(r))) for r in roots}
+            if exact is None:
+                continue
+            for r in candidates:
+                q, rem = _divide_linear(part, r)
+                if rem == 0:
+                    part = q
+                    exact *= abs(r) ** i
+            if len(part) > 1:
+                exact = None
+    return RootSplit(outside, exact, tuple(cyclo), tuple(unit))

@@ -72,7 +72,7 @@ class FadSpec:
             if any(len(row) != d for row in self.matrix):
                 raise ValueError("matrix must be square")
             if require_positive:
-                cp = polyops.charpoly([list(row) for row in self.matrix])
+                cp = polyops.charpoly(self.matrix)
                 if polyops.cyclotomic_divisors(cp):
                     raise ValueError(
                         "matrix has a root-of-unity eigenvalue; fold the "
@@ -328,11 +328,12 @@ class GrowthRate:
         return float(self.value)
 
 
-def _exact_rate(q, precision):
-    q = Fraction(q)
+def _split_rate(c, split, precision):
+    """GrowthRate c * prod |root| > 1 from a polyops.root_split result."""
     with mp.workprec(precision + 16):
-        v = mp.mpf(q.numerator) / q.denominator
-    return GrowthRate(value=v, exact=q)
+        if split.exact is None:
+            return GrowthRate(value=+(c * split.outside))
+        return GrowthRate(value=mp.mpf(c * split.exact), exact=Fraction(c * split.exact))
 
 
 def growth_rate(source, precision=128):
@@ -340,24 +341,15 @@ def growth_rate(source, precision=128):
 
     Product forms use c times the product of |root| > 1 of the
     characteristic polynomial (sampling sigma_k^(1/k) would be polluted by
-    the r and p-adic factors, which are subexponential). When every root is
-    an integer the product is exact; otherwise it is rooted numerically.
-    Tables get an empirical tail estimate flagged low-confidence.
+    the r and p-adic factors, which are subexponential). When every root
+    that is not a root of unity is an integer the product is exact;
+    otherwise it is rooted numerically. Tables get an empirical tail
+    estimate flagged low-confidence.
     """
     spec = source.fad
     if spec is not None:
-        if spec.matrix is None:
-            return _exact_rate(spec.c, precision)
-        cp = polyops.charpoly([list(row) for row in spec.matrix])
-        exact = polyops.integer_outside_product(cp)
-        if exact is not None:
-            return _exact_rate(spec.c * exact, precision)
-        with mp.workprec(precision + 16):
-            prod = polyops.outside_unit_product(cp, precision)
-            if abs(prod - 1) < mp.mpf(2) ** (-(precision // 2)):
-                return _exact_rate(spec.c, precision)
-            v = +(spec.c * prod)
-        return GrowthRate(value=v)
+        split = polyops.root_split(polyops.charpoly(spec.matrix or ()), precision)
+        return _split_rate(spec.c, split, precision)
     # raw table: empirical estimate from the tail
     table = source.table
     if len(table) < 8:
@@ -395,52 +387,32 @@ class SpectrumReport:
 
 
 def fluctuation_spectrum(A, precision=128, c=1, extra_notes=()):
-    """Isolate unit-circle eigenvalues of an integer matrix exactly-first.
+    """Unit-circle eigenvalues and growth rate of an integer matrix (None
+    for none), both from one exact-first root split of its characteristic
+    polynomial.
 
-    The gcd of the characteristic polynomial f with its reversal contains
-    every unit-circle eigenvalue (they come in reciprocal-conjugate pairs);
-    cyclotomic factors of that gcd are divided out exactly and flagged as
-    rational angles; the rest is rooted numerically and filtered to |z| = 1.
+    Cyclotomic factors are divided out exactly and flagged as rational
+    angles; the other unit-circle eigenvalues come from the numerically
+    rooted gcd of the remaining polynomial with its reversal (they come in
+    reciprocal-conjugate pairs). lam is built exactly as growth_rate builds
+    Lambda.
     """
-    A = [list(row) for row in A]
-    f = polyops.charpoly(A)
-    rev = polyops.poly_reversal(f)
-    g = polyops.poly_gcd(f, rev)
+    split = polyops.root_split(polyops.charpoly(A or ()), precision)
     angles = []  # (theta mpf, rational flag, (num, den) | None)
-    contains_unity = False
     with mp.workprec(precision + 48):
-        if polyops.poly_degree(g) >= 1:
-            h = [Fraction(c_) for c_ in g]
-            for n in polyops.cyclotomic_divisors(h):
-                phi = polyops.cyclotomic(n)
-                while polyops.poly_divides(phi, h):
-                    contains_unity = True
-                    q, _ = polyops.poly_divmod(h, phi)
-                    h = q
-                    for num in range(1, n):
-                        if gcd(num, n) != 1:
-                            continue
-                        theta = 2 * mp.pi * num / n
-                        if mp.mpf(0) < theta < mp.pi:
-                            angles.append((+theta, True, (num, n)))
-            if polyops.poly_degree(h) >= 1:
-                eps = mp.mpf(2) ** (-(precision // 2))
-                for root in polyops.poly_roots(h, precision):
-                    if abs(abs(root) - 1) < eps and mp.im(root) > eps:
-                        angles.append((+mp.arg(root), False, None))
+        for n in split.cyclotomic:
+            for num in range(1, (n + 1) // 2):  # 0 < theta = 2 pi num/n < pi
+                if gcd(num, n) == 1:
+                    angles.append((+(2 * mp.pi * num / n), True, (num, n)))
+        angles.extend((+mp.arg(root), False, None) for root in split.unit_roots)
         angles.sort(key=lambda a: a[0])
-        exact = polyops.integer_outside_product(f)
-        if exact is not None:
-            lam = mp.mpf(c * exact)
-        else:
-            lam = +(c * polyops.outside_unit_product(f, precision))
     return SpectrumReport(
-        lam=lam,
+        lam=_split_rate(c, split, precision).value,
         unit_angles=tuple(a[0] for a in angles),
         m=len(angles),
         theta_rational_flags=tuple(a[1] for a in angles),
         rational_angles=tuple(a[2] for a in angles),
-        contains_root_of_unity=contains_unity,
+        contains_root_of_unity=bool(split.cyclotomic),
         notes=tuple(extra_notes),
     )
 
@@ -459,21 +431,7 @@ def spectrum_for(source, precision=128):
             f"alternative printed reading cos(theta) = (3 - sqrt 5)/8 "
             f"would give theta = {mp.nstr(c2, 12)} (rejected by the exact roots)",
         )
-    if spec.matrix is None:
-        with mp.workprec(precision + 16):
-            lam = mp.mpf(spec.c)
-        return SpectrumReport(
-            lam=lam,
-            unit_angles=(),
-            m=0,
-            theta_rational_flags=(),
-            rational_angles=(),
-            contains_root_of_unity=False,
-            notes=notes,
-        )
-    return fluctuation_spectrum(
-        [list(row) for row in spec.matrix], precision=precision, c=spec.c, extra_notes=notes
-    )
+    return fluctuation_spectrum(spec.matrix, precision=precision, c=spec.c, extra_notes=notes)
 
 
 # ---------------------------------------------------------------------------

@@ -133,6 +133,18 @@ def test_cesaro_exact_fad_rejects_dependent_angles():
         asy.cesaro_exact_fad(fad_spec_for(builtin_source("GM")), independent=False)
 
 
+def test_cesaro_exact_fad_rejects_repeated_unit_eigenvalues():
+    # GM twice: each unit-circle angle appears twice, and the Cesaro mean of
+    # (4 sin^2(k theta / 2))^2 is 6, not 2^2.
+    gm = systems.gm_matrix()
+    d = len(gm)
+    matrix = [row + [0] * d for row in gm] + [[0] * d + row for row in gm]
+    spec = systems.FadSpec(matrix=matrix)
+    assert systems.spectrum_for(systems.fad_source(spec, validate=False)).m == 2
+    with pytest.raises(ValueError, match="repeated"):
+        asy.cesaro_exact_fad(spec)
+
+
 def test_cesaro_exact_fad_tol_guard():
     spec = fad_spec_for(builtin_source("GA"))
     with pytest.raises(ValueError, match="increase j_max"):

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from orbitstat import cli
+from orbitstat import cli, distribution
 from orbitstat.cli import main
 
 
@@ -91,6 +91,21 @@ def test_wdist_csv(capsys):
     )
     assert code == 0
     assert out == "value,mass\n0,1/7\n1,5/7\n2,1/7\n"
+
+
+def test_wdist_builds_one_joint_census(capsys, monkeypatch):
+    calls = []
+    real = distribution.joint_census
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(distribution, "joint_census", counting)
+    code, out, _ = run(capsys, "wdist", "--system", "builtin:FF,q=2", "--X", "6")
+    assert code == 0
+    assert json.loads(out)["mean"] == json.loads(out)["mean_prime_sum"]
+    assert calls == [6]
 
 
 def test_ldp_csv(capsys):
@@ -190,6 +205,18 @@ def test_json_file_ingestion(capsys, tmp_path):
     assert code == 0
     assert "product-form invariants: ok" in out
     assert "ell <= 30" in out
+
+
+def test_repeated_irrational_eigenvalue_system(capsys, tmp_path):
+    spec = tmp_path / "golden2.json"
+    matrix = [[2, 1, 0, 0], [1, 1, 0, 0], [0, 0, 2, 1], [0, 0, 1, 1]]
+    spec.write_text(json.dumps({"type": "fad", "matrix": matrix}))
+    code, out, err = run(capsys, "census", "--system", str(spec), "--X", "4")
+    assert code == 0 and err == ""
+    assert out.split("\n")[2].startswith("1,1,1,1,2,1,")
+    code, out, err = run(capsys, "constants", "--system", str(spec))
+    assert code == 0 and err == ""
+    assert json.loads(out)["lambda"].startswith("6.854101966249684544613760503")
 
 
 # -- failure modes ----------------------------------------------------------------

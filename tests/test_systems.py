@@ -4,11 +4,12 @@ from fractions import Fraction
 from math import prod
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitstat import census, systems
+from orbitstat import asymptotics, census, polyops, systems
 from orbitstat.numtheory import PeriodicSequence
 from orbitstat.systems import (
     FadPrime,
@@ -251,6 +252,69 @@ def test_hyperbolic_matrix_has_empty_unit_spectrum():
         assert abs(rep.lam - golden) < mp.mpf(2) ** -60
 
 
+REPEATED_GOLDEN = ((2, 1, 0, 0), (1, 1, 0, 0), (0, 0, 2, 1), (0, 0, 1, 1))
+
+
+def test_repeated_non_integer_eigenvalue():
+    # (x^2 - 3x + 1)^2: a double irrational root, which numeric root finding
+    # on the whole characteristic polynomial does not settle.
+    src = fad_source(FadSpec(matrix=REPEATED_GOLDEN), validate=False)
+    rate = growth_rate(src)
+    assert rate.exact is None
+    with mp.workprec(160):
+        assert abs(rate.value - (7 + 3 * mp.sqrt(5)) / 2) < mp.mpf(2) ** -100
+    assert spectrum_for(src).m == 0
+
+
+def test_root_split_parts():
+    # x^2 (x - 1)^2 (x + 1) (x^2 + x + 1) (x - 3)^2 (x^4 - 3x^3 + 3x^2 - 3x + 1)
+    f = [1]
+    for factor in ([0, 1], [0, 1], [-1, 1], [-1, 1], [1, 1], [1, 1, 1], [-3, 1], [-3, 1]):
+        f = polyops.poly_mul(f, factor)
+    split = polyops.root_split(f, 128)
+    assert split.exact == 9
+    assert abs(split.outside - 9) < mp.mpf(2) ** -100
+    assert sorted(split.cyclotomic) == [1, 1, 2, 3]
+    assert split.unit_roots == ()
+    gm = polyops.root_split(polyops.poly_mul(f, list(systems.GM_POLY)), 128)
+    assert gm.exact is None and sorted(gm.cyclotomic) == [1, 1, 2, 3]
+    assert len(gm.unit_roots) == 1
+    assert polyops.root_split([0, 0, 1], 128) == polyops.RootSplit(1, 1, (), ())
+
+
+def test_spectrum_and_growth_rate_share_lambda():
+    sources = [builtin_source(name) for name in ("GM", "GA")]
+    sources += [builtin_source("FF", q=3), builtin_source("E", p=3, n=2**61 - 1)]
+    sources += [
+        fad_source(FadSpec(c=c, matrix=m), validate=False)
+        for c, m in ((1, ((2, 1), (1, 1))), (2, ((2, 1), (1, 1))), (1, REPEATED_GOLDEN))
+    ]
+    for src in sources:
+        for precision in (128, 256):
+            assert spectrum_for(src, precision).lam == growth_rate(src, precision).value
+
+
+def test_gm_is_rooted_once_per_call(monkeypatch):
+    gm = builtin_source("GM")
+    cen = census.build_census(gm, 20)
+    calls = []
+    real = polyops.poly_roots
+
+    def counting(f, precision):
+        calls.append(len(f) - 1)
+        return real(f, precision)
+
+    monkeypatch.setattr(polyops, "poly_roots", counting)
+    for compute in (
+        lambda: growth_rate(gm),
+        lambda: spectrum_for(gm),
+        lambda: asymptotics.constants_for(gm, cen=cen),
+    ):
+        calls.clear()
+        compute()
+        assert calls == [4]
+
+
 # -- Dold validation ----------------------------------------------------------
 
 
@@ -346,3 +410,42 @@ def test_random_diagonal_product_forms(case):
     P = census.prime_counts(table)
     assert census.orbit_counts(table) == census.euler_orbit_counts(P, X)
     assert growth_rate(src).exact == spec.c * prod(abs(d) for d in entries if abs(d) > 1)
+
+
+@st.composite
+def block_matrices(draw):
+    """Block-diagonal integer matrices from 1x1 and 2x2 blocks with entries
+    in [-3, 3], repeated blocks allowed: defective blocks, repeated
+    irrational eigenvalues, roots of unity and zero eigenvalues all occur."""
+    entry = st.integers(-3, 3)
+    block = st.one_of(
+        st.tuples(entry).map(lambda b: ((b[0],),)),
+        st.tuples(entry, entry, entry, entry).map(lambda b: ((b[0], b[1]), (b[2], b[3]))),
+    )
+    blocks = draw(st.lists(block, min_size=1, max_size=3))
+    blocks += draw(st.lists(st.sampled_from(blocks), max_size=2))
+    d = sum(len(b) for b in blocks)
+    matrix = [[0] * d for _ in range(d)]
+    at = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            matrix[at + i][at : at + len(row)] = row
+        at += len(b)
+    return tuple(map(tuple, matrix)), blocks
+
+
+@settings(max_examples=60, deadline=None)
+@given(block_matrices(), st.sampled_from((64, 128, 256)))
+def test_random_block_matrix_spectra(case, precision):
+    matrix, blocks = case
+    src = fad_source(FadSpec(matrix=matrix), validate=False)
+    rate = growth_rate(src, precision)
+    spectrum = spectrum_for(src, precision)
+    assert spectrum.lam == rate.value
+    eigenvalues = np.linalg.eigvals(np.array(matrix, dtype=float))
+    expected = prod(abs(z) for z in eigenvalues if abs(z) > 1 + 1e-6)
+    assert abs(float(rate.value) / expected - 1) < 1e-6
+    on_circle = [z for z in eigenvalues if abs(abs(z) - 1) < 1e-6 and z.imag > 1e-6]
+    assert spectrum.m == len(on_circle)
+    if all(len(b) == 1 for b in blocks):
+        assert rate.exact == prod(abs(b[0][0]) for b in blocks if abs(b[0][0]) > 1)
