@@ -70,12 +70,6 @@ class AsymptoticConstants:
     tail_bounds: dict = field(default_factory=dict)
     notes: tuple = ()
 
-    def b_float(self):
-        return float(self.B)
-
-    def c_float(self):
-        return float(self.C)
-
 
 # ---------------------------------------------------------------------------
 # empirical Cesaro mean

@@ -17,7 +17,6 @@ import mpmath as mp
 from fractions import Fraction
 
 from orbitstat import kernels, systems
-from orbitstat.numtheory import divisors, mobius
 
 
 def prime_counts(sigma):
@@ -26,19 +25,11 @@ def prime_counts(sigma):
     Raises on a non-integral or negative quotient, carrying the offending
     length: such a sigma is not realizable by any dynamical system.
     """
-    X = len(sigma) - 1
-    P = [0] * (X + 1)
-    for ell in range(1, X + 1):
-        total = 0
-        for n in divisors(ell):
-            total += mobius(ell // n) * sigma[n]
-        q, r = divmod(total, ell)
-        if r:
-            raise ValueError(f"non-integral prime count at ell={ell}")
-        if q < 0:
-            raise ValueError(f"negative prime count at ell={ell}")
-        P[ell] = q
-    return P
+    report = systems.validate_dold(sigma[1:])
+    if not report.ok:
+        ell, reason = report.first_failure
+        raise ValueError(f"sigma fails the Dold condition at ell={ell}: {reason}")
+    return [0, *report.primes]
 
 
 def orbit_counts(sigma):
@@ -75,30 +66,19 @@ class OrbitCensus:
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def build(cls, source, X_max, precision=128, validate=True, crosscheck_to=256):
+    def build(cls, source, X_max, precision=128, crosscheck_to=256):
         """Compute a census from any SigmaSource.
 
-        validate runs the Dold check on the sigma prefix first (cheap and
-        catches bad tables before a confusing failure deeper in). The Euler
-        product cross-check runs to min(X_max, crosscheck_to) at build time;
-        verify_euler() reruns it to any degree on demand.
+        The Dold check on the sigma prefix yields the prime counts, so a
+        table no dynamical system realizes fails here, naming the first
+        failing length. The Euler product cross-check runs to
+        min(X_max, crosscheck_to) at build time; verify_euler() reruns it
+        to any degree on demand.
         """
         if X_max < 1:
             raise ValueError("X_max >= 1 required")
         sigma = systems.sigma_table(source, X_max)
-        # prime_counts makes the one Mobius pass; the Dold report is only
-        # needed to word a failure
-        try:
-            primes = prime_counts(sigma)
-        except ValueError:
-            if validate:
-                report = systems.validate_dold(sigma[1:])
-                if not report.ok:
-                    ell, reason = report.first_failure
-                    raise ValueError(
-                        f"sigma fails the Dold condition at ell={ell}: {reason}"
-                    ) from None
-            raise
+        primes = prime_counts(sigma)
         totals = orbit_counts(sigma)
         lam = systems.growth_rate(source, precision)
         census = cls(source, X_max, sigma, primes, totals, lam, precision)
@@ -218,8 +198,6 @@ class OrbitCensus:
             )
 
 
-def build_census(source, X_max, precision=128, validate=True, crosscheck_to=256):
+def build_census(source, X_max, precision=128, crosscheck_to=256):
     """Convenience wrapper over OrbitCensus.build."""
-    return OrbitCensus.build(
-        source, X_max, precision=precision, validate=validate, crosscheck_to=crosscheck_to
-    )
+    return OrbitCensus.build(source, X_max, precision=precision, crosscheck_to=crosscheck_to)

@@ -150,29 +150,54 @@ def _json_doc(command, config, payload):
 # configuration
 
 
+# Every flag's add_argument keywords, keyed by its dest; the option is --dest
+# with "_" as "-". A subcommand that does not take a flag runs with the
+# default given here.
+FLAGS = {
+    "system": dict(required=True, help="builtin:NAME[,k=v...], table:[...], or JSON file"),
+    "X": dict(type=int, help="census range"),
+    "precision": dict(type=int, default=128, help="working precision in bits (>= 64)"),
+    "seed": dict(type=int, default=0, help="64-bit sampling seed"),
+    "samples": dict(type=int, default=100000, help="sample count"),
+    "epsilon": dict(type=float, action="append", help="tail epsilon (repeatable)"),
+    "out": dict(help="output path (default stdout)"),
+    "format": dict(choices=("csv", "json")),
+    "include_empty_orbit": dict(
+        action=argparse.BooleanOptionalAction,
+        default=True,
+        help="count the empty orbit in cumulative totals",
+    ),
+}
+
+
+def _value(args, flag):
+    """The parsed value of a flag, or its default where the subcommand does
+    not take it."""
+    return getattr(args, flag, FLAGS[flag].get("default"))
+
+
 class RunConfig:
     def __init__(self, args):
         self.args = args
-        self.precision = args.precision
+        self.precision = _value(args, "precision")
         if self.precision < 64:
             raise CliError("--precision must be at least 64")
-        self.X = getattr(args, "X", None)
+        self.X = args.X
         if self.X is not None and self.X < 1:
             raise CliError("--X must be at least 1")
-        self.seed = args.seed
+        self.seed = _value(args, "seed")
         if not 0 <= self.seed < 2**64:
             raise CliError("--seed must fit in 64 bits")
-        self.samples = args.samples
+        self.samples = _value(args, "samples")
         if self.samples < 1:
             raise CliError("--samples must be at least 1")
-        self.epsilons = args.epsilon or [1.0]
+        self.epsilons = _value(args, "epsilon") or [1.0]
         for eps in self.epsilons:
             if not math.isfinite(eps):
                 raise CliError(f"--epsilon must be a finite number, got {eps}")
         self.out = args.out
-        self.format = args.format
-        self.skip_validate = args.skip_validate
-        self.include_empty = args.include_empty_orbit
+        self.format = _value(args, "format")
+        self.include_empty = _value(args, "include_empty_orbit")
         self.source = parse_system(args.system)
 
     def census(self, X=None, crosscheck_to=256):
@@ -180,13 +205,7 @@ class RunConfig:
         if X is None:
             raise CliError("--X is required for this command")
         try:
-            return build_census(
-                self.source,
-                X,
-                precision=self.precision,
-                validate=not self.skip_validate,
-                crosscheck_to=crosscheck_to,
-            )
+            return build_census(self.source, X, precision=self.precision, crosscheck_to=crosscheck_to)
         except ValueError as exc:
             raise CliError(f"{self.args.system}:1: {exc}") from exc
 
@@ -335,36 +354,34 @@ COMMANDS = {
 }
 
 
+# subcommand -> (help, {flag: keywords overriding its spec}) for the flags it
+# reads besides --system, --X and --out, which every subcommand takes
+SUBCOMMANDS = {
+    "census": (
+        "orbit/prime counts and Mertens sums as CSV",
+        {"precision": {}, "format": {"default": "csv"}, "include_empty_orbit": {}},
+    ),
+    "constants": ("asymptotic constants (B, C, growth rate) as JSON", {"precision": {}}),
+    "wdist": ("exact distribution of the distinct-prime statistic", {"format": {"default": "json"}}),
+    "ldp": (
+        "tail report: exact tails, rate values, Chebyshev bounds",
+        {"precision": {}, "epsilon": {}, "format": {"default": "csv"}},
+    ),
+    "sample": ("seeded uniform orbit samples as CSV", {"seed": {}, "samples": {}}),
+    "validate": ("Dold congruence / realizability check", {}),
+}
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="orbitstat",
         description="Exact orbit-decomposition statistics of discrete dynamical systems.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("census", "orbit/prime counts and Mertens sums as CSV"),
-        ("constants", "asymptotic constants (B, C, growth rate) as JSON"),
-        ("wdist", "exact distribution of the distinct-prime statistic"),
-        ("ldp", "tail report: exact tails, rate values, Chebyshev bounds"),
-        ("sample", "seeded uniform orbit samples as CSV"),
-        ("validate", "Dold congruence / realizability check"),
-    ):
+    for name, (help_text, flags) in SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--system", required=True, help="builtin:NAME[,k=v...], table:[...], or JSON file")
-        p.add_argument("--X", type=int, default=None, help="census range")
-        p.add_argument("--precision", type=int, default=128, help="working precision in bits (>= 64)")
-        p.add_argument("--seed", type=int, default=0, help="64-bit sampling seed")
-        p.add_argument("--samples", type=int, default=100000, help="sample count")
-        p.add_argument("--epsilon", type=float, action="append", help="tail epsilon (repeatable)")
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default=None)
-        p.add_argument("--skip-validate", action="store_true", help="skip the Dold check")
-        p.add_argument(
-            "--include-empty-orbit",
-            action=argparse.BooleanOptionalAction,
-            default=True,
-            help="count the empty orbit in cumulative totals",
-        )
+        for flag, overrides in {"system": {}, "X": {}, **flags, "out": {}}.items():
+            p.add_argument("--" + flag.replace("_", "-"), **{**FLAGS[flag], **overrides})
     return parser
 
 

@@ -9,7 +9,6 @@ which runs in mpmath at a caller-chosen precision.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb
 
 import mpmath as mp
 

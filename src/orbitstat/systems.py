@@ -442,6 +442,7 @@ def spectrum_for(source, precision=128):
 class DoldReport:
     ok: bool
     first_failure: tuple = None  # (ell, reason)
+    primes: tuple = None  # P_1..P_X when ok
 
     def __bool__(self):
         return self.ok
@@ -451,13 +452,15 @@ def validate_dold(sigma):
     """Check the Dold integrality condition on a prefix sigma_1..sigma_X.
 
     For every ell <= X the Mobius-transformed sum sum_{n | ell} mu(ell/n)
-    sigma_n must be divisible by ell with non-negative quotient (the
-    would-be count of prime orbits of length ell).
+    sigma_n must be divisible by ell with non-negative quotient P_ell (the
+    count of prime orbits of length ell). This is the package's one Mobius
+    pass: a passing report carries P_1..P_X.
     """
     sigma = list(sigma)
     X = len(sigma)
     if X < 1:
         raise ValueError("need at least sigma_1")
+    primes = []
     for ell in range(1, X + 1):
         total = 0
         for n in divisors(ell):
@@ -467,7 +470,8 @@ def validate_dold(sigma):
             return DoldReport(False, (ell, f"Mobius sum {total} not divisible by {ell}"))
         if q < 0:
             return DoldReport(False, (ell, f"negative orbit count {q}"))
-    return DoldReport(True, None)
+        primes.append(q)
+    return DoldReport(True, None, tuple(primes))
 
 
 # ---------------------------------------------------------------------------

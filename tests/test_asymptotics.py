@@ -8,7 +8,7 @@ import pytest
 
 from orbitstat import asymptotics as asy
 from orbitstat import systems
-from orbitstat.systems import builtin_source, fad_spec_for, fluctuation_spectrum, table_source
+from orbitstat.systems import builtin_source, fad_spec_for, table_source
 
 
 def mpf_close(a, b, tol):

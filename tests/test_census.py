@@ -4,6 +4,8 @@ import io
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitstat import (
     build_census,
@@ -12,6 +14,7 @@ from orbitstat import (
     orbit_counts,
     prime_counts,
     table_source,
+    validate_dold,
 )
 
 import oracles
@@ -38,6 +41,47 @@ def test_prime_counts_reject_unrealizable_tables():
         prime_counts([0, 1, 1, 2])
     with pytest.raises(ValueError, match="negative"):
         prime_counts([0, 2, 0])
+
+
+@st.composite
+def realizable_tables(draw):
+    """Random prime counts P_ell in [0, 12) and the table sigma_k =
+    sum_{ell | k} ell P_ell that realizes them (index 0 unused in both)."""
+    P = [0] + draw(st.lists(st.integers(0, 11), min_size=1, max_size=40))
+    sigma = [0] * len(P)
+    for ell in range(1, len(P)):
+        for k in range(ell, len(P), ell):
+            sigma[k] += ell * P[ell]
+    return P, sigma
+
+
+@settings(max_examples=60, deadline=None)
+@given(realizable_tables())
+def test_dold_recovers_random_prime_counts(case):
+    P, sigma = case
+    assert list(validate_dold(sigma[1:]).primes) == P[1:]
+    assert prime_counts(sigma) == P
+
+
+@settings(max_examples=60, deadline=None)
+@given(realizable_tables(), st.data())
+def test_unrealizable_tables_fail_at_the_perturbed_length(case, data):
+    P, sigma = case
+    X = len(P) - 1
+    ell = data.draw(st.integers(1, X))
+    if ell > 1 and data.draw(st.booleans()):
+        # the Mobius sum at ell moves by delta, which ell does not divide
+        sigma[ell] += data.draw(st.integers(-3 * ell, 3 * ell).filter(lambda d: d % ell))
+    else:
+        # the Mobius sum at ell becomes -ell, so P_ell = -1
+        sigma[ell] -= ell * (P[ell] + 1)
+    assert validate_dold(sigma[1:]).first_failure[0] == ell
+    failing = [lambda: prime_counts(sigma)]
+    if min(sigma) >= 0:  # a table with a negative entry is refused before the Dold check
+        failing.append(lambda: build_census(table_source(sigma[1:]), X))
+    for run in failing:
+        with pytest.raises(ValueError, match=rf"Dold condition at ell={ell}:"):
+            run()
 
 
 def test_orbit_count_routes_agree(ff2_census, e32_census):
@@ -98,9 +142,6 @@ def test_mertens_irrational_lambda_path():
 def test_build_rejects_bad_tables():
     with pytest.raises(ValueError, match="Dold"):
         build_census(table_source((1, 1, 2)), 3)
-    # skipping validation defers the failure to the prime-count stage
-    with pytest.raises(ValueError):
-        build_census(table_source((1, 1, 2)), 3, validate=False)
     with pytest.raises(ValueError):
         build_census(builtin_source("FF", q=2), 0)
 

@@ -2,6 +2,7 @@
 diagnostics, schema-tagged JSON, and deterministic outputs."""
 
 import json
+import re
 
 import pytest
 
@@ -232,7 +233,7 @@ def test_repeated_irrational_eigenvalue_system(capsys, tmp_path):
         (("census", "--system", "no/such/file.json", "--X", "2"), "no such system spec"),
         (("census", "--system", "builtin:FF,q=2", "--X", "0"), "--X must be at least 1"),
         (("census", "--system", "builtin:FF,q=2", "--X", "4", "--precision", "32"), "at least 64"),
-        (("census", "--system", "builtin:FF,q=2", "--X", "4", "--seed", "-1"), "64 bits"),
+        (("sample", "--system", "builtin:FF,q=2", "--X", "4", "--seed", "-1"), "64 bits"),
         (("census", "--system", "builtin:FF,q=2"), "--X is required"),
         (("census", "--system", "table:[1,1,2]", "--X", "3"), "Dold"),
         (("ldp", "--system", "builtin:periodic,values=[1,3]", "--X", "8"), "growth rate 1"),
@@ -274,12 +275,42 @@ def test_json_repeated_key_is_rejected(capsys, tmp_path):
     assert f"{spec}:1: key 'q' given more than once" in err
 
 
-def test_skip_validate_defers_to_prime_counts(capsys):
-    code, _, err = run(
-        capsys, "census", "--system", "table:[1,1,2]", "--X", "3", "--skip-validate"
-    )
-    assert code == 2
-    assert "non-integral prime count" in err
+@pytest.mark.parametrize(
+    "sub,flag",
+    [
+        ("constants", "--format csv"),
+        ("sample", "--format json"),
+        ("wdist", "--no-include-empty-orbit"),
+        ("wdist", "--precision 64"),
+        ("census", "--seed 1"),
+        ("census", "--skip-validate"),
+        ("census", "--epsilon 3"),
+        ("ldp", "--samples 7"),
+        ("validate", "--precision 128"),
+    ],
+)
+def test_subcommands_reject_flags_they_do_not_read(capsys, sub, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([sub, "--system", "builtin:FF,q=2", "--X", "3", *flag.split()])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def test_subcommand_help_lists_the_flags_it_reads(capsys):
+    expected = {
+        "census": ["--precision", "--format", "--include-empty-orbit", "--no-include-empty-orbit"],
+        "constants": ["--precision"],
+        "wdist": ["--format"],
+        "ldp": ["--precision", "--epsilon", "--format"],
+        "sample": ["--seed", "--samples"],
+        "validate": [],
+    }
+    for sub, flags in expected.items():
+        with pytest.raises(SystemExit):
+            main([sub, "--help"])
+        out = capsys.readouterr().out
+        listed = re.findall(r"--[\w-]+", out.split("options:")[1])
+        assert listed == ["--help", "--system", "--X", *flags, "--out"], sub
 
 
 def test_internal_errors_exit_1(capsys, monkeypatch):

@@ -18,7 +18,6 @@ from orbitstat.systems import (
     fad_source,
     fad_spec_for,
     fluctuation_spectrum,
-    gm_matrix,
     growth_rate,
     sigma_eval,
     sigma_table,
