@@ -499,7 +499,8 @@ class FitReport:
 
 
 def predict_and_fit(cen, constants, window, precision=128):
-    """Compare census counts N(X) against (C/Gamma(B)) Lambda^X X^(B-1).
+    """Compare census counts N(X) against (C/Gamma(B)) Lambda^X X^(B-1),
+    with B, C and Lambda read from constants.
 
     ratio(X) = N(X) / (Lambda^X X^(B-1)); the fitted constant is the ratio
     at the largest window point (least squares would just launder the
@@ -514,7 +515,8 @@ def predict_and_fit(cen, constants, window, precision=128):
     if window[0] < 1 or window[-1] > cen.X_max:
         raise ValueError("window outside census range")
     with mp.workprec(precision + 32):
-        lam = cen.lam.value
+        lam = constants.lam
+        lam = mp.mpf(lam.numerator) / lam.denominator if isinstance(lam, Fraction) else mp.mpf(lam)
         if isinstance(B, Fraction):
             Bm = mp.mpf(B.numerator) / B.denominator
         else:
@@ -632,7 +634,7 @@ def constants_for(source, precision=128, cen=None, fit_window=None):
         provenance={
             "B": "exact-closed-form" if B.exact else "series-truncation",
             "C": "empirical-fit",
-            "lambda": "exact-closed-form" if getattr(cen.lam, "exact", None) else "series-truncation",
+            "lambda": "exact-closed-form" if spectrum.rate.exact else "series-truncation",
         },
         tail_bounds={} if B.exact else {"B": B.tail_bound},
         notes=("C fitted at X = %d; the growth law's 1/log X error makes this low-confidence" % fit.rows[-1][0],),

@@ -12,6 +12,7 @@ sum M(X) = sum_{ell<=X} P_ell Lambda^(-ell).
 """
 
 import csv
+from functools import cached_property
 
 import mpmath as mp
 from fractions import Fraction
@@ -48,16 +49,15 @@ class OrbitCensus:
     """Immutable exact census of a source up to degree X_max.
 
     sigma, primes, totals are lists indexed by degree (sigma[0] = primes[0]
-    = 0, totals[0] = 1). lam is the growth rate used for Mertens sums.
+    = 0, totals[0] = 1).
     """
 
-    def __init__(self, source, X_max, sigma, primes, totals, lam, precision):
+    def __init__(self, source, X_max, sigma, primes, totals, precision):
         self.source = source
         self.X_max = X_max
         self.sigma = sigma
         self.primes = primes
         self.totals = totals
-        self.lam = lam
         self.precision = precision
         self._cum_totals = None
         self._cum_primes = None
@@ -80,8 +80,7 @@ class OrbitCensus:
         sigma = systems.sigma_table(source, X_max)
         primes = prime_counts(sigma)
         totals = orbit_counts(sigma)
-        lam = systems.growth_rate(source, precision)
-        census = cls(source, X_max, sigma, primes, totals, lam, precision)
+        census = cls(source, X_max, sigma, primes, totals, precision)
         if crosscheck_to:
             census.verify_euler(min(X_max, crosscheck_to))
         return census
@@ -96,6 +95,13 @@ class OrbitCensus:
                     f"orbit-count routes disagree at n={n}: {self.totals[n]} vs {alt[n]}"
                 )
         return True
+
+    @cached_property
+    def lam(self):
+        """The growth rate used for Mertens sums, computed on first use: the
+        counts and distributions never read it, and a raw table shorter
+        than growth_rate needs has none."""
+        return systems.growth_rate(self.source, self.precision)
 
     # -- cumulative counting functions --------------------------------------
 

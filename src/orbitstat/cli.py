@@ -217,7 +217,10 @@ class RunConfig:
 def cmd_census(config):
     cen = config.census()
     buf = io.StringIO()
-    cen.write_csv(buf, include_empty=config.include_empty)
+    try:
+        cen.write_csv(buf, include_empty=config.include_empty)  # the M column reads the growth rate
+    except ValueError as exc:
+        raise CliError(f"{config.args.system}:1: {exc}") from exc
     if config.format == "json":
         rows = buf.getvalue().strip().split("\n")
         header = rows[0].split(",")

@@ -12,7 +12,7 @@ transforms drive the rate functions in the ldp module.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 import mpmath as mp
 
@@ -191,10 +191,17 @@ def joint_census(g, X, census=None):
     Multiplies the per-class factors (1 + u_w z^ell/(1-z^ell))^count:
     using d >= 1 distinct primes of a class (count available) with total
     multiplicity k >= d at length ell contributes multiplicity
-    C(count, d) C(k-1, d-1) at z-degree ell*k and statistic d*w. The
-    marginal over statistic values is checked cell-exactly against the
-    orbit counts (the census's recurrence route when one is supplied, the
-    product route otherwise).
+    C(count, d) C(k-1, d-1) at z-degree ell*k and statistic d*w.
+
+    Statistic values are kept as integer keys: every weight is scaled by D,
+    the lcm of the weight denominators over the classes with count > 0, so
+    a cell's key is D times its value and values[k] is Fraction(key, D).
+    Each class updates one list of per-length rows in place, lengths
+    descending (a row is read before any lower row writes into it), and
+    stops at the first factor degree that overshoots X. The marginal over
+    statistic values is checked cell-exactly against the orbit counts (the
+    census's recurrence route when one is supplied, the product route
+    otherwise).
     """
     if g.X < X:
         raise ValueError("weight classes do not cover the requested range")
@@ -206,45 +213,43 @@ def joint_census(g, X, census=None):
                 raise ValueError(f"class counts at ell={ell} inconsistent with census")
     else:
         totals = kernels.euler_product_series(list(P[: X + 1]), X)
-    # cells: n -> {value: count}
-    cells = {0: {Fraction(0): 1}}
-    for ell in range(1, X + 1):
-        for count, weight in g.classes[ell]:
-            if count == 0:
+    live = [(ell, count, weight) for ell in range(1, X + 1)
+            for count, weight in g.classes[ell] if count]
+    D = lcm(*(weight.denominator for _, _, weight in live))
+    # rows[n]: statistic key -> number of orbits of total length n
+    rows = [{} for _ in range(X + 1)]
+    rows[0][0] = 1
+    for ell, count, weight in live:
+        key = weight.numerator * (D // weight.denominator)
+        # (degree, key step, multiplicity), degree ascending
+        factor = [
+            (ell * k, d * key, comb(count, d) * comb(k - 1, d - 1))
+            for k in range(1, X // ell + 1)
+            for d in range(1, min(k, count) + 1)
+        ]
+        for n in range(X - ell, -1, -1):
+            row = rows[n]
+            if not row:
                 continue
-            # factor entries beyond degree X never matter
-            factor = []
-            kmax = X // ell
-            for k in range(1, kmax + 1):
-                for d in range(1, min(k, count) + 1):
-                    factor.append((ell * k, d * weight, comb(count, d) * comb(k - 1, d - 1)))
-            if not factor:
-                continue
-            updated = {n: dict(row) for n, row in cells.items()}
-            for n, row in cells.items():
-                for deg, val, mult in factor:
-                    if n + deg > X:
-                        continue
-                    target = updated.setdefault(n + deg, {})
-                    for v, c in row.items():
-                        key = v + val
-                        target[key] = target.get(key, 0) + c * mult
-            cells = updated
+            for deg, step, mult in factor:
+                if n + deg > X:
+                    break
+                target = rows[n + deg]
+                get = target.get
+                for v, c in row.items():
+                    target[v + step] = get(v + step, 0) + c * mult
     for n in range(X + 1):
-        have = sum(cells.get(n, {}).values())
+        have = sum(rows[n].values())
         if have != totals[n]:
             raise ValueError(f"marginal mismatch at n={n}: {have} != {totals[n]}")
-    values = sorted({v for row in cells.values() for v in row})
-    value_index = {v: k for k, v in enumerate(values)}
-    flat = {}
-    for n, row in cells.items():
-        for v, c in row.items():
-            if c:
-                flat[(n, value_index[v])] = c
+    keys = sorted({v for row in rows for v in row})
+    key_index = {v: k for k, v in enumerate(keys)}
+    values = tuple(Fraction(v, D) for v in keys)
+    flat = {(n, key_index[v]): c for n, row in enumerate(rows) for v, c in row.items()}
     return BivariateCensus(
         X=X,
-        values=tuple(values),
-        value_index=value_index,
+        values=values,
+        value_index={v: k for k, v in enumerate(values)},
         cells=flat,
         orbit_totals=tuple(totals),
     )

@@ -11,6 +11,7 @@ which the tail reports place alongside exact census tails.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 
 import mpmath as mp
 
@@ -245,6 +246,8 @@ def tail_report(bc, constants, epsilons, rate, xs=None, theta_grid=None, precisi
             if X > bc.X:
                 raise ValueError("window outside census")
             pmf = w_pmf(bc, X)
+            # the grid transforms depend on the window only: one pass serves every eps
+            transform = cache(lambda t: pmf.laplace(t, precision))
             scale = Bm * mp.log(X)
             for eps in epsilons:
                 eps_m = _to_mpf(eps)
@@ -257,9 +260,7 @@ def tail_report(bc, constants, epsilons, rate, xs=None, theta_grid=None, precisi
                     log_p = +mp.log(_to_mpf(p))
                     normalized = +(-log_p / scale) if scale != 0 else mp.inf
                 rate_value = rate.evaluate(1 + eps_m, precision)
-                cheb = chebyshev_bound(
-                    lambda t: pmf.laplace(t, precision), threshold, theta_grid, precision
-                )
+                cheb = chebyshev_bound(transform, threshold, theta_grid, precision)
                 rows.append(
                     TailRow(
                         X=X,

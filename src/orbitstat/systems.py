@@ -377,13 +377,17 @@ class SpectrumReport:
     divisibility (never by numerics).
     """
 
-    lam: object  # mpf: c * product of |roots| > 1
+    rate: GrowthRate  # c * product of |roots| > 1, as growth_rate returns it
     unit_angles: tuple
     m: int
     theta_rational_flags: tuple
     rational_angles: tuple  # (num, den) pairs meaning theta = 2*pi*num/den, or None
     contains_root_of_unity: bool
     notes: tuple = ()
+
+    @property
+    def lam(self):
+        return self.rate.value
 
 
 def fluctuation_spectrum(A, precision=128, c=1, extra_notes=()):
@@ -394,8 +398,8 @@ def fluctuation_spectrum(A, precision=128, c=1, extra_notes=()):
     Cyclotomic factors are divided out exactly and flagged as rational
     angles; the other unit-circle eigenvalues come from the numerically
     rooted gcd of the remaining polynomial with its reversal (they come in
-    reciprocal-conjugate pairs). lam is built exactly as growth_rate builds
-    Lambda.
+    reciprocal-conjugate pairs). rate is the GrowthRate growth_rate returns
+    for the same matrix and c; lam is its value.
     """
     split = polyops.root_split(polyops.charpoly(A or ()), precision)
     angles = []  # (theta mpf, rational flag, (num, den) | None)
@@ -407,7 +411,7 @@ def fluctuation_spectrum(A, precision=128, c=1, extra_notes=()):
         angles.extend((+mp.arg(root), False, None) for root in split.unit_roots)
         angles.sort(key=lambda a: a[0])
     return SpectrumReport(
-        lam=_split_rate(c, split, precision).value,
+        rate=_split_rate(c, split, precision),
         unit_angles=tuple(a[0] for a in angles),
         m=len(angles),
         theta_rational_flags=tuple(a[1] for a in angles),

@@ -233,3 +233,30 @@ def brute_class_probabilities(results, X):
         if n <= X:
             classes[profile] = classes.get(profile, 0) + c
     return {profile: Fraction(c, total) for profile, c in classes.items()}
+
+
+def brute_weighted_census(weights, X):
+    """Counts of orbits by (total length n <= X, statistic value), where an
+    orbit's statistic is the sum of the weights of the distinct labeled
+    primes it uses.
+
+    weights maps each length to the list of its labeled primes' weights,
+    one entry per prime. Each prime in turn (ascending length) takes a
+    multiplicity, so every multiset is reached exactly once.
+    """
+    labeled = [(ell, w) for ell in sorted(weights) for w in weights[ell]]
+    results = {}
+
+    def walk(i, n, value):
+        if i == len(labeled) or n + labeled[i][0] > X:
+            results[(n, value)] = results.get((n, value), 0) + 1
+            return
+        ell, w = labeled[i]
+        walk(i + 1, n, value)
+        m = 1
+        while n + m * ell <= X:
+            walk(i + 1, n + m * ell, value + w)
+            m += 1
+
+    walk(0, 0, Fraction(0))
+    return results

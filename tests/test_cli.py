@@ -223,6 +223,22 @@ def test_repeated_irrational_eigenvalue_system(capsys, tmp_path):
 # -- failure modes ----------------------------------------------------------------
 
 
+SHORT_TABLE = "table:[2,2,2,18]"  # too short for growth_rate's tail estimate
+
+
+def test_wdist_of_short_table_needs_no_growth_rate(capsys):
+    code, out, err = run(capsys, "wdist", "--system", SHORT_TABLE, "--X", "3")
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["mean"] == doc["mean_prime_sum"] == "6/5"
+
+
+def test_sample_of_short_table_needs_no_growth_rate(capsys):
+    code, out, err = run(capsys, "sample", "--system", SHORT_TABLE, "--X", "3", "--samples", "2")
+    assert code == 0 and err == ""
+    assert out.splitlines()[0] == "index,n,W,profile" and len(out.splitlines()) == 3
+
+
 @pytest.mark.parametrize(
     "argv,needle",
     [
@@ -242,6 +258,7 @@ def test_repeated_irrational_eigenvalue_system(capsys, tmp_path):
         (("census", "--system", "builtin:FF,q=2,q=3", "--X", "4"), "parameter q given more than once"),
         (("ldp", "--system", "builtin:FF,q=2", "--X", "9", "--epsilon", "nan"), "--epsilon must be a finite number"),
         (("ldp", "--system", "builtin:FF,q=2", "--X", "9", "--epsilon", "inf"), "--epsilon must be a finite number"),
+        (("census", "--system", SHORT_TABLE, "--X", "3"), f"{SHORT_TABLE}:1: table too short for a growth estimate (need >= 8)"),
     ],
 )
 def test_spec_failures_exit_2(capsys, argv, needle):

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitstat import (
     DiscreteMeasure,
@@ -16,6 +18,7 @@ from orbitstat import (
     mgf,
     rho_measure,
     subset_weights,
+    table_source,
     unit_weights,
     w_pmf,
 )
@@ -119,6 +122,53 @@ def test_joint_census_guards(ff2_census, e32_census):
         joint_census(unit_weights(ff2_census.primes[:5]), 10)
     with pytest.raises(ValueError, match="inconsistent"):
         joint_census(unit_weights(e32_census), 5, census=ff2_census)
+
+
+@st.composite
+def weighted_statistics(draw):
+    """X <= 7 and a WeightedAdditive with 1-3 classes per length (counts in
+    [0, 2], weights p/q with p in [-3, 3] and q in [1, 6]), plus each
+    length's per-prime weights for the labeled oracle."""
+    X = draw(st.integers(1, 7))
+    weight = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 6))
+    P, classes, labeled = [0], [()], {}
+    for ell in range(1, X + 1):
+        parts = draw(st.lists(st.tuples(st.integers(0, 2), weight), min_size=1, max_size=3))
+        P.append(sum(count for count, _ in parts))
+        classes.append(tuple(parts))
+        labeled[ell] = [w for count, w in parts for _ in range(count)]
+    return X, WeightedAdditive(tuple(P), tuple(classes)), labeled
+
+
+@settings(max_examples=60, deadline=None)
+@given(weighted_statistics())
+def test_joint_census_matches_labeled_oracle(case):
+    X, g, labeled = case
+    sigma = [sum(ell * g.primes[ell] for ell in range(1, k + 1) if k % ell == 0)
+             for k in range(1, X + 1)]
+    cen = build_census(table_source(sigma), X)
+    via_census = joint_census(g, X, census=cen)
+    standalone = joint_census(g, X)
+    assert via_census.cells == standalone.cells
+    assert via_census.values == standalone.values
+    results = oracles.brute_weighted_census(labeled, X)
+    for n in range(X + 1):
+        assert via_census.marginal(n) == cen.totals[n]
+        assert cen.totals[n] == sum(c for (m, _), c in results.items() if m == n)
+    masses = {}
+    for (_, v), c in results.items():
+        masses[v] = masses.get(v, 0) + c
+    total = sum(masses.values())
+    assert dict(w_pmf(via_census).atoms) == {v: Fraction(c, total) for v, c in masses.items()}
+
+
+def test_joint_census_scales_to_x120(e32_source):
+    cen = build_census(e32_source, 120)
+    bc = joint_census(unit_weights(cen), 120, census=cen)
+    for n in range(121):
+        assert bc.marginal(n) == cen.totals[n]
+    lemma, via_pmf = expected_w(cen, 120, bc)
+    assert lemma == via_pmf
 
 
 def brute_value_pmf(results, X, value_of_profile):

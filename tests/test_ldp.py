@@ -220,3 +220,27 @@ def test_tail_report_guards(ff2_census):
     good = constants_for(ff2_census.source)
     with pytest.raises(ValueError, match="outside census"):
         tail_report(bc, good, (Fraction(1),), RateFunction.poisson(), xs=(40,))
+
+
+def test_tail_report_transforms_each_window_once(ff2_census, monkeypatch):
+    bc = joint_census(unit_weights(ff2_census), 30, census=ff2_census)
+    constants = constants_for(ff2_census.source)
+    xs = (10, 20, 30)
+    calls = []
+    real = DiscreteMeasure.laplace
+
+    def counting(self, theta, precision=128):
+        calls.append(theta)
+        return real(self, theta, precision)
+
+    monkeypatch.setattr(DiscreteMeasure, "laplace", counting)
+    for epsilons in ((Fraction(1),), (Fraction(1, 2), Fraction(1), Fraction(2))):
+        calls.clear()
+        rep = tail_report(bc, constants, epsilons, RateFunction.poisson(), xs=xs)
+        assert len(calls) == len(xs) * len(_DEFAULT_THETA_GRID) == 120
+    monkeypatch.undo()
+    assert len(rep.rows) == 9
+    for row in rep.rows:
+        pmf = w_pmf(bc, row.X)
+        expected = chebyshev_bound(lambda t: pmf.laplace(t), row.threshold, _DEFAULT_THETA_GRID)
+        assert row.chebyshev == expected
