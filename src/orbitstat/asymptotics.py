@@ -18,7 +18,8 @@ import mpmath as mp
 
 from orbitstat import systems
 from orbitstat.numtheory import PeriodicSequence, divisors, is_prime, lte_params, p_valuation
-from orbitstat.census import prime_counts
+from orbitstat.census import build_census, prime_counts
+from orbitstat.polyops import to_mpf
 
 
 def gamma_value(x, precision=128):
@@ -26,9 +27,7 @@ def gamma_value(x, precision=128):
     under 1e-10 on (0, 10]; checked by tests against Gamma(1) and
     Gamma(1/2)^2 = pi)."""
     with mp.workprec(precision + 16):
-        if isinstance(x, Fraction):
-            x = mp.mpf(x.numerator) / x.denominator
-        return +mp.gamma(x)
+        return +mp.gamma(to_mpf(x))
 
 
 @dataclass(frozen=True)
@@ -49,10 +48,10 @@ class TruncatedSum:
 
     def as_mpf(self, precision=128):
         with mp.workprec(precision + 16):
-            return mp.mpf(self.value.numerator) / self.value.denominator
+            return to_mpf(self.value)
 
     def __float__(self):
-        return self.value.numerator / self.value.denominator
+        return float(self.value)
 
 
 @dataclass(frozen=True)
@@ -97,7 +96,7 @@ def cesaro_empirical(source, lam, X, precision=128):
                 dpow *= den
                 total = total * num + sigma[k] * dpow
             val = Fraction(total, num**X * X)
-            return +(mp.mpf(val.numerator) / val.denominator)
+            return +to_mpf(val)
         lam = mp.mpf(lam)
         acc = mp.mpf(0)
         power = mp.mpf(1)
@@ -119,7 +118,7 @@ def log_abel_mean(source, lam, u, K, precision=128):
     sigma = systems.sigma_table(source, K)
     with mp.workprec(precision + 32):
         u = mp.mpf(u)
-        lam = mp.mpf(lam.numerator) / lam.denominator if isinstance(lam, Fraction) else mp.mpf(lam)
+        lam = to_mpf(lam)
         acc = mp.mpf(0)
         ratio = u / lam
         power = mp.mpf(1)
@@ -213,14 +212,13 @@ def fad_class_mean(spec, theta=Fraction(0), j_max=60, precision=128):
                 # product tail: every factor is <= 1, so dropped mass adds
                 locals_tail = locals_tail + g_tail
                 locals_val *= g_val
-            term_tail = mp.mpf(weight.numerator) / weight.denominator * locals_tail
+            term_tail = to_mpf(weight) * locals_tail
             tail_total += term_tail
             if exact_mode:
                 total += weight * locals_val
             else:
-                phase = mp.expjpi(2 * mp.mpf(theta.numerator) / theta.denominator * a)
-                wl = weight * locals_val
-                total += phase * (mp.mpf(wl.numerator) / wl.denominator)
+                phase = mp.expjpi(2 * to_mpf(theta) * a)
+                total += phase * to_mpf(weight * locals_val)
         return TruncatedSum(total, +tail_total)
 
 
@@ -273,7 +271,7 @@ def qp_product(x, p, tol=None, precision=128):
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     with mp.workprec(precision + 32):
-        x = mp.mpf(x.numerator) / x.denominator if isinstance(x, Fraction) else mp.mpf(x)
+        x = to_mpf(x)
         if x <= 1:
             raise ValueError("x > 1 required (factor at j=0 diverges)")
         if tol is None:
@@ -318,9 +316,7 @@ def elliptic_constants(p, n, precision=128):
     B = 1 - Fraction(1, d) * (1 - Fraction(p, p**e * (p + 1)))
     with mp.workprec(precision + 32):
         def powf(base, expo):
-            base = mp.mpf(base.numerator) / base.denominator if isinstance(base, Fraction) else mp.mpf(base)
-            expo = mp.mpf(expo.numerator) / expo.denominator if isinstance(expo, Fraction) else mp.mpf(expo)
-            return base**expo
+            return to_mpf(base) ** to_mpf(expo)
 
         qtol = mp.mpf(2) ** (-(precision + 8))
         q_val = qp_product(Fraction(n**d), p, tol=qtol, precision=precision + 16)
@@ -329,7 +325,7 @@ def elliptic_constants(p, n, precision=128):
         f3 = powf(Fraction(n**d + 1, n**d - 1), Fraction(1, d) * (1 - Fraction(1, p ** (e - 1))))
         f4 = Fraction(n, n + 1) ** 2
         f5 = q_val ** (mp.mpf(p - 1) / (d * p**e))
-        C = +(f1 * f2 * f3 * (mp.mpf(f4.numerator) / f4.denominator) * f5)
+        C = +(f1 * f2 * f3 * to_mpf(f4) * f5)
         cbound = +(C * qtol)  # relative Q tail propagates linearly in log C
     return AsymptoticConstants(
         B=B,
@@ -410,7 +406,7 @@ def ga_constants(precision=128):
     A = ca_log_weighted_sum(2, (1,))
     with mp.workprec(precision + 32):
         expo = B.value - A.value + 1
-        C = +(mp.mpf(2) ** (mp.mpf(expo.numerator) / expo.denominator))
+        C = +(mp.mpf(2) ** to_mpf(expo))
     return AsymptoticConstants(
         B=B.value,
         C=C,
@@ -515,20 +511,10 @@ def predict_and_fit(cen, constants, window, precision=128):
     if window[0] < 1 or window[-1] > cen.X_max:
         raise ValueError("window outside census range")
     with mp.workprec(precision + 32):
-        lam = constants.lam
-        lam = mp.mpf(lam.numerator) / lam.denominator if isinstance(lam, Fraction) else mp.mpf(lam)
-        if isinstance(B, Fraction):
-            Bm = mp.mpf(B.numerator) / B.denominator
-        else:
-            Bm = mp.mpf(B)
+        lam = to_mpf(constants.lam)
+        Bm = to_mpf(B)
         gB = mp.gamma(Bm)
-        C = constants.C
-        if isinstance(C, Fraction):
-            Cm = mp.mpf(C.numerator) / C.denominator
-        elif C is not None:
-            Cm = mp.mpf(C)
-        else:
-            Cm = None
+        Cm = None if constants.C is None else to_mpf(constants.C)
         rows = []
         for X in window:
             scale = lam**X * mp.mpf(X) ** (Bm - 1)
@@ -541,6 +527,16 @@ def predict_and_fit(cen, constants, window, precision=128):
 
 # ---------------------------------------------------------------------------
 # per-source constants dispatch
+
+
+def _fit_growth_law(cen, B, lam, fit_window, precision):
+    """predict_and_fit with B and Lambda fixed and C unknown; the default
+    window is the census range's thirds."""
+    if fit_window is None:
+        top = cen.X_max
+        fit_window = (max(1, top // 3), max(2, 2 * top // 3), top)
+    interim = AsymptoticConstants(B=B, C=None, lam=lam, provenance={})
+    return predict_and_fit(cen, interim, fit_window, precision)
 
 
 def constants_for(source, precision=128, cen=None, fit_window=None):
@@ -593,16 +589,10 @@ def constants_for(source, precision=128, cen=None, fit_window=None):
             )
         # GM falls through to the generic product-form path
     if source.kind == "table":
-        from orbitstat.census import build_census
-
         if cen is None:
             cen = build_census(source, len(source.table), precision=precision)
         B = cesaro_empirical(source, cen.lam, cen.X_max, precision)
-        if fit_window is None:
-            top = cen.X_max
-            fit_window = (max(1, top // 3), max(2, 2 * top // 3), top)
-        interim = AsymptoticConstants(B=B, C=None, lam=cen.lam.value, provenance={})
-        fit = predict_and_fit(cen, interim, fit_window, precision)
+        fit = _fit_growth_law(cen, B, cen.lam.value, fit_window, precision)
         return AsymptoticConstants(
             B=B,
             C=fit.fitted_C,
@@ -616,17 +606,9 @@ def constants_for(source, precision=128, cen=None, fit_window=None):
     spec = systems.fad_spec_for(source)
     spectrum = systems.spectrum_for(source, precision)
     B = cesaro_exact_fad(spec, spectrum=spectrum, precision=precision)
-    from orbitstat.census import build_census  # local import avoids cycles at module load
-
     if cen is None:
         cen = build_census(source, 60, precision=precision)
-    if fit_window is None:
-        top = cen.X_max
-        fit_window = (max(1, top // 3), max(2, 2 * top // 3), top)
-    interim = AsymptoticConstants(
-        B=B.value, C=None, lam=spectrum.lam, provenance={}
-    )
-    fit = predict_and_fit(cen, interim, fit_window, precision)
+    fit = _fit_growth_law(cen, B.value, spectrum.lam, fit_window, precision)
     return AsymptoticConstants(
         B=B.value,
         C=fit.fitted_C,

@@ -12,12 +12,14 @@ sum M(X) = sum_{ell<=X} P_ell Lambda^(-ell).
 """
 
 import csv
+from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 
 import mpmath as mp
-from fractions import Fraction
 
 from orbitstat import kernels, systems
+from orbitstat.polyops import to_mpf
 
 
 def prime_counts(sigma):
@@ -59,9 +61,6 @@ class OrbitCensus:
         self.primes = primes
         self.totals = totals
         self.precision = precision
-        self._cum_totals = None
-        self._cum_primes = None
-        self._mertens_num = None  # exact-rational accumulation when lam is rational
 
     # -- construction ------------------------------------------------------
 
@@ -104,73 +103,76 @@ class OrbitCensus:
         return systems.growth_rate(self.source, self.precision)
 
     # -- cumulative counting functions --------------------------------------
+    #
+    # N(X), P(X) and M(X) are prefix tables indexed by X, each built once
+    # on first use.
 
-    def _prefix(self):
-        if self._cum_totals is None:
-            ct = [0] * (self.X_max + 1)
-            cp = [0] * (self.X_max + 1)
-            t = 0
-            p = 0
-            for n in range(self.X_max + 1):
-                t += self.totals[n]
-                p += self.primes[n]
-                ct[n] = t
-                cp[n] = p
-            self._cum_totals = ct
-            self._cum_primes = cp
-        return self._cum_totals, self._cum_primes
+    @cached_property
+    def _cum_totals(self):
+        return list(accumulate(self.totals))
 
-    def count_orbits(self, X, include_empty=True):
-        """N(X) = number of general orbits of length <= X (empty included)."""
-        ct, _ = self._prefix()
-        if X > self.X_max or X < 0:
-            raise ValueError("X out of census range")
-        return ct[X] if include_empty else ct[X] - 1
+    @cached_property
+    def _cum_primes(self):
+        return list(accumulate(self.primes))
 
-    def count_primes(self, X):
-        _, cp = self._prefix()
-        if X > self.X_max or X < 0:
-            raise ValueError("X out of census range")
-        return cp[X]
-
-    def mertens_exact(self, X):
-        """M(X) as an exact rational; None when Lambda is irrational."""
-        if self.lam.exact is None:
-            return None
-        if X > self.X_max or X < 0:
-            raise ValueError("X out of census range")
-        if self._mertens_num is None:
-            num, den = self.lam.exact.numerator, self.lam.exact.denominator
-            # M(ell) = T_ell / num^ell with T_ell = T_{ell-1} num + P_ell den^ell,
-            # so a single integer per ell carries the exact partial sum.
-            table = [0] * (self.X_max + 1)
+    @cached_property
+    def _mertens_prefix(self):
+        """Running M(X) for X = 0..X_max. For rational Lambda = num/den the
+        entry is the integer T_X with M(X) = T_X / num^X, from
+        T_ell = T_{ell-1} num + P_ell den^ell; otherwise it is the mpf
+        partial sum at the census precision plus 16 bits."""
+        table = [0] * (self.X_max + 1)
+        exact = self.lam.exact
+        if exact is not None:
+            num, den = exact.numerator, exact.denominator
             acc = 0
             dpow = 1
             for ell in range(1, self.X_max + 1):
                 dpow *= den
                 acc = acc * num + self.primes[ell] * dpow
                 table[ell] = acc
-            self._mertens_num = table
-        num = self.lam.exact.numerator
-        return Fraction(self._mertens_num[X], num**X) if X >= 1 else Fraction(0)
+            return table
+        with mp.workprec(self.precision + 16):
+            lam = self.lam.value
+            acc = table[0] = mp.mpf(0)
+            for ell in range(1, self.X_max + 1):
+                if self.primes[ell]:
+                    acc += self.primes[ell] * lam ** (-ell)
+                table[ell] = acc
+        return table
+
+    def _check_range(self, X):
+        if X > self.X_max or X < 0:
+            raise ValueError("X out of census range")
+
+    def count_orbits(self, X, include_empty=True):
+        """N(X) = number of general orbits of length <= X (empty included)."""
+        self._check_range(X)
+        return self._cum_totals[X] if include_empty else self._cum_totals[X] - 1
+
+    def count_primes(self, X):
+        self._check_range(X)
+        return self._cum_primes[X]
+
+    def mertens_exact(self, X):
+        """M(X) as an exact rational; None when Lambda is irrational."""
+        if self.lam.exact is None:
+            return None
+        self._check_range(X)
+        return Fraction(self._mertens_prefix[X], self.lam.exact.numerator**X)
 
     def mertens(self, X):
         """M(X) = sum_{ell<=X} P_ell Lambda^(-ell) at the census precision.
 
-        Rational Lambda accumulates exactly and rounds once at the end.
+        Rational Lambda accumulates exactly and converts at the end;
+        irrational Lambda reads the running mpf prefix.
         """
         exact = self.mertens_exact(X)
+        if exact is None:
+            self._check_range(X)
+            return self._mertens_prefix[X]
         with mp.workprec(self.precision + 16):
-            if exact is not None:
-                return mp.mpf(exact.numerator) / exact.denominator
-            if X > self.X_max or X < 0:
-                raise ValueError("X out of census range")
-            lam = self.lam.value
-            acc = mp.mpf(0)
-            for ell in range(1, X + 1):
-                if self.primes[ell]:
-                    acc += self.primes[ell] * lam ** (-ell)
-            return +acc
+            return to_mpf(exact)
 
     def cumulative(self, X):
         """(N(X), P(X), M(X)); the first two exact integers, M high precision."""

@@ -10,13 +10,14 @@ moments, MGFs, and the prime-orbit measures rho_X whose Laplace
 transforms drive the rate functions in the ldp module.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, lcm
 
 import mpmath as mp
 
 from orbitstat import kernels
+from orbitstat.polyops import to_mpf
 
 
 @dataclass(frozen=True, eq=False)
@@ -28,6 +29,7 @@ class DiscreteMeasure:
     """
 
     atoms: tuple
+    _real: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         for _, m in self.atoms:
@@ -72,15 +74,22 @@ class DiscreteMeasure:
         """Mass of [threshold, +inf); exact when atoms are rational."""
         return sum((m for v, m in self.atoms if v >= threshold), Fraction(0))
 
+    def real_atoms(self, precision=128):
+        """The atoms as (value, mass) mpf pairs at precision + 16 bits,
+        converted once per precision and shared by every transform."""
+        if precision not in self._real:
+            with mp.workprec(precision + 16):
+                self._real[precision] = tuple((to_mpf(v), to_mpf(m)) for v, m in self.atoms)
+        return self._real[precision]
+
     def laplace(self, theta, precision=128):
         """Sum of mass * e^(theta * value) at working precision."""
+        atoms = self.real_atoms(precision)
         with mp.workprec(precision + 16):
             theta = mp.mpf(theta)
             acc = mp.mpf(0)
-            for v, m in self.atoms:
-                vm = mp.mpf(v.numerator) / v.denominator if isinstance(v, Fraction) else mp.mpf(v)
-                mm = mp.mpf(m.numerator) / m.denominator if isinstance(m, Fraction) else mp.mpf(m)
-                acc += mm * mp.e ** (theta * vm)
+            for v, m in atoms:
+                acc += m * mp.e ** (theta * v)
             return +acc
 
 
@@ -315,29 +324,16 @@ def rho_measure(g, census, X, precision=128):
         raise ValueError("X outside census")
     if g.X < X:
         raise ValueError("weight classes do not cover the requested range")
-    exact = census.lam.exact is not None
-    if exact:
-        lam = census.lam.exact
-        M = census.mertens_exact(X)
-        if M == 0:
-            raise ValueError("no prime orbits in range")
-        buckets = {}
-        for ell in range(1, X + 1):
-            for count, w in g.classes[ell]:
-                if count:
-                    buckets[w] = buckets.get(w, Fraction(0)) + Fraction(count) / lam**ell
-        atoms = {w: m / M for w, m in buckets.items() if m}
-        return DiscreteMeasure.from_dict(atoms)
+    exact = census.lam.exact
     with mp.workprec(precision + 16):
-        lam = census.lam.value
-        M = census.mertens(X)
+        M = census.mertens(X) if exact is None else census.mertens_exact(X)
         if M == 0:
             raise ValueError("no prime orbits in range")
         buckets = {}
         for ell in range(1, X + 1):
-            scale = lam ** (-ell)
+            scale = census.lam.value ** (-ell) if exact is None else 1 / exact**ell
             for count, w in g.classes[ell]:
                 if count:
-                    buckets[w] = buckets.get(w, mp.mpf(0)) + count * scale
-        atoms = {w: +(m / M) for w, m in buckets.items() if m}
+                    buckets[w] = buckets.get(w, 0) + count * scale
+        atoms = {w: m / M for w, m in buckets.items() if m}
         return DiscreteMeasure.from_dict(atoms)

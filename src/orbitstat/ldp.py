@@ -16,19 +16,14 @@ from functools import cache
 import mpmath as mp
 
 from orbitstat.distribution import w_pmf
-
-
-def _to_mpf(x):
-    if isinstance(x, Fraction):
-        return mp.mpf(x.numerator) / x.denominator
-    return mp.mpf(x)
+from orbitstat.polyops import to_mpf
 
 
 def poisson_rate(x, precision=128):
     """x log x - x + 1 on x > 0, with the continuity value 1 at x = 0 and
     +inf for x < 0."""
     with mp.workprec(precision + 16):
-        x = _to_mpf(x)
+        x = to_mpf(x)
         if x < 0:
             return mp.inf
         if x == 0:
@@ -48,11 +43,11 @@ def subset_rate(x, lam, r, precision=128):
     with mp.workprec(precision + 16):
         if r == 0:
             return mp.inf
-        x = _to_mpf(x)
+        x = to_mpf(x)
         if x < 0:
             return mp.inf
-        lam_m = _to_mpf(lam)
-        r_m = _to_mpf(r)
+        lam_m = to_mpf(lam)
+        r_m = to_mpf(r)
         if x == 0:
             return +r_m  # continuity limit of the displayed formula
         return +((x / lam_m) * mp.log(x / (lam_m * r_m)) - x / lam_m + r_m)
@@ -84,9 +79,9 @@ def legendre_rate(rho, x, tol=mp.mpf("1e-10"), precision=128):
     if tol <= 0:
         raise ValueError("tol must be positive")
     _check_probability(rho)
+    atoms = [(y, m) for y, m in rho.real_atoms(precision) if m != 0]
     with mp.workprec(precision + 16):
-        atoms = [(_to_mpf(v), _to_mpf(m)) for v, m in rho.atoms if m != 0]
-        x = _to_mpf(x)
+        x = to_mpf(x)
         has_pos = any(y > 0 for y, _ in atoms)
         has_neg = any(y < 0 for y, _ in atoms)
         if x > 0 and not has_pos:
@@ -189,10 +184,10 @@ def chebyshev_bound(mgf_fn, a, theta_grid, precision=128):
     with mp.workprec(precision + 16):
         best = None
         for theta in thetas:
-            theta = _to_mpf(theta)
+            theta = to_mpf(theta)
             if theta <= 0:
                 raise ValueError("theta grid must be positive")
-            value = mp.log(_to_mpf(mgf_fn(theta))) - theta * _to_mpf(a)
+            value = mp.log(to_mpf(mgf_fn(theta))) - theta * to_mpf(a)
             if best is None or value < best:
                 best = value
         return +best
@@ -241,23 +236,24 @@ def tail_report(bc, constants, epsilons, rate, xs=None, theta_grid=None, precisi
         theta_grid = _DEFAULT_THETA_GRID
     rows = []
     with mp.workprec(precision + 16):
-        Bm = _to_mpf(B)
+        Bm = to_mpf(B)
         for X in xs:
             if X > bc.X:
                 raise ValueError("window outside census")
             pmf = w_pmf(bc, X)
+            real = pmf.real_atoms(precision)
             # the grid transforms depend on the window only: one pass serves every eps
             transform = cache(lambda t: pmf.laplace(t, precision))
             scale = Bm * mp.log(X)
             for eps in epsilons:
-                eps_m = _to_mpf(eps)
+                eps_m = to_mpf(eps)
                 threshold = +((1 + eps_m) * scale)
-                p = sum((m for v, m in pmf.atoms if _to_mpf(v) >= threshold), Fraction(0))
+                p = sum((m for (y, _), (_, m) in zip(real, pmf.atoms) if y >= threshold), Fraction(0))
                 if p == 0:
                     log_p = mp.ninf
                     normalized = mp.inf
                 else:
-                    log_p = +mp.log(_to_mpf(p))
+                    log_p = +mp.log(to_mpf(p))
                     normalized = +(-log_p / scale) if scale != 0 else mp.inf
                 rate_value = rate.evaluate(1 + eps_m, precision)
                 cheb = chebyshev_bound(transform, threshold, theta_grid, precision)

@@ -6,7 +6,7 @@ Everything here is exact. Rationals are fractions.Fraction; no floats.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 
 # Deterministic Miller-Rabin witness set, valid for all n < 3.3 * 10^24
 # (covers every 64-bit input with a wide margin).
@@ -184,21 +184,3 @@ def is_gcd_sequence(seq, window):
             if gcd(vals[m - 1], vals[n - 1]) != vals[gcd(m, n) - 1]:
                 return False
     return True
-
-
-def integer_nth_root(n, k):
-    """Floor of the k-th root of n >= 0 (exact integer arithmetic)."""
-    if n < 0:
-        raise ValueError("negative radicand")
-    if n == 0:
-        return 0
-    if k == 1:
-        return n
-    if k == 2:
-        return isqrt(n)
-    x = int(round(n ** (1.0 / k))) + 1
-    while x**k > n:
-        x -= 1
-    while (x + 1) ** k <= n:
-        x += 1
-    return x

@@ -367,6 +367,18 @@ def det_iterate_minus_identity(A, X):
 # numeric roots (mpmath) with Newton refinement
 
 
+def to_mpf(x):
+    """x as an mpf at the working precision.
+
+    A Fraction's numerator is rounded first and the quotient rounded
+    again; every real column in the package depends on these two
+    roundings, so all exact-to-real conversions go through here.
+    """
+    if isinstance(x, Fraction):
+        return mp.mpf(x.numerator) / x.denominator
+    return mp.mpf(x)
+
+
 def poly_roots(f, precision):
     """All complex roots of f at the requested binary precision.
 
@@ -377,10 +389,7 @@ def poly_roots(f, precision):
     if poly_degree(f) < 1:
         return []
     with mp.workprec(precision + 48):
-        desc = [
-            mp.mpf(c.numerator) / c.denominator if isinstance(c, Fraction) else mp.mpf(int(c))
-            for c in reversed(f)
-        ]
+        desc = [to_mpf(c) for c in reversed(f)]
         roots = mp.polyroots(desc, maxsteps=200, extraprec=precision)
         fp = poly_deriv(f)
         polished = []

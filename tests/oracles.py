@@ -10,6 +10,8 @@ the small sizes where it is feasible.
 from fractions import Fraction
 from itertools import permutations
 
+import mpmath as mp
+
 
 # ---------------------------------------------------------------------------
 # elementary arithmetic (own copies, trial division throughout)
@@ -137,6 +139,31 @@ def oracle_mertens(P, lam, X):
     """M(X) = sum P_ell lam^(-ell) as an exact Fraction (lam rational)."""
     lam = Fraction(lam)
     return sum(Fraction(P[ell]) / lam**ell for ell in range(1, X + 1))
+
+
+def oracle_mertens_mpf(P, lam, X, precision):
+    """M(X) at precision + 16 bits, summed afresh from ell = 1: a Fraction
+    lam sums exactly and rounds the numerator, then the quotient; an mpf
+    lam adds P_ell lam^(-ell) term by term."""
+    with mp.workprec(precision + 16):
+        if isinstance(lam, Fraction):
+            exact = oracle_mertens(P, lam, X)
+            return mp.mpf(exact.numerator) / exact.denominator
+        acc = mp.mpf(0)
+        for ell in range(1, X + 1):
+            if P[ell]:
+                acc += P[ell] * lam ** (-ell)
+        return +acc
+
+
+def random_sigma_table(rng, X):
+    """A realizable sigma table: build it from random prime counts."""
+    P = [0] + [rng.randrange(0, 12) for _ in range(X)]
+    sigma = [0] * (X + 1)
+    for ell in range(1, X + 1):
+        for k in range(ell, X + 1, ell):
+            sigma[k] += ell * P[ell]
+    return sigma, P
 
 
 def partition_orbit_count(n):

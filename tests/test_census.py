@@ -1,6 +1,7 @@
 """Orbit counting against necklace formulas and the exhaustive enumerator."""
 
 import io
+import random
 from fractions import Fraction
 
 import pytest
@@ -118,15 +119,18 @@ def test_cumulative_counting(ff2_census):
 def test_mertens_exact_against_oracle(ff2_census, per13_census):
     import mpmath as mp
 
-    for cen in (ff2_census, per13_census):
+    e32 = [build_census(builtin_source("E", p=3, n=2), 64, precision=bits) for bits in (64, 128, 256)]
+    for cen in (ff2_census, per13_census, *e32):
         lam = cen.lam.exact
         P = cen.primes
-        for X in (1, 2, 5, cen.X_max):
+        for X in range(cen.X_max + 1):
             expected = oracles.oracle_mertens(P, lam, X)
             assert cen.mertens_exact(X) == expected
-            with mp.workprec(200):
-                ref = mp.mpf(expected.numerator) / expected.denominator
-                assert abs(cen.mertens(X) - ref) < mp.mpf(2) ** -100
+            assert cen.mertens(X) == oracles.oracle_mertens_mpf(P, lam, X, cen.precision)
+            if cen.precision >= 128:
+                with mp.workprec(200):
+                    ref = mp.mpf(expected.numerator) / expected.denominator
+                    assert abs(cen.mertens(X) - ref) < mp.mpf(2) ** -100
     assert ff2_census.mertens_exact(0) == Fraction(0)
 
 
@@ -137,6 +141,17 @@ def test_mertens_irrational_lambda_path():
     lam = cen.lam.value
     ref = sum(cen.primes[ell] * float(lam) ** (-ell) for ell in range(1, 13))
     assert abs(float(cen.mertens(12)) - ref) < 1e-12
+    # every prefix is bit-equal to a fresh re-sum, on a product form and on a
+    # seeded raw table (whose Lambda is estimated)
+    sigma, _ = oracles.random_sigma_table(random.Random(11), 64)
+    for source in (builtin_source("GM"), table_source(sigma[1:])):
+        for bits in (64, 128, 256):
+            cen = build_census(source, 64, precision=bits)
+            assert cen.mertens_exact(64) is None
+            for X in range(65):
+                assert cen.mertens(X) == oracles.oracle_mertens_mpf(cen.primes, cen.lam.value, X, bits)
+    with pytest.raises(ValueError, match="out of census range"):
+        cen.mertens(65)
 
 
 def test_build_rejects_bad_tables():

@@ -7,15 +7,7 @@ import pytest
 
 from orbitstat import kernels
 
-
-def random_sigma_table(rng, X):
-    """A realizable sigma table: build it from random prime counts."""
-    P = [0] + [rng.randrange(0, 12) for _ in range(X)]
-    sigma = [0] * (X + 1)
-    for ell in range(1, X + 1):
-        for k in range(ell, X + 1, ell):
-            sigma[k] += ell * P[ell]
-    return sigma, P
+from oracles import random_sigma_table
 
 
 def test_backend_is_reported():

@@ -6,6 +6,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+from orbitstat import distribution
 from orbitstat import (
     AsymptoticConstants,
     DiscreteMeasure,
@@ -233,11 +234,24 @@ def test_tail_report_transforms_each_window_once(ff2_census, monkeypatch):
         calls.append(theta)
         return real(self, theta, precision)
 
+    converted = []
+    to_mpf = distribution.to_mpf
+
+    def counting_to_mpf(x):
+        converted.append(x)
+        return to_mpf(x)
+
+    # every value and mass of every window's PMF, each once
+    atoms = sorted(x for X in xs for atom in w_pmf(bc, X).atoms for x in atom)
     monkeypatch.setattr(DiscreteMeasure, "laplace", counting)
+    monkeypatch.setattr(distribution, "to_mpf", counting_to_mpf)
     for epsilons in ((Fraction(1),), (Fraction(1, 2), Fraction(1), Fraction(2))):
         calls.clear()
+        converted.clear()
         rep = tail_report(bc, constants, epsilons, RateFunction.poisson(), xs=xs)
         assert len(calls) == len(xs) * len(_DEFAULT_THETA_GRID) == 120
+        # one real view per window serves all 40 transforms and every eps
+        assert sorted(converted) == atoms
     monkeypatch.undo()
     assert len(rep.rows) == 9
     for row in rep.rows:

@@ -89,12 +89,3 @@ def test_is_gcd_sequence():
     assert not nt.is_gcd_sequence(bad, 10)
     with pytest.raises(ValueError):
         nt.is_gcd_sequence(nt.PeriodicSequence((Fraction(1, 2),)), 2)
-
-
-def test_integer_nth_root():
-    for n in (0, 1, 2, 63, 64, 65, 10**18, 10**18 + 1):
-        for k in (1, 2, 3, 5, 7):
-            r = nt.integer_nth_root(n, k)
-            assert r**k <= n < (r + 1) ** k
-    with pytest.raises(ValueError):
-        nt.integer_nth_root(-1, 2)

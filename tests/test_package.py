@@ -1,5 +1,5 @@
-"""Package metadata agrees with the build configuration, and every module
-uses what it imports."""
+"""Package metadata agrees with the build configuration, every module uses
+what it imports, and exact-to-real conversion has one home."""
 
 import ast
 from pathlib import Path
@@ -45,3 +45,38 @@ def test_no_unused_imports():
     ]
     assert len(modules) > 20
     assert [entry for path in modules for entry in unused_imports(path)] == []
+
+
+def fraction_conversions(path):
+    """The mp.mpf(<x>.numerator) calls in a module, as (enclosing function,
+    line) pairs."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if (
+            isinstance(node, ast.Call)
+            and ast.unparse(node.func) == "mp.mpf"
+            and len(node.args) == 1
+            and isinstance(node.args[0], ast.Attribute)
+            and node.args[0].attr == "numerator"
+        ):
+            found.append((function, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_fraction_to_mpf_has_one_home():
+    # the two roundings of mp.mpf(x.numerator) / x.denominator fix every
+    # real column's last digits, so only polyops.to_mpf may spell them out
+    found = {
+        path.name: fraction_conversions(path)
+        for path in sorted((ROOT / "src" / "orbitstat").glob("*.py"))
+    }
+    assert [function for function, _ in found.pop("polyops.py")] == ["to_mpf"]
+    assert {name: hits for name, hits in found.items() if hits} == {}
