@@ -11,6 +11,7 @@ from fractions import Fraction
 from itertools import permutations
 
 import mpmath as mp
+from numpy.random import Generator, Philox
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +165,32 @@ def random_sigma_table(rng, X):
         for k in range(ell, X + 1, ell):
             sigma[k] += ell * P[ell]
     return sigma, P
+
+
+def oracle_stream(seed, index, bounds):
+    """randbelow(n) for each n in bounds on substream (seed, index), built
+    the reference way: Generator(Philox(seed).jumped(index)) refilled with
+    Generator.bytes(max(nbytes, 256)), leftover bytes dropped."""
+    bitgen = Philox(seed=int(seed))
+    if index:
+        bitgen = bitgen.jumped(int(index))
+    gen = Generator(bitgen)
+    buf, pos, out = b"", 0, []
+    for n in bounds:
+        if n == 1:
+            out.append(0)
+            continue
+        nbytes = n.bit_length() // 8 + 1
+        span = 1 << (8 * nbytes)
+        while True:
+            if pos + nbytes > len(buf):
+                buf, pos = gen.bytes(max(nbytes, 256)), 0
+            r = int.from_bytes(buf[pos : pos + nbytes], "big")
+            pos += nbytes
+            if r < span - span % n:
+                out.append(r % n)
+                break
+    return out
 
 
 def partition_orbit_count(n):

@@ -1,6 +1,7 @@
 """Exact-uniform orbit sampling: determinism, marginals, and uniformity
 against the DFS enumerator's class probabilities."""
 
+import hashlib
 import io
 from fractions import Fraction
 from math import sqrt
@@ -59,6 +60,50 @@ def test_randbelow_is_roughly_uniform():
     for c in counts:
         # 5 sigma around trials/5 with sigma = sqrt(n p (1-p))
         assert abs(c - trials / 5) < 5 * sqrt(trials * 0.2 * 0.8)
+
+
+# small bounds of 1-13 bytes, so draws straddle many 256-byte block edges
+SMALL_BOUNDS = [2, 3, 7, 255, 256, 257, 10**12, 2**64 - 1, 10**30] * 60
+# 263-, 300- and 257-byte draws: refills above 256 bytes, of 66, 75 and 65
+# 32-bit words, each followed by small draws
+BIG_BOUNDS = [(1 << 2100) - 3, 10**6, (1 << 2400) // 7, 5, (1 << 2050) + 1, 2**40] * 4
+STREAM_INDICES = (0, 1, 2, 5, 1000, 2**40, 2**64 + 7, 2**128 + 3, -1)
+
+
+@pytest.mark.parametrize("index", STREAM_INDICES)
+@pytest.mark.parametrize("seed", (1, 42))
+def test_stream_matches_reference_construction(seed, index):
+    for bounds in (SMALL_BOUNDS, BIG_BOUNDS, BIG_BOUNDS + SMALL_BOUNDS):
+        rng = RandomStream(seed, index)
+        assert [rng.randbelow(n) for n in bounds] == oracles.oracle_stream(seed, index, bounds)
+
+
+def test_interleaved_streams_stay_independent():
+    bounds = SMALL_BOUNDS[:200] + BIG_BOUNDS
+    a, b = RandomStream(9, 3), RandomStream(9, 4)
+    got_a, got_b = [], []
+    for n in bounds:
+        got_a.append(a.randbelow(n))
+        got_b.append(b.randbelow(n))
+        got_b.append(b.randbelow(n))
+    assert got_a == oracles.oracle_stream(9, 3, bounds)
+    assert got_b == oracles.oracle_stream(9, 4, [n for n in bounds for _ in range(2)])
+
+
+# sha256 of "n profile" lines for RandomStream(1, i), i < 300
+DRAW_DIGESTS = {
+    ("FF", (("q", 2),), 200): "bfdc14337dd6c34038ad524a12a858084de7ce493c133e76b7b4768ccb825c2e",
+    ("E", (("p", 3), ("n", 2)), 60): "bf80a81c93c9f3dc31e13697f9593608d19bbc1f84a03fbedc47f598b40ba128",
+    ("GM", (), 40): "6f569af4799e2206ee035dd10e70d896c2a4217cfbfa24b4af5b2be1e346aac0",
+}
+
+
+@pytest.mark.parametrize("name, params, X", list(DRAW_DIGESTS))
+def test_draws_are_pinned(name, params, X):
+    sampler = sampler_for(build_census(builtin_source(name, **dict(params)), X), X)
+    draws = (sampler.sample(RandomStream(1, i)) for i in range(300))
+    rows = "\n".join(f"{s.n} {s.profile}" for s in draws)
+    assert hashlib.sha256(rows.encode()).hexdigest() == DRAW_DIGESTS[(name, params, X)]
 
 
 # -- profile pieces --------------------------------------------------------------
