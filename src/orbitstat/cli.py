@@ -14,6 +14,7 @@ import json
 import math
 import re
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 import mpmath as mp
@@ -127,12 +128,18 @@ def fmt_number(value, precision=128):
         return mp.nstr(m, _digits(precision))
 
 
-def _emit(text, out):
+@contextmanager
+def _output(out):
     if out:
         with open(out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+            yield handle
     else:
-        sys.stdout.write(text)
+        yield sys.stdout
+
+
+def _emit(text, out):
+    with _output(out) as handle:
+        handle.write(text)
 
 
 def _json_doc(command, config, payload):
@@ -324,9 +331,9 @@ def cmd_ldp(config):
 
 def cmd_sample(config):
     cen = config.census()
-    buf = io.StringIO()
-    sampler.write_samples_csv(buf, cen, cen.X_max, config.samples, config.seed)
-    _emit(buf.getvalue(), config.out)
+    # rows go out as they are drawn, so memory does not grow with --samples
+    with _output(config.out) as handle:
+        sampler.write_samples_csv(handle, cen, cen.X_max, config.samples, config.seed)
     return 0
 
 

@@ -230,23 +230,23 @@ def tail_report(bc, constants, epsilons, rate, xs=None, theta_grid=None, precisi
     B = constants.B
     if float(B) <= 0:
         raise ValueError("constants.B must be positive")
-    if xs is None:
-        xs = sorted({max(1, bc.X // 3), max(1, (2 * bc.X) // 3), bc.X})
+    xs = sorted({max(1, bc.X // 3), max(1, (2 * bc.X) // 3), bc.X}) if xs is None else tuple(xs)
     if theta_grid is None:
         theta_grid = _DEFAULT_THETA_GRID
+    if any(X > bc.X for X in xs):
+        raise ValueError("window outside census")
     rows = []
     with mp.workprec(precision + 16):
         Bm = to_mpf(B)
+        # I(1+eps) does not depend on the window: one evaluation per eps
+        rated = [(eps_m, rate.evaluate(1 + eps_m, precision)) for eps_m in map(to_mpf, epsilons)]
         for X in xs:
-            if X > bc.X:
-                raise ValueError("window outside census")
             pmf = w_pmf(bc, X)
             real = pmf.real_atoms(precision)
             # the grid transforms depend on the window only: one pass serves every eps
             transform = cache(lambda t: pmf.laplace(t, precision))
             scale = Bm * mp.log(X)
-            for eps in epsilons:
-                eps_m = to_mpf(eps)
+            for eps_m, rate_value in rated:
                 threshold = +((1 + eps_m) * scale)
                 p = sum((m for (y, _), (_, m) in zip(real, pmf.atoms) if y >= threshold), Fraction(0))
                 if p == 0:
@@ -255,7 +255,6 @@ def tail_report(bc, constants, epsilons, rate, xs=None, theta_grid=None, precisi
                 else:
                     log_p = +mp.log(to_mpf(p))
                     normalized = +(-log_p / scale) if scale != 0 else mp.inf
-                rate_value = rate.evaluate(1 + eps_m, precision)
                 cheb = chebyshev_bound(transform, threshold, theta_grid, precision)
                 rows.append(
                     TailRow(

@@ -13,48 +13,73 @@ identical streams regardless of batching.
 
 import json
 import weakref
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import accumulate
 from math import comb, sqrt
 
-from numpy.random import Generator, Philox
+from numpy.random import Philox
 
 from orbitstat import kernels
+
+# raw 64-bit Philox words fetched at a time: 4 KB, about one long draw
+_CHUNK_WORDS = 512
+
+
+@lru_cache(maxsize=64)
+def _philox_key(seed):
+    return Philox(seed=seed).state["state"]["key"]
 
 
 class RandomStream:
     """Counter-based substream: (seed, index) fully determines the draws.
 
-    Stream index i jumps the Philox counter by i * 2^128, so per-sample
-    substreams are independent and reproducible across any thread layout.
-    randbelow(n) is exact-uniform via byte-block rejection sampling.
+    The Philox key comes from the seed and stream index i starts the counter
+    at i * 2^128 (mod 2^256), the stream Philox(seed).jumped(i) gives, so
+    per-sample substreams are independent and reproducible across any
+    thread layout. Bytes are consumed in blocks of max(nbytes, 256), each
+    starting at the next unused 32-bit word, exactly as Generator.bytes
+    would serve them. randbelow(n) is exact-uniform via byte-block
+    rejection sampling.
     """
 
     def __init__(self, seed, index=0):
-        bitgen = Philox(seed=int(seed))
-        if index:
-            bitgen = bitgen.jumped(int(index))
-        self._gen = Generator(bitgen)
+        self._bitgen = Philox(key=_philox_key(int(seed)), counter=(int(index) << 128) % (1 << 256))
         self._buf = b""
-        self._pos = 0
+        self._pos = 0  # next unread byte of the current block
+        self._end = 0  # end of the current block
+        self._next = 0  # start of the next block
 
     def _refill(self, nbytes):
-        self._buf = self._gen.bytes(max(nbytes, 256))
-        self._pos = 0
+        size = max(nbytes, 256)
+        start = self._next
+        if start + size > len(self._buf):
+            words = max(_CHUNK_WORDS, size // 8 + 1)
+            self._buf = self._buf[start:] + self._bitgen.random_raw(words).tobytes()
+            start = 0
+        self._pos = start
+        self._end = start + size
+        self._next = start + (size + 3) // 4 * 4
 
     def randbelow(self, n):
-        if n <= 0:
+        if n <= 1:
+            if n == 1:
+                return 0
             raise ValueError("randbelow needs a positive bound")
-        if n == 1:
-            return 0
         # one spare byte keeps the rejection rate under 1/256
         nbytes = n.bit_length() // 8 + 1
         span = 1 << (8 * nbytes)
         limit = span - span % n
         while True:
-            if self._pos + nbytes > len(self._buf):
+            pos = self._pos
+            end = pos + nbytes
+            if end > self._end:
                 self._refill(nbytes)
-            r = int.from_bytes(self._buf[self._pos : self._pos + nbytes], "big")
-            self._pos += nbytes
+                pos = self._pos
+                end = pos + nbytes
+            self._pos = end
+            r = int.from_bytes(self._buf[pos:end], "big")
             if r < limit:
                 return r % n
 
@@ -118,40 +143,40 @@ class OrbitSampler:
         if suffix[X] != self.totals:
             raise ValueError("completion tables disagree with the census (internal error)")
         self.suffix = suffix
-        self.grand_total = sum(self.totals)
+        self.cumulative = list(accumulate(self.totals))
+        self.grand_total = self.cumulative[-1]
 
     def sample(self, rng):
-        r = rng.randbelow(self.grand_total)
-        acc = 0
-        n = 0
-        for n in range(self.X + 1):
-            acc += self.totals[n]
-            if r < acc:
-                break
+        randbelow = rng.randbelow
+        primes = self.primes
+        suffix = self.suffix
+        n = bisect_right(self.cumulative, randbelow(self.grand_total))
         rem = n
         profile = []
-        for ell in range(self.X, 0, -1):
+        # lengths above n cannot occur, and each draw lowers rem
+        for ell in range(n, 0, -1):
             if rem == 0:
                 break
-            if rem < ell or self.primes[ell] == 0:
+            P = primes[ell]
+            if rem < ell or P == 0:
                 continue
-            prev = self.suffix[ell - 1]
-            r = rng.randbelow(self.suffix[ell][rem])
-            acc = 0
-            k = 0
-            m = 0
-            binom = 1  # C(P + k - 1, k), the multiset count for k copies
+            prev = suffix[ell - 1]
+            r = randbelow(suffix[ell][rem])
+            acc = prev[rem]
+            if r < acc:  # k = 0: no copies at this length
+                continue
+            k = 1
+            m = ell
+            binom = P  # C(P + k - 1, k), the multiset count for k copies
             while True:
                 acc += binom * prev[rem - m]
                 if r < acc:
                     break
                 k += 1
                 m += ell
-                binom = binom * (self.primes[ell] + k - 1) // k
-            if k:
-                d = distinct_parts(self.primes[ell], k, rng)
-                profile.append((ell, k, d))
-                rem -= m
+                binom = binom * (P + k - 1) // k
+            profile.append((ell, k, distinct_parts(P, k, rng)))
+            rem -= m
         return OrbitSample(n=n, profile=tuple(reversed(profile)))
 
 

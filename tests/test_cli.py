@@ -1,12 +1,13 @@
 """End-to-end CLI behavior through main(argv): exit codes, anchored
 diagnostics, schema-tagged JSON, and deterministic outputs."""
 
+import io
 import json
 import re
 
 import pytest
 
-from orbitstat import cli, distribution
+from orbitstat import build_census, builtin_source, cli, distribution, write_samples_csv
 from orbitstat.cli import main
 
 
@@ -161,6 +162,19 @@ def test_sample_deterministic(capsys, tmp_path):
     assert a == b
     assert a.startswith(b"index,n,W,profile\n")
     assert len(a.splitlines()) == 41
+
+
+def test_sample_streams_the_csv_rows(capsys, tmp_path):
+    expected = io.StringIO()
+    write_samples_csv(expected, build_census(builtin_source("E", p=3, n=2), 12), 12, 300, seed=4)
+    argv = ("sample", "--system", "builtin:E,p=3,n=2", "--X", "12", "--samples", "300", "--seed", "4")
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert out == expected.getvalue()
+    path = tmp_path / "s.csv"
+    code, out, err = run(capsys, *argv, "--out", str(path))
+    assert code == 0 and out == "" and err == ""
+    assert path.read_bytes() == expected.getvalue().encode()
 
 
 def test_validate_accepts_builtins(capsys):

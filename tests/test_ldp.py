@@ -6,7 +6,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from orbitstat import distribution
+from orbitstat import distribution, ldp
 from orbitstat import (
     AsymptoticConstants,
     DiscreteMeasure,
@@ -258,3 +258,27 @@ def test_tail_report_transforms_each_window_once(ff2_census, monkeypatch):
         pmf = w_pmf(bc, row.X)
         expected = chebyshev_bound(lambda t: pmf.laplace(t), row.threshold, _DEFAULT_THETA_GRID)
         assert row.chebyshev == expected
+
+
+def test_tail_report_evaluates_each_rate_once(ff2_census, monkeypatch):
+    bc = joint_census(unit_weights(ff2_census), 30, census=ff2_census)
+    constants = constants_for(ff2_census.source)
+    rate = RateFunction.legendre(measure({0: Fraction(1, 4), 2: Fraction(1, 4), 3: Fraction(1, 2)}))
+    epsilons = (Fraction(1, 2), Fraction(1), Fraction(3, 2))
+    xs = (10, 20, 30)
+    calls = []
+    real = ldp.legendre_rate
+
+    def counting(rho, x, tol, precision):
+        calls.append(x)
+        return real(rho, x, tol, precision)
+
+    monkeypatch.setattr(ldp, "legendre_rate", counting)
+    rep = tail_report(bc, constants, epsilons, rate, xs=xs)
+    monkeypatch.undo()
+    # one Legendre solve per eps, not one per (window, eps)
+    assert len(calls) == len(epsilons) == 3
+    assert len(rep.rows) == 9
+    with mp.workprec(128 + 16):
+        expected = [rate.evaluate(1 + mp.mpf(eps.numerator) / eps.denominator) for eps in epsilons]
+    assert [row.rate_value for row in rep.rows] == expected * len(xs)

@@ -3,10 +3,13 @@ against the DFS enumerator's class probabilities."""
 
 import hashlib
 import io
+import random
 from fractions import Fraction
 from math import sqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitstat import (
     OrbitSample,
@@ -18,6 +21,7 @@ from orbitstat import (
     monte_carlo_tail,
     sample_orbit,
     sampler_for,
+    table_source,
     unit_weights,
     w_pmf,
     wilson_interval,
@@ -64,9 +68,9 @@ def test_randbelow_is_roughly_uniform():
 
 # small bounds of 1-13 bytes, so draws straddle many 256-byte block edges
 SMALL_BOUNDS = [2, 3, 7, 255, 256, 257, 10**12, 2**64 - 1, 10**30] * 60
-# 263-, 300- and 257-byte draws: refills above 256 bytes, of 66, 75 and 65
-# 32-bit words, each followed by small draws
-BIG_BOUNDS = [(1 << 2100) - 3, 10**6, (1 << 2400) // 7, 5, (1 << 2050) + 1, 2**40] * 4
+# 263-, 300-, 257- and 5000-byte draws: refills above 256 bytes, of 66, 75,
+# 65 and 1250 32-bit words, each followed by small draws
+BIG_BOUNDS = [(1 << 2100) - 3, 10**6, (1 << 2400) // 7, 5, (1 << 2050) + 1, 2**40, (1 << 40000) // 3, 9] * 4
 STREAM_INDICES = (0, 1, 2, 5, 1000, 2**40, 2**64 + 7, 2**128 + 3, -1)
 
 
@@ -146,6 +150,29 @@ def test_sampler_tables_cross_check(ff2_census):
     # cache: same object on repeat, separate per X
     assert sampler_for(ff2_census, 20) is sampler
     assert sampler_for(ff2_census, 10) is not sampler
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), X=st.integers(1, 24))
+def test_sampler_on_generated_systems(seed, X):
+    # random P_ell in [0, 12): completion tables against the census, every
+    # draw a valid profile, and for X <= 6 only classes the enumerator finds
+    sigma, P = oracles.random_sigma_table(random.Random(seed), X)
+    cen = build_census(table_source(sigma[1:]), X)
+    sampler = sampler_for(cen, X)
+    assert sampler.suffix[X] == list(cen.totals)
+    assert sampler.cumulative[-1] == sampler.grand_total == cen.count_orbits(X)
+    support = None
+    if X <= 6:
+        P_map = {ell: P[ell] for ell in range(1, X + 1)}
+        support = oracles.brute_class_probabilities(oracles.brute_enumerate(P_map, X), X)
+    for i in range(60):
+        s = sampler.sample(RandomStream(seed, i))
+        assert 0 <= s.n <= X
+        for ell, k, d in s.profile:
+            assert 1 <= d <= min(k, P[ell])
+        if support is not None:
+            assert s.profile in support
 
 
 def test_sampler_range_guard(ff2_census):
