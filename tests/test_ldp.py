@@ -22,6 +22,7 @@ from orbitstat import (
     w_pmf,
 )
 from orbitstat.ldp import _DEFAULT_THETA_GRID
+from orbitstat.polyops import to_mpf
 
 
 def measure(d):
@@ -280,5 +281,5 @@ def test_tail_report_evaluates_each_rate_once(ff2_census, monkeypatch):
     assert len(calls) == len(epsilons) == 3
     assert len(rep.rows) == 9
     with mp.workprec(128 + 16):
-        expected = [rate.evaluate(1 + mp.mpf(eps.numerator) / eps.denominator) for eps in epsilons]
+        expected = [rate.evaluate(1 + to_mpf(eps)) for eps in epsilons]
     assert [row.rate_value for row in rep.rows] == expected * len(xs)
