@@ -23,6 +23,9 @@ from orbitstat import asymptotics, distribution, ldp, sampler, systems
 from orbitstat.census import build_census
 
 SCHEMA = "orbitstat/1"
+# --precision ceiling in bits: mpmath works at the given width, so the flag
+# alone would otherwise set the size of every real in a run
+MAX_PRECISION = 65536
 
 
 class CliError(Exception):
@@ -163,7 +166,7 @@ def _json_doc(command, config, payload):
 FLAGS = {
     "system": dict(required=True, help="builtin:NAME[,k=v...], table:[...], or JSON file"),
     "X": dict(type=int, help="census range"),
-    "precision": dict(type=int, default=128, help="working precision in bits (>= 64)"),
+    "precision": dict(type=int, default=128, help=f"working precision in bits (64 to {MAX_PRECISION})"),
     "seed": dict(type=int, default=0, help="64-bit sampling seed"),
     "samples": dict(type=int, default=100000, help="sample count"),
     "epsilon": dict(type=float, action="append", help="tail epsilon (repeatable)"),
@@ -189,6 +192,8 @@ class RunConfig:
         self.precision = _value(args, "precision")
         if self.precision < 64:
             raise CliError("--precision must be at least 64")
+        if self.precision > MAX_PRECISION:
+            raise CliError(f"--precision must be at most {MAX_PRECISION}")
         self.X = args.X
         if self.X is not None and self.X < 1:
             raise CliError("--X must be at least 1")
@@ -202,6 +207,8 @@ class RunConfig:
         for eps in self.epsilons:
             if not math.isfinite(eps):
                 raise CliError(f"--epsilon must be a finite number, got {eps}")
+            if eps < 0:
+                raise CliError(f"--epsilon must be at least 0, got {eps}")
         self.out = args.out
         self.format = _value(args, "format")
         self.include_empty = _value(args, "include_empty_orbit")

@@ -219,7 +219,8 @@ def tail_report(bc, constants, epsilons, rate, xs=None, theta_grid=None, precisi
     Report only: the exponent's o(1) term makes fixed-X pass/fail
     meaningless, so nothing here asserts convergence. Growth rate 1 is
     refused (the statistic is bounded; there is no meaningful
-    large-deviation regime).
+    large-deviation regime), and so is eps < 0 (below 1 + eps = 1 the upper
+    tail tends to 1, so I(1+eps) is no exponent of it).
     """
     lam = constants.lam
     if float(lam) == 1:
@@ -230,6 +231,9 @@ def tail_report(bc, constants, epsilons, rate, xs=None, theta_grid=None, precisi
     B = constants.B
     if float(B) <= 0:
         raise ValueError("constants.B must be positive")
+    epsilons = tuple(epsilons)
+    if any(eps < 0 for eps in epsilons):
+        raise ValueError("epsilon must be at least 0")
     xs = sorted({max(1, bc.X // 3), max(1, (2 * bc.X) // 3), bc.X}) if xs is None else tuple(xs)
     if theta_grid is None:
         theta_grid = _DEFAULT_THETA_GRID

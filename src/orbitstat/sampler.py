@@ -9,6 +9,10 @@ finally the number of distinct primes d_ell at each length from the
 uniform-multiset distinct-part distribution. All thresholds are exact big
 integers against a counter-based RNG, so identical seeds reproduce
 identical streams regardless of batching.
+
+The RNG is numpy's Philox, imported when the first stream is built: the
+rest of the package (censuses, constants, distributions, rate functions,
+the CLI commands that never draw) does not load numpy.
 """
 
 import json
@@ -19,17 +23,23 @@ from functools import lru_cache
 from itertools import accumulate
 from math import comb, sqrt
 
-from numpy.random import Philox
-
 from orbitstat import kernels
 
 # raw 64-bit Philox words fetched at a time: 4 KB, about one long draw
 _CHUNK_WORDS = 512
 
 
+@lru_cache(maxsize=None)
+def _philox():
+    """numpy.random.Philox, imported on first use and kept."""
+    from numpy.random import Philox
+
+    return Philox
+
+
 @lru_cache(maxsize=64)
 def _philox_key(seed):
-    return Philox(seed=seed).state["state"]["key"]
+    return _philox()(seed=seed).state["state"]["key"]
 
 
 class RandomStream:
@@ -45,7 +55,7 @@ class RandomStream:
     """
 
     def __init__(self, seed, index=0):
-        self._bitgen = Philox(key=_philox_key(int(seed)), counter=(int(index) << 128) % (1 << 256))
+        self._bitgen = _philox()(key=_philox_key(int(seed)), counter=(int(index) << 128) % (1 << 256))
         self._buf = b""
         self._pos = 0  # next unread byte of the current block
         self._end = 0  # end of the current block

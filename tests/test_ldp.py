@@ -224,6 +224,18 @@ def test_tail_report_guards(ff2_census):
         tail_report(bc, good, (Fraction(1),), RateFunction.poisson(), xs=(40,))
 
 
+def test_tail_report_refuses_negative_epsilon(ff2_census):
+    # the upper-tail exponent I(1+eps) holds only for 1 + eps >= 1
+    bc = joint_census(unit_weights(ff2_census), 12, census=ff2_census)
+    constants = constants_for(ff2_census.source)
+    for eps in (Fraction(-1), Fraction(-1, 10**9), -0.5):
+        with pytest.raises(ValueError, match="epsilon must be at least 0"):
+            tail_report(bc, constants, (Fraction(1), eps), RateFunction.poisson())
+    # eps = 0 stays allowed: I(1) = 0 is the right value there
+    rows = tail_report(bc, constants, (Fraction(0),), RateFunction.poisson(), xs=(12,)).rows
+    assert len(rows) == 1 and rows[0].rate_value == 0
+
+
 def test_tail_report_transforms_each_window_once(ff2_census, monkeypatch):
     bc = joint_census(unit_weights(ff2_census), 30, census=ff2_census)
     constants = constants_for(ff2_census.source)

@@ -1,7 +1,12 @@
 """Package metadata agrees with the build configuration, every module uses
-what it imports, and exact-to-real conversion has one home."""
+what it imports, exact-to-real conversion has one home, and numpy is
+loaded only by the sampler's random streams."""
 
 import ast
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -80,3 +85,33 @@ def test_fraction_to_mpf_has_one_home():
     }
     assert [function for function, _ in found.pop("polyops.py")] == ["to_mpf"]
     assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+IMPORT_BOUNDARY = textwrap.dedent(
+    """
+    import contextlib, io, sys
+
+    import orbitstat
+
+    assert "numpy" not in sys.modules, "import orbitstat"
+    from orbitstat.cli import main
+
+    for command in ("validate", "census", "constants", "wdist", "ldp"):
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main([command, "--system", "builtin:FF,q=2", "--X", "12"])
+        assert code == 0, command
+        assert "numpy" not in sys.modules, command
+    orbitstat.RandomStream(1, 0)
+    assert "numpy" in sys.modules, "RandomStream"
+    """
+)
+
+
+def test_numpy_loads_with_the_first_random_stream():
+    # numpy serves only the Philox bytes of the sampler; a fresh interpreter
+    # is the only place where sys.modules shows what an import loads
+    src = str(ROOT / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_BOUNDARY], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
