@@ -133,11 +133,13 @@ def log_abel_mean(source, lam, u, K, precision=128):
 # exact class sums for product-form sigma
 
 # Exponents above this threshold produce terms (and tails) below 2^-cap;
-# they are truncated and accounted for in the tail bound.
+# they are truncated and accounted for in the tail bound. This is the one
+# truncation rule of the class sums: with t_a >= 1 every prime passes it by
+# j = 11.
 _EXPONENT_CAP = 2048
 
 
-def _local_factor(p, m_p, w_forced, s_a, t_a, j_max):
+def _local_factor(p, m_p, w_forced, s_a, t_a):
     """G_p for one residue class: sum over j of density * p^(-j s_a - t_a p^j).
 
     Returns (value: Fraction, tail_bound: mpf). w_forced is the forced
@@ -154,7 +156,7 @@ def _local_factor(p, m_p, w_forced, s_a, t_a, j_max):
         return val, mp.mpf(0)
     acc = Fraction(0)
     j = m_p
-    while j <= j_max:
+    while True:
         # density p^(-j)(1 - 1/p) times the class value p^(-j s_a - t_a p^j)
         exponent = j + j * s_a + t_a * p**j
         if exponent > _EXPONENT_CAP:
@@ -167,21 +169,18 @@ def _local_factor(p, m_p, w_forced, s_a, t_a, j_max):
     return acc, tail
 
 
-def fad_class_mean(spec, theta=Fraction(0), j_max=60, precision=128):
-    """Density-weighted class sum L(theta) of b_k = r_k prod p-local factors.
+def fad_class_mean(spec, precision=128):
+    """Density-weighted class sum L(0) of b_k = r_k prod p-local factors.
 
-    theta is a rational q meaning the phase e^(2 pi i q k); classes are the
-    residues a mod L (L = lcm of all periods and the denominator of q)
-    refined by v_p(k) = j for each p, with exact CRT densities. theta = 0
-    gives an exact rational (plus a bounded tail when some t > 0); nonzero
-    theta returns a complex mpf.
+    Classes are the residues a mod L (L = lcm of all periods) refined by
+    v_p(k) = j for each p, with exact CRT densities. The value is an exact
+    rational, plus a bounded tail when some t > 0.
     """
-    theta = Fraction(theta)
     periods = [spec.r.period]
     for fp in spec.primes:
         periods.append(fp.s.period)
         periods.append(fp.t.period)
-    L0 = lcm(*periods, theta.denominator) if periods else theta.denominator
+    L0 = lcm(*periods)
     # coprime part of L0 relative to the prime set
     Lp = L0
     mps = {}
@@ -189,8 +188,7 @@ def fad_class_mean(spec, theta=Fraction(0), j_max=60, precision=128):
         v, _ = p_valuation(L0, fp.p) if L0 % fp.p == 0 else (0, None)
         mps[fp.p] = v
         Lp //= fp.p**v
-    exact_mode = theta == 0
-    total = Fraction(0) if exact_mode else mp.mpc(0)
+    total = Fraction(0)
     tail_total = mp.mpf(0)
     with mp.workprec(precision + 32):
         for a in range(L0):
@@ -207,55 +205,48 @@ def fad_class_mean(spec, theta=Fraction(0), j_max=60, precision=128):
                 else:
                     w_forced = None
                 g_val, g_tail = _local_factor(
-                    fp.p, m_p, w_forced, int(fp.s.at(k0)), int(fp.t.at(k0)), j_max
+                    fp.p, m_p, w_forced, int(fp.s.at(k0)), int(fp.t.at(k0))
                 )
                 # product tail: every factor is <= 1, so dropped mass adds
                 locals_tail = locals_tail + g_tail
                 locals_val *= g_val
-            term_tail = to_mpf(weight) * locals_tail
-            tail_total += term_tail
-            if exact_mode:
-                total += weight * locals_val
-            else:
-                phase = mp.expjpi(2 * to_mpf(theta) * a)
-                total += phase * to_mpf(weight * locals_val)
+            tail_total += to_mpf(weight) * locals_tail
+            total += weight * locals_val
         return TruncatedSum(total, +tail_total)
 
 
-def cesaro_exact_fad(spec, spectrum=None, independent=True, j_max=60, tol=None, precision=128):
+def cesaro_exact_fad(spec, spectrum=None, precision=128):
     """Exact Cesaro mean of sigma_k/Lambda^k for a product-form sigma.
 
-    The oscillatory factor 4^m prod sin^2(k theta_j / 2) from unit-circle
-    eigenvalue pairs expands over epsilon in {-1,0,1}^m with coefficients
-    prod d_eps (d_0 = 2, d_{+-1} = -1); a combination survives the Cesaro
-    average only when its angle sum lies in 2 pi Q. With independent
-    irrational angles only the zero combination survives, so
-    B = 2^m * L(0) with L(0) the exact class mean. Rational angles (root
-    of unity eigenvalues) must be folded into the periodic factor r first.
+    The oscillatory factor prod_j (2 - 2 cos k theta_j) from m unit-circle
+    eigenvalue pairs has Cesaro mean 2^m exactly when the only integer
+    relation among 1, theta_1/pi, ..., theta_m/pi is the trivial one. Then
+    B = 2^m * L(0), with L(0) the exact class mean of fad_class_mean and
+    _EXPONENT_CAP its one truncation rule; callers read .tail_bound.
+
+    m <= 1 is certified: once cyclotomic factors are excluded, theta/pi is
+    irrational. m >= 2 is refused, because the mean then depends on the
+    exact dependence relations among the angles (repeated angles, or e.g.
+    theta, 2 theta and 2 pi - 3 theta, give 6 where 2^3 = 8 would be
+    returned). Rational angles (root of unity eigenvalues) must be folded
+    into the periodic factor r first.
     """
     if spectrum is None:
         spectrum = systems.spectrum_for(systems.fad_source(spec, validate=False), precision)
-    if spectrum.contains_root_of_unity or any(spectrum.theta_rational_flags):
+    if spectrum.contains_root_of_unity:
         raise ValueError(
             "an eigenvalue angle lies in pi*Q (root of unity): fold the "
             "resulting periodic determinant factor into r and retry"
         )
-    if len(set(spectrum.unit_angles)) < spectrum.m:
+    if spectrum.m >= 2:
         raise ValueError(
-            "a unit-circle eigenvalue is repeated, so its angles are "
-            "rationally dependent: no evaluation is possible"
+            f"{spectrum.m} unit-circle eigenvalue pairs: their angles may be "
+            "repeated or rationally dependent, and no evaluation is possible "
+            "without the exact dependence relations"
         )
-    if spectrum.m > 0 and not independent:
-        raise ValueError(
-            "angles declared rationally dependent: no evaluation is possible "
-            "without the explicit dependence relations"
-        )
-    base = fad_class_mean(spec, Fraction(0), j_max=j_max, precision=precision)
+    base = fad_class_mean(spec, precision=precision)
     scale = 2**spectrum.m
-    result = TruncatedSum(base.value * scale, base.tail_bound * scale)
-    if tol is not None and result.tail_bound > tol:
-        raise ValueError("tail bound exceeds tol: increase j_max")
-    return result
+    return TruncatedSum(base.value * scale, base.tail_bound * scale)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +327,7 @@ def elliptic_constants(p, n, precision=128):
     )
 
 
-def _ca_double_sum(p, t, term_weight, j_cap=512):
+def _ca_double_sum(p, t, term_weight):
     """((p-1)/period) sum_a sum_j term_weight(j) p^(-1-j-t_a p^j) exactly.
 
     Weighted variant of the cellular-automaton Cesaro sum; term_weight maps
@@ -366,7 +357,7 @@ def _ca_double_sum(p, t, term_weight, j_cap=512):
         j = 0
         while True:
             exponent = 1 + j + t_a * p**j
-            if exponent > _EXPONENT_CAP or j > j_cap:
+            if exponent > _EXPONENT_CAP:
                 # dropped mass: sum_{j'>=j} w(j') p^(-1-j'-t_a p^j') with
                 # w(j') in {1, j'} is under p^(-j-t_a p^j) * 4 (j+1)
                 tail += mp.mpf(p) ** (-(j + t_a * p**j)) * (4 * (j + 1))
@@ -378,16 +369,13 @@ def _ca_double_sum(p, t, term_weight, j_cap=512):
     return TruncatedSum(scale * total, +(tail * mp.mpf(p - 1) / w))
 
 
-def ca_cesaro(p, t, tol=None):
+def ca_cesaro(p, t):
     """Cesaro mean B = ((p-1)/period) sum_a sum_j p^(-1-j-t_a p^j).
 
     Exactly 1 when all t_a = 0 (the double sum telescopes); otherwise a
     rational partial sum with a geometric tail bound.
     """
-    result = _ca_double_sum(p, t, "one")
-    if tol is not None and result.tail_bound > tol:
-        raise ValueError("tail bound exceeds tol")
-    return result
+    return _ca_double_sum(p, t, "one")
 
 
 def ca_log_weighted_sum(p, t):

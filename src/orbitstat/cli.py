@@ -214,12 +214,11 @@ class RunConfig:
         self.include_empty = _value(args, "include_empty_orbit")
         self.source = parse_system(args.system)
 
-    def census(self, X=None, crosscheck_to=256):
-        X = self.X if X is None else X
-        if X is None:
+    def census(self):
+        if self.X is None:
             raise CliError("--X is required for this command")
         try:
-            return build_census(self.source, X, precision=self.precision, crosscheck_to=crosscheck_to)
+            return build_census(self.source, self.X, precision=self.precision)
         except ValueError as exc:
             raise CliError(f"{self.args.system}:1: {exc}") from exc
 

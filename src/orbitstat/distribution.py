@@ -182,7 +182,6 @@ class BivariateCensus:
 
     X: int
     values: tuple
-    value_index: dict
     cells: dict
     orbit_totals: tuple
 
@@ -258,7 +257,6 @@ def joint_census(g, X, census=None):
     return BivariateCensus(
         X=X,
         values=values,
-        value_index={v: k for k, v in enumerate(values)},
         cells=flat,
         orbit_totals=tuple(totals),
     )

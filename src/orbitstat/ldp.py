@@ -9,7 +9,7 @@ exponential Chebyshev inequality gives bounds valid at every finite X,
 which the tail reports place alongside exact census tails.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
@@ -147,32 +147,26 @@ def legendre_rate(rho, x, tol=mp.mpf("1e-10"), precision=128):
 
 @dataclass(frozen=True, eq=False)
 class RateFunction:
-    """A tagged rate function: closed-form poisson/subset variants or the
-    numeric Legendre transform of a discrete measure."""
+    """A rate function x -> I(x): the closed-form poisson or subset rate,
+    or the numeric Legendre transform of a discrete measure."""
 
-    variant: str
-    params: dict = field(default_factory=dict)
+    rate: object  # callable (x, precision) -> mpf
 
     @classmethod
     def poisson(cls):
-        return cls("poisson")
+        return cls(poisson_rate)
 
     @classmethod
     def subset(cls, lam, r):
-        return cls("subset", {"lam": Fraction(lam), "r": Fraction(r)})
+        lam, r = Fraction(lam), Fraction(r)
+        return cls(lambda x, precision: subset_rate(x, lam, r, precision))
 
     @classmethod
     def legendre(cls, rho, tol=mp.mpf("1e-10")):
-        return cls("legendre", {"rho": rho, "tol": tol})
+        return cls(lambda x, precision: legendre_rate(rho, x, tol, precision))
 
     def evaluate(self, x, precision=128):
-        if self.variant == "poisson":
-            return poisson_rate(x, precision)
-        if self.variant == "subset":
-            return subset_rate(x, self.params["lam"], self.params["r"], precision)
-        if self.variant == "legendre":
-            return legendre_rate(self.params["rho"], x, self.params["tol"], precision)
-        raise ValueError(f"unknown variant {self.variant!r}")
+        return self.rate(x, precision)
 
 
 def chebyshev_bound(mgf_fn, a, theta_grid, precision=128):

@@ -173,20 +173,18 @@ def cyclotomic(n):
     return f
 
 
-def cyclotomic_divisors(f, max_degree=None):
-    """All n with Phi_n dividing f, searched up to phi(n) <= max_degree.
+def cyclotomic_divisors(f):
+    """All n with Phi_n dividing f, searched up to phi(n) <= deg f.
 
-    phi(n) >= sqrt(n/2) bounds the search at n <= 2*max_degree^2.
+    phi(n) >= sqrt(n/2) bounds the search at n <= 2*(deg f)^2.
     """
     d = poly_degree(f)
     if d < 1:
         return []
-    if max_degree is None:
-        max_degree = d
     hits = []
-    for n in range(1, 2 * max_degree * max_degree + 2):
+    for n in range(1, 2 * d * d + 2):
         phi = cyclotomic(n)
-        if len(phi) - 1 > max_degree:
+        if len(phi) - 1 > d:
             continue
         if poly_divides(phi, f):
             hits.append(n)

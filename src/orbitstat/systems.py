@@ -35,6 +35,14 @@ from orbitstat.numtheory import (
 from orbitstat import polyops
 
 
+def _integer(name, value):
+    """value if it is an int (bool excluded), else ValueError naming the
+    field: a float, string or bool is never truncated into an integer."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class FadPrime:
     """Local data at one prime: exponent sequences s and t (integers >= 0)."""
@@ -57,27 +65,25 @@ class FadSpec:
     primes: tuple = ()
 
     def __post_init__(self):
+        _integer("c", self.c)
         if self.matrix is not None:
-            object.__setattr__(
-                self, "matrix", tuple(tuple(int(x) for x in row) for row in self.matrix)
-            )
+            matrix = tuple(tuple(_integer("matrix entry", x) for x in row) for row in self.matrix)
+            object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "primes", tuple(self.primes))
 
-    def validate(self, require_positive=True):
+    def validate(self):
         """Check realizability constraints; raises ValueError on violation."""
-        if not isinstance(self.c, int) or self.c < 1:
+        if self.c < 1:
             raise ValueError("c must be a positive integer")
         if self.matrix is not None:
             d = len(self.matrix)
             if any(len(row) != d for row in self.matrix):
                 raise ValueError("matrix must be square")
-            if require_positive:
-                cp = polyops.charpoly(self.matrix)
-                if polyops.cyclotomic_divisors(cp):
-                    raise ValueError(
-                        "matrix has a root-of-unity eigenvalue; fold the "
-                        "resulting periodic factor into r instead"
-                    )
+            if polyops.cyclotomic_divisors(polyops.charpoly(self.matrix)):
+                raise ValueError(
+                    "matrix has a root-of-unity eigenvalue; fold the "
+                    "resulting periodic factor into r instead"
+                )
         if any(v <= 0 for v in self.r.values):
             raise ValueError("r must be strictly positive")
         # r is checked as a gcd-sequence only where the property is defined
@@ -137,7 +143,8 @@ BUILTIN_NAMES = ("FF", "E", "GA", "GM", "periodic")
 
 # Defining polynomial of the degree-4 toral endomorphism example: a Salem
 # polynomial with one reciprocal pair of complex eigenvalues on the unit
-# circle (2 cos theta = (3 - sqrt 5)/2).
+# circle (2 cos theta = (3 - sqrt 5)/2). The exact roots rule out the
+# alternative printed reading cos theta = (3 - sqrt 5)/8.
 GM_POLY = (1, -3, 3, -3, 1)
 
 
@@ -152,7 +159,7 @@ def fad_source(spec, validate=True):
 
 
 def table_source(values):
-    vals = tuple(int(v) for v in values)
+    vals = tuple(_integer("table entry", v) for v in values)
     if any(v < 0 for v in vals):
         raise ValueError("table entries must be >= 0")
     if not vals:
@@ -180,14 +187,14 @@ def builtin_source(name, **params):
             raise ValueError(f"builtin {name} requires parameter {key}")
     zero = PeriodicSequence.constant(0)
     if name == "FF":
-        q = int(params.pop("q"))
+        q = _integer("q", params.pop("q"))
         if q < 2:
             raise ValueError("q >= 2 required")
         items = (("q", q),)
         spec = FadSpec(c=q)
     elif name == "E":
-        p = int(params.pop("p"))
-        n = int(params.pop("n"))
+        p = _integer("p", params.pop("p"))
+        n = _integer("n", params.pop("n"))
         if p == 2 or not is_prime(p):
             raise ValueError("p must be an odd prime")
         if n < 2:
@@ -209,7 +216,7 @@ def builtin_source(name, **params):
                 primes=(FadPrime(p, PeriodicSequence(tuple(s_vals)), zero),),
             )
     elif name == "periodic":
-        values = tuple(int(v) for v in params.pop("values"))
+        values = tuple(_integer("periodic value", v) for v in params.pop("values"))
         if not values or any(v < 0 for v in values):
             raise ValueError("periodic values must be non-negative integers")
         items = (("values", values),)
@@ -372,25 +379,28 @@ def growth_rate(source, precision=128):
 class SpectrumReport:
     """Unit-circle eigenvalue data of the matrix part.
 
-    m conjugate pairs e^(+-i theta_j); theta_rational_flags[j] is True iff
+    m conjugate pairs e^(+-i theta_j), 0 < theta_j < pi, one record per
+    pair: unit_angles[j] is theta_j and rational_angles[j] is not None iff
     theta_j is a rational multiple of pi, certified by exact cyclotomic
-    divisibility (never by numerics).
+    divisibility (never by numerics). cesaro_exact_fad certifies m <= 1
+    and refuses m >= 2.
     """
 
     rate: GrowthRate  # c * product of |roots| > 1, as growth_rate returns it
     unit_angles: tuple
-    m: int
-    theta_rational_flags: tuple
     rational_angles: tuple  # (num, den) pairs meaning theta = 2*pi*num/den, or None
     contains_root_of_unity: bool
-    notes: tuple = ()
+
+    @property
+    def m(self):
+        return len(self.unit_angles)
 
     @property
     def lam(self):
         return self.rate.value
 
 
-def fluctuation_spectrum(A, precision=128, c=1, extra_notes=()):
+def fluctuation_spectrum(A, precision=128, c=1):
     """Unit-circle eigenvalues and growth rate of an integer matrix (None
     for none), both from one exact-first root split of its characteristic
     polynomial.
@@ -402,40 +412,26 @@ def fluctuation_spectrum(A, precision=128, c=1, extra_notes=()):
     for the same matrix and c; lam is its value.
     """
     split = polyops.root_split(polyops.charpoly(A or ()), precision)
-    angles = []  # (theta mpf, rational flag, (num, den) | None)
+    angles = []  # (theta mpf, (num, den) | None)
     with mp.workprec(precision + 48):
         for n in split.cyclotomic:
             for num in range(1, (n + 1) // 2):  # 0 < theta = 2 pi num/n < pi
                 if gcd(num, n) == 1:
-                    angles.append((+(2 * mp.pi * num / n), True, (num, n)))
-        angles.extend((+mp.arg(root), False, None) for root in split.unit_roots)
+                    angles.append((+(2 * mp.pi * num / n), (num, n)))
+        angles.extend((+mp.arg(root), None) for root in split.unit_roots)
         angles.sort(key=lambda a: a[0])
     return SpectrumReport(
         rate=_split_rate(c, split, precision),
         unit_angles=tuple(a[0] for a in angles),
-        m=len(angles),
-        theta_rational_flags=tuple(a[1] for a in angles),
-        rational_angles=tuple(a[2] for a in angles),
+        rational_angles=tuple(a[1] for a in angles),
         contains_root_of_unity=bool(split.cyclotomic),
-        notes=tuple(extra_notes),
     )
 
 
 def spectrum_for(source, precision=128):
     """SpectrumReport for a source's matrix part (m = 0 when there is none)."""
     spec = fad_spec_for(source)
-    notes = ()
-    if source.kind == "builtin" and source.name == "GM":
-        with mp.workprec(precision + 16):
-            c1 = mp.acos((3 - mp.sqrt(5)) / 4)
-            c2 = mp.acos((3 - mp.sqrt(5)) / 8)
-        notes = (
-            "exact roots give 2 cos(theta) = (3 - sqrt 5)/2, "
-            f"theta = {mp.nstr(c1, 12)}",
-            f"alternative printed reading cos(theta) = (3 - sqrt 5)/8 "
-            f"would give theta = {mp.nstr(c2, 12)} (rejected by the exact roots)",
-        )
-    return fluctuation_spectrum(spec.matrix, precision=precision, c=spec.c, extra_notes=notes)
+    return fluctuation_spectrum(spec.matrix, precision=precision, c=spec.c)
 
 
 # ---------------------------------------------------------------------------
@@ -502,12 +498,12 @@ def source_from_json(obj):
         return builtin_source(name, **params)
     if kind == "fad":
         spec = FadSpec(
-            c=int(obj.get("c", 1)),
+            c=obj.get("c", 1),
             matrix=tuple(tuple(row) for row in obj["matrix"]) if obj.get("matrix") else None,
             r=_periodic_from_json(obj["r"]) if obj.get("r") else PeriodicSequence.constant(1),
             primes=tuple(
                 FadPrime(
-                    p=int(e["p"]),
+                    p=_integer("p", e["p"]),
                     s=_periodic_from_json(e["s"]),
                     t=_periodic_from_json(e["t"]),
                 )

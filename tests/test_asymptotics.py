@@ -7,7 +7,9 @@ import mpmath as mp
 import pytest
 
 from orbitstat import asymptotics as asy
-from orbitstat import systems
+from orbitstat import polyops, systems
+from orbitstat.numtheory import PeriodicSequence
+from orbitstat.polyops import to_mpf
 from orbitstat.systems import builtin_source, fad_spec_for, table_source
 
 
@@ -88,6 +90,20 @@ def test_fad_class_mean_elliptic_is_five_eighths():
     out = asy.fad_class_mean(spec)
     assert out.exact
     assert out.value == Fraction(5, 8)
+    # Periods of r divisible by p pin v_p(k) on some residues (the forced
+    # valuation branch); r_k = gcd(k, period), s constant, t = 0, c = p.
+    zero = PeriodicSequence.constant(0)
+    for r, p, s, B in (
+        ((1, 2), 2, 1, Fraction(5, 6)),
+        ((1, 1, 3), 3, 1, Fraction(11, 12)),
+        ((1, 2, 1, 4), 2, 2, Fraction(37, 56)),
+    ):
+        spec = systems.FadSpec(
+            c=p, r=PeriodicSequence(r), primes=(systems.FadPrime(p, PeriodicSequence.constant(s), zero),)
+        ).validate()
+        out = asy.fad_class_mean(spec)
+        assert out.exact and out.value == B
+        assert abs(asy.cesaro_empirical(systems.fad_source(spec), p, 4096) - to_mpf(B)) < 1e-3
 
 
 def test_fad_class_mean_matches_ca_route_for_ga():
@@ -98,14 +114,6 @@ def test_fad_class_mean_matches_ca_route_for_ga():
     via_ca = asy.ca_cesaro(2, (1,))
     assert via_classes.value == via_ca.value
     assert not via_classes.exact
-
-
-def test_fad_class_mean_nonzero_theta_damps():
-    # At theta = 1/2 the phase alternates; for the trivial spec the class
-    # sum collapses to the average of +1 and -1 weights.
-    spec = systems.FadSpec(c=2)
-    out = asy.fad_class_mean(spec, theta=Fraction(1, 2))
-    assert abs(out.value) < mp.mpf(2) ** -90
 
 
 def test_cesaro_exact_fad_gm():
@@ -129,8 +137,16 @@ def test_cesaro_exact_fad_rejects_roots_of_unity():
 
 
 def test_cesaro_exact_fad_rejects_dependent_angles():
-    with pytest.raises(ValueError, match="rationally dependent"):
-        asy.cesaro_exact_fad(fad_spec_for(builtin_source("GM")), independent=False)
+    # Companions of charpoly(GM^k), k = 1, 2: distinct angles theta and
+    # 2 theta. Adding k = 3 (angle 2 pi - 3 theta) makes the Cesaro mean of
+    # the oscillatory factor 6, not 2^3, so m >= 2 is refused.
+    gm = systems.gm_matrix()
+    blocks = [polyops.companion_matrix(polyops.charpoly(polyops.mat_pow(gm, k))) for k in (1, 2)]
+    matrix = [row + [0] * 4 for row in blocks[0]] + [[0] * 4 + row for row in blocks[1]]
+    spec = systems.FadSpec(matrix=matrix).validate()
+    assert systems.spectrum_for(systems.fad_source(spec)).m == 2
+    with pytest.raises(ValueError, match="repeated or rationally dependent"):
+        asy.cesaro_exact_fad(spec)
 
 
 def test_cesaro_exact_fad_rejects_repeated_unit_eigenvalues():
@@ -145,11 +161,8 @@ def test_cesaro_exact_fad_rejects_repeated_unit_eigenvalues():
         asy.cesaro_exact_fad(spec)
 
 
-def test_cesaro_exact_fad_tol_guard():
-    spec = fad_spec_for(builtin_source("GA"))
-    with pytest.raises(ValueError, match="increase j_max"):
-        asy.cesaro_exact_fad(spec, tol=mp.mpf(2) ** -5000)
-    out = asy.cesaro_exact_fad(spec, tol=mp.mpf(1e-100))
+def test_cesaro_exact_fad_tail_bound():
+    out = asy.cesaro_exact_fad(fad_spec_for(builtin_source("GA")))
     assert out.tail_bound < mp.mpf(1e-100)
 
 
@@ -235,8 +248,6 @@ def test_ca_double_sum_rejections():
         asy.ca_cesaro(2, (Fraction(1, 2),))
     with pytest.raises(ValueError, match="not prime"):
         asy.ca_cesaro(4, (1,))
-    with pytest.raises(ValueError, match="tol"):
-        asy.ca_cesaro(2, (1,), tol=mp.mpf(2) ** -5000)
 
 
 def test_ca_log_weighted_sum():

@@ -294,10 +294,18 @@ def test_malformed_json_is_line_anchored(capsys, tmp_path):
 
 def test_json_semantic_error_anchored(capsys, tmp_path):
     spec = tmp_path / "odd.json"
-    spec.write_text(json.dumps({"type": "magic"}))
-    code, _, err = run(capsys, "census", "--system", str(spec), "--X", "2")
-    assert code == 2
-    assert f"{spec}:1: unknown system type" in err
+    for obj, needle in (
+        ({"type": "magic"}, "unknown system type"),
+        # integer fields are never truncated
+        ({"type": "fad", "c": 2.7}, "c must be an integer, got 2.7"),
+        ({"type": "fad", "c": True}, "c must be an integer, got True"),
+        ({"type": "builtin", "name": "FF", "q": 2.9}, "q must be an integer, got 2.9"),
+        ({"type": "fad", "matrix": [[2.5, 0], [0, 2]]}, "matrix entry must be an integer, got 2.5"),
+    ):
+        spec.write_text(json.dumps(obj))
+        code, _, err = run(capsys, "census", "--system", str(spec), "--X", "2")
+        assert code == 2
+        assert f"{spec}:1: {needle}" in err
 
 
 def test_json_repeated_key_is_rejected(capsys, tmp_path):

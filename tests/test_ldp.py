@@ -137,8 +137,6 @@ def test_rate_function_dispatch():
         assert RateFunction.subset(2, Fraction(1, 3)).evaluate(1) == subset_rate(1, 2, Fraction(1, 3))
         got = RateFunction.legendre(rho).evaluate(2)
         assert abs(got - poisson_rate(2)) < 1e-8
-    with pytest.raises(ValueError, match="unknown variant"):
-        RateFunction("bogus").evaluate(1)
 
 
 # -- Chebyshev bounds -------------------------------------------------------------

@@ -112,6 +112,8 @@ def test_fad_spec_validation():
     zero = PeriodicSequence.constant(0)
     with pytest.raises(ValueError, match="positive integer"):
         FadSpec(c=0).validate()
+    with pytest.raises(ValueError, match="c must be an integer, got True"):
+        FadSpec(c=True)
     with pytest.raises(ValueError, match="root-of-unity"):
         FadSpec(matrix=((1, 0), (0, 2))).validate()
     with pytest.raises(ValueError, match="square"):
@@ -206,13 +208,12 @@ def test_gm_spectrum():
     rep = spectrum_for(builtin_source("GM"))
     assert rep.m == 1
     assert not rep.contains_root_of_unity
-    assert rep.theta_rational_flags == (False,)
+    assert rep.rational_angles == (None,)
     theta = rep.unit_angles[0]
     with mp.workprec(160):
         # 2 cos theta = (3 - sqrt 5) / 2 for the unit-circle pair
         assert abs(2 * mp.cos(theta) - (3 - mp.sqrt(5)) / 2) < mp.mpf(2) ** -100
     assert abs(float(rep.lam) - float(growth_rate(builtin_source("GM")).value)) < 1e-30
-    assert rep.notes  # dual-reading provenance is recorded
 
 
 def test_spectrum_of_repeated_integer_eigenvalues():
@@ -228,7 +229,6 @@ def test_rotation_matrix_has_rational_angle():
     rep = fluctuation_spectrum(((0, -1), (1, 0)))
     assert rep.m == 1
     assert rep.contains_root_of_unity
-    assert rep.theta_rational_flags == (True,)
     assert rep.rational_angles == ((1, 4),)
     with mp.workprec(80):
         assert abs(rep.unit_angles[0] - mp.pi / 2) < mp.mpf(2) ** -60
