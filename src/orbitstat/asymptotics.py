@@ -517,17 +517,16 @@ def predict_and_fit(cen, constants, window, precision=128):
 # per-source constants dispatch
 
 
-def _fit_growth_law(cen, B, lam, fit_window, precision):
-    """predict_and_fit with B and Lambda fixed and C unknown; the default
-    window is the census range's thirds."""
-    if fit_window is None:
-        top = cen.X_max
-        fit_window = (max(1, top // 3), max(2, 2 * top // 3), top)
+def _fit_growth_law(cen, B, lam, precision):
+    """predict_and_fit with B and Lambda fixed and C unknown, over the
+    census range's thirds."""
+    top = cen.X_max
+    fit_window = (max(1, top // 3), max(2, 2 * top // 3), top)
     interim = AsymptoticConstants(B=B, C=None, lam=lam, provenance={})
     return predict_and_fit(cen, interim, fit_window, precision)
 
 
-def constants_for(source, precision=128, cen=None, fit_window=None):
+def constants_for(source, precision=128, cen=None):
     """AsymptoticConstants for any source, with honest provenance.
 
     Closed forms where they exist (FF, E, GA, periodic); exact class-sum B
@@ -580,7 +579,7 @@ def constants_for(source, precision=128, cen=None, fit_window=None):
         if cen is None:
             cen = build_census(source, len(source.table), precision=precision)
         B = cesaro_empirical(source, cen.lam, cen.X_max, precision)
-        fit = _fit_growth_law(cen, B, cen.lam.value, fit_window, precision)
+        fit = _fit_growth_law(cen, B, cen.lam.value, precision)
         return AsymptoticConstants(
             B=B,
             C=fit.fitted_C,
@@ -596,7 +595,7 @@ def constants_for(source, precision=128, cen=None, fit_window=None):
     B = cesaro_exact_fad(spec, spectrum=spectrum, precision=precision)
     if cen is None:
         cen = build_census(source, 60, precision=precision)
-    fit = _fit_growth_law(cen, B.value, spectrum.lam, fit_window, precision)
+    fit = _fit_growth_law(cen, B.value, spectrum.lam, precision)
     return AsymptoticConstants(
         B=B.value,
         C=fit.fitted_C,

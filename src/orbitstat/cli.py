@@ -4,11 +4,15 @@ Subcommands: census (CSV table), constants (JSON), wdist (PMF JSON),
 ldp (tail-report CSV), sample (sample CSV), validate (Dold and
 product-form checks). Systems are given as builtin:NAME[,key=value...]
 shorthand, table:[...] inline tables, or a path to a JSON spec file.
-Exit codes: 0 success, 2 validation/spec failure (line-anchored message),
-1 internal error.
+Exit codes: 0 success, 2 rejected input, 1 internal error. main is the one
+place that decides: a CliError (a bad flag, a missing spec file, malformed
+JSON) and any ValueError the library raises on the system or its parameters
+exit 2, the latter anchored as "spec:1:"; every other exception, failed
+internal-consistency checks (AssertionError) included, exits 1.
 """
 
 import argparse
+import dataclasses
 import io
 import json
 import math
@@ -29,9 +33,7 @@ MAX_PRECISION = 65536
 
 
 class CliError(Exception):
-    def __init__(self, message, code=2):
-        super().__init__(message)
-        self.code = code
+    """Rejected command-line input that main reports as given (exit 2)."""
 
 
 # ---------------------------------------------------------------------------
@@ -61,32 +63,29 @@ def _unique_keys(pairs):
 def parse_system(spec):
     """SigmaSource from shorthand or a JSON file path.
 
-    Raises CliError(code 2) with a location-anchored message on any
-    malformed or invalid spec.
+    A path that names no file, and JSON that does not parse, raise CliError
+    anchored at the spec's line. An invalid or wrongly shaped system raises
+    ValueError, which main anchors at line 1.
     """
-    anchor = f"{spec}:1"
-    try:
-        if spec.startswith("builtin:"):
-            body = spec[len("builtin:") :]
-            parts = _SPLIT_OUTSIDE_BRACKETS.split(body)
-            name = parts[0].strip()
-            params = {}
-            for part in parts[1:]:
-                if "=" not in part:
-                    raise ValueError(f"expected key=value, got {part!r}")
-                key, _, value = part.partition("=")
-                key = key.strip()
-                if key in params:
-                    raise ValueError(f"parameter {key} given more than once")
-                params[key] = _parse_value(value)
-            return systems.builtin_source(name, **params)
-        if spec.startswith("table:"):
-            values = _parse_value(spec[len("table:") :])
-            if not isinstance(values, tuple):
-                values = (values,)
-            return systems.table_source(values)
-    except ValueError as exc:
-        raise CliError(f"{anchor}: {exc}") from exc
+    if spec.startswith("builtin:"):
+        body = spec[len("builtin:") :]
+        parts = _SPLIT_OUTSIDE_BRACKETS.split(body)
+        name = parts[0].strip()
+        params = {}
+        for part in parts[1:]:
+            if "=" not in part:
+                raise ValueError(f"expected key=value, got {part!r}")
+            key, _, value = part.partition("=")
+            key = key.strip()
+            if key in params:
+                raise ValueError(f"parameter {key} given more than once")
+            params[key] = _parse_value(value)
+        return systems.builtin_source(name, **params)
+    if spec.startswith("table:"):
+        values = _parse_value(spec[len("table:") :])
+        if not isinstance(values, tuple):
+            values = (values,)
+        return systems.table_source(values)
     try:
         with open(spec, "r", encoding="utf-8") as handle:
             obj = json.load(handle, object_pairs_hook=_unique_keys)
@@ -94,12 +93,7 @@ def parse_system(spec):
         raise CliError(f"{spec}:1: no such system spec (not shorthand, not a readable file)")
     except json.JSONDecodeError as exc:
         raise CliError(f"{spec}:{exc.lineno}: {exc.msg}")
-    except ValueError as exc:
-        raise CliError(f"{spec}:1: {exc}") from exc
-    try:
-        return systems.source_from_json(obj)
-    except ValueError as exc:
-        raise CliError(f"{spec}:1: {exc}") from exc
+    return systems.source_from_json(obj)
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +150,14 @@ def _json_doc(command, config, payload):
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _emit_table(command, config, csv_text):
+    """A CSV table as given, or with --format json its columns and rows."""
+    if config.format == "json":
+        header, *rows = (line.split(",") for line in csv_text.splitlines())
+        csv_text = _json_doc(command, config, {"columns": header, "rows": rows})
+    _emit(csv_text, config.out)
+
+
 # ---------------------------------------------------------------------------
 # configuration
 
@@ -188,7 +190,6 @@ def _value(args, flag):
 
 class RunConfig:
     def __init__(self, args):
-        self.args = args
         self.precision = _value(args, "precision")
         if self.precision < 64:
             raise CliError("--precision must be at least 64")
@@ -217,10 +218,7 @@ class RunConfig:
     def census(self):
         if self.X is None:
             raise CliError("--X is required for this command")
-        try:
-            return build_census(self.source, self.X, precision=self.precision)
-        except ValueError as exc:
-            raise CliError(f"{self.args.system}:1: {exc}") from exc
+        return build_census(self.source, self.X, precision=self.precision)
 
 
 # ---------------------------------------------------------------------------
@@ -228,30 +226,16 @@ class RunConfig:
 
 
 def cmd_census(config):
-    cen = config.census()
     buf = io.StringIO()
-    try:
-        cen.write_csv(buf, include_empty=config.include_empty)  # the M column reads the growth rate
-    except ValueError as exc:
-        raise CliError(f"{config.args.system}:1: {exc}") from exc
-    if config.format == "json":
-        rows = buf.getvalue().strip().split("\n")
-        header = rows[0].split(",")
-        payload = {"columns": header, "rows": [r.split(",") for r in rows[1:]]}
-        _emit(_json_doc("census", config, payload), config.out)
-    else:
-        _emit(buf.getvalue(), config.out)
-    return 0
+    config.census().write_csv(buf, include_empty=config.include_empty)
+    _emit_table("census", config, buf.getvalue())
 
 
 def cmd_constants(config):
     cen = None
     if config.X is not None:
         cen = config.census()
-    try:
-        constants = asymptotics.constants_for(config.source, config.precision, cen=cen)
-    except ValueError as exc:
-        raise CliError(f"{config.args.system}:1: {exc}") from exc
+    constants = asymptotics.constants_for(config.source, config.precision, cen=cen)
     payload = {
         "B": fmt_number(constants.B, config.precision),
         "C": fmt_number(constants.C, config.precision),
@@ -264,7 +248,6 @@ def cmd_constants(config):
         "notes": list(constants.notes),
     }
     _emit(_json_doc("constants", config, payload), config.out)
-    return 0
 
 
 def cmd_wdist(config):
@@ -278,7 +261,7 @@ def cmd_wdist(config):
         for v, m in pmf.atoms:
             lines.append(f"{fmt_number(v, config.precision)},{fmt_number(m, config.precision)}")
         _emit("\n".join(lines) + "\n", config.out)
-        return 0
+        return
     payload = {
         "X": cen.X_max,
         "values": [fmt_number(v, config.precision) for v in pmf.support],
@@ -288,51 +271,26 @@ def cmd_wdist(config):
         "variance": fmt_number(pmf.variance(), config.precision),
     }
     _emit(_json_doc("wdist", config, payload), config.out)
-    return 0
 
 
 def cmd_ldp(config):
     cen = config.census()
     g = distribution.unit_weights(cen)
     bc = distribution.joint_census(g, cen.X_max, census=cen)
-    try:
-        constants = asymptotics.constants_for(config.source, config.precision, cen=cen)
-        report = ldp.tail_report(
-            bc,
-            constants,
-            [Fraction(str(e)) for e in config.epsilons],
-            ldp.RateFunction.poisson(),
-            precision=config.precision,
-        )
-    except ValueError as exc:
-        raise CliError(f"{config.args.system}:1: {exc}") from exc
-    header = "X,epsilon,threshold,log_p,normalized,rate_value,chebyshev"
-    lines = [header]
+    constants = asymptotics.constants_for(config.source, config.precision, cen=cen)
+    report = ldp.tail_report(
+        bc,
+        constants,
+        [Fraction(str(e)) for e in config.epsilons],
+        ldp.RateFunction.poisson(),
+        precision=config.precision,
+    )
+    # the columns are the TailRow fields, in order
+    columns = [f.name for f in dataclasses.fields(ldp.TailRow)]
+    lines = [",".join(columns)]
     for row in report.rows:
-        lines.append(
-            ",".join(
-                str(fmt_number(v, config.precision))
-                for v in (
-                    row.X,
-                    row.epsilon,
-                    row.threshold,
-                    row.log_p,
-                    row.normalized,
-                    row.rate_value,
-                    row.chebyshev,
-                )
-            )
-        )
-    text = "\n".join(lines) + "\n"
-    if config.format == "json":
-        payload = {
-            "columns": header.split(","),
-            "rows": [line.split(",") for line in lines[1:]],
-        }
-        _emit(_json_doc("ldp", config, payload), config.out)
-    else:
-        _emit(text, config.out)
-    return 0
+        lines.append(",".join(str(fmt_number(getattr(row, c), config.precision)) for c in columns))
+    _emit_table("ldp", config, "\n".join(lines) + "\n")
 
 
 def cmd_sample(config):
@@ -340,7 +298,6 @@ def cmd_sample(config):
     # rows go out as they are drawn, so memory does not grow with --samples
     with _output(config.out) as handle:
         sampler.write_samples_csv(handle, cen, cen.X_max, config.samples, config.seed)
-    return 0
 
 
 def cmd_validate(config):
@@ -352,12 +309,11 @@ def cmd_validate(config):
     lines = []
     if config.source.kind == "fad":
         lines.append("product-form invariants: ok (validated at construction)")
-    if report.ok:
-        lines.append(f"Dold congruences: ok for all ell <= {X}")
-        _emit("\n".join(lines) + "\n", config.out)
-        return 0
-    ell, reason = report.first_failure
-    raise CliError(f"{config.args.system}:1: Dold check failed at ell={ell}: {reason}")
+    if not report.ok:
+        ell, reason = report.first_failure
+        raise ValueError(f"Dold check failed at ell={ell}: {reason}")
+    lines.append(f"Dold congruences: ok for all ell <= {X}")
+    _emit("\n".join(lines) + "\n", config.out)
 
 
 COMMANDS = {
@@ -402,17 +358,19 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = RunConfig(args)
-        return COMMANDS[args.command](config)
+        COMMANDS[args.command](RunConfig(args))
+        return 0
     except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        message = str(exc)
+    except ValueError as exc:  # the library refused the system or its parameters
+        message = f"{args.system}:1: {exc}"
     except Exception as exc:  # internal errors -> exit 1, message only
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

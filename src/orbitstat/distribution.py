@@ -249,7 +249,7 @@ def joint_census(g, X, census=None):
     for n in range(X + 1):
         have = sum(rows[n].values())
         if have != totals[n]:
-            raise ValueError(f"marginal mismatch at n={n}: {have} != {totals[n]}")
+            raise AssertionError(f"marginal mismatch at n={n}: {have} != {totals[n]}")
     keys = sorted({v for row in rows for v in row})
     key_index = {v: k for k, v in enumerate(keys)}
     values = tuple(Fraction(v, D) for v in keys)
@@ -277,7 +277,7 @@ def w_pmf(bc, X=None):
     atoms = {v: Fraction(c, denom) for v, c in masses.items()}
     pmf = DiscreteMeasure.from_dict(atoms)
     if not pmf.is_probability():
-        raise ValueError("PMF fails to normalize (internal error)")
+        raise AssertionError("PMF fails to normalize (internal error)")
     return pmf
 
 
@@ -300,7 +300,7 @@ def expected_w(census, X, bc=None):
         bc = joint_census(unit_weights(census), X, census=census)
     via_pmf = w_pmf(bc, X).mean()
     if acc != via_pmf:
-        raise ValueError(
+        raise AssertionError(
             f"internal-consistency error: prime-sum mean {acc} != PMF mean {via_pmf}"
         )
     return acc, via_pmf

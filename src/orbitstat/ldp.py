@@ -206,7 +206,7 @@ class TailReport:
     rows: tuple
 
 
-def tail_report(bc, constants, epsilons, rate, xs=None, theta_grid=None, precision=128):
+def tail_report(bc, constants, epsilons, rate, xs=None, precision=128):
     """Exact census tails P[W >= (1+eps) B log X] next to the rate value
     I(1+eps) and an always-valid Chebyshev bound.
 
@@ -229,8 +229,6 @@ def tail_report(bc, constants, epsilons, rate, xs=None, theta_grid=None, precisi
     if any(eps < 0 for eps in epsilons):
         raise ValueError("epsilon must be at least 0")
     xs = sorted({max(1, bc.X // 3), max(1, (2 * bc.X) // 3), bc.X}) if xs is None else tuple(xs)
-    if theta_grid is None:
-        theta_grid = _DEFAULT_THETA_GRID
     if any(X > bc.X for X in xs):
         raise ValueError("window outside census")
     rows = []
@@ -253,7 +251,7 @@ def tail_report(bc, constants, epsilons, rate, xs=None, theta_grid=None, precisi
                 else:
                     log_p = +mp.log(to_mpf(p))
                     normalized = +(-log_p / scale) if scale != 0 else mp.inf
-                cheb = chebyshev_bound(transform, threshold, theta_grid, precision)
+                cheb = chebyshev_bound(transform, threshold, _DEFAULT_THETA_GRID, precision)
                 rows.append(
                     TailRow(
                         X=X,

@@ -151,7 +151,7 @@ class OrbitSampler:
             row = kernels.inverse_factor_multiply(row, ell, census.primes[ell], X)
             suffix.append(row)
         if suffix[X] != self.totals:
-            raise ValueError("completion tables disagree with the census (internal error)")
+            raise AssertionError("completion tables disagree with the census (internal error)")
         self.suffix = suffix
         self.cumulative = list(accumulate(self.totals))
         self.grand_total = self.cumulative[-1]
@@ -217,8 +217,9 @@ class TailEstimate:
         return self.interval[0] <= p <= self.interval[1]
 
 
-def wilson_interval(hits, n, z=1.959963984540054):
-    """Wilson score interval; well-behaved at 0 and n hits."""
+def wilson_interval(hits, n):
+    """95% Wilson score interval; well-behaved at 0 and n hits."""
+    z = 1.959963984540054
     phat = hits / n
     denom = 1 + z * z / n
     center = (phat + z * z / (2 * n)) / denom

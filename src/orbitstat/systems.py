@@ -216,7 +216,10 @@ def builtin_source(name, **params):
                 primes=(FadPrime(p, PeriodicSequence(tuple(s_vals)), zero),),
             )
     elif name == "periodic":
-        values = tuple(_integer("periodic value", v) for v in params.pop("values"))
+        values = params.pop("values")
+        if not isinstance(values, (list, tuple)):
+            raise ValueError(f"periodic values must be a list, got {values!r}")
+        values = tuple(_integer("periodic value", v) for v in values)
         if not values or any(v < 0 for v in values):
             raise ValueError("periodic values must be non-negative integers")
         items = (("values", values),)
@@ -477,9 +480,32 @@ def validate_dold(sigma):
 # ---------------------------------------------------------------------------
 # JSON ingestion (field names are part of the CLI contract)
 
+# the JSON names of the Python types json.load returns
+_JSON_TYPES = {dict: "object", list: "array", str: "string", int: "number", float: "number",
+               bool: "boolean", type(None): "null"}
 
-def _periodic_from_json(obj):
-    values = tuple(Fraction(str(v)) for v in obj["values"])
+
+def _shaped(name, value, kind):
+    """value if it is of type kind (dict, list or str), else ValueError
+    naming the field and the JSON type found."""
+    if not isinstance(value, kind):
+        found = _JSON_TYPES.get(type(value), type(value).__name__)
+        raise ValueError(f"{name} must be a JSON {_JSON_TYPES[kind]}, got {found}")
+    return value
+
+
+def _field(obj, name, kind, prefix="", optional=False):
+    """obj[name], the field prefix + name, checked by _shaped (kind object
+    accepts any value); a missing or null optional field reads as None."""
+    if optional and obj.get(name) is None:
+        return None
+    if name not in obj:
+        raise ValueError(f"{prefix}{name} is required")
+    return _shaped(prefix + name, obj[name], kind)
+
+
+def _periodic_from_json(obj, name):
+    values = tuple(Fraction(str(v)) for v in _field(obj, "values", list, f"{name}."))
     seq = PeriodicSequence(values)
     period = obj.get("period", seq.period)
     if period != seq.period:
@@ -487,28 +513,39 @@ def _periodic_from_json(obj):
     return seq
 
 
+def _prime_from_json(obj, name):
+    _shaped(name, obj, dict)
+    return FadPrime(
+        p=_integer("p", _field(obj, "p", object, f"{name}.")),
+        s=_periodic_from_json(_field(obj, "s", dict, f"{name}."), f"{name}.s"),
+        t=_periodic_from_json(_field(obj, "t", dict, f"{name}."), f"{name}.t"),
+    )
+
+
 def source_from_json(obj):
-    """Build a SigmaSource from the parsed JSON system description."""
-    kind = obj.get("type")
+    """Build a SigmaSource from the parsed JSON system description.
+
+    A description of the wrong shape (a field missing, or of the wrong JSON
+    type) raises ValueError naming the field, as an invalid value does."""
+    kind = _shaped("the top level", obj, dict).get("type")
     if kind == "table":
-        return table_source(obj["sigma"])
+        return table_source(_field(obj, "sigma", list))
     if kind == "builtin":
-        name = obj["name"]
+        name = _field(obj, "name", str)
         params = {k: v for k, v in obj.items() if k not in ("type", "name")}
         return builtin_source(name, **params)
     if kind == "fad":
+        # an empty matrix, r or primes reads as absent
+        matrix = _field(obj, "matrix", list, optional=True)
+        r = _field(obj, "r", dict, optional=True)
+        primes = _field(obj, "primes", list, optional=True) or ()
         spec = FadSpec(
             c=obj.get("c", 1),
-            matrix=tuple(tuple(row) for row in obj["matrix"]) if obj.get("matrix") else None,
-            r=_periodic_from_json(obj["r"]) if obj.get("r") else PeriodicSequence.constant(1),
-            primes=tuple(
-                FadPrime(
-                    p=_integer("p", e["p"]),
-                    s=_periodic_from_json(e["s"]),
-                    t=_periodic_from_json(e["t"]),
-                )
-                for e in obj.get("primes", ())
-            ),
+            matrix=tuple(tuple(_shaped(f"matrix[{i}]", row, list)) for i, row in enumerate(matrix))
+            if matrix
+            else None,
+            r=_periodic_from_json(r, "r") if r else PeriodicSequence.constant(1),
+            primes=tuple(_prime_from_json(e, f"primes[{i}]") for i, e in enumerate(primes)),
         )
         return fad_source(spec)
     raise ValueError(f"unknown system type {kind!r}")

@@ -275,6 +275,7 @@ def test_sample_of_short_table_needs_no_growth_rate(capsys):
         (("census", "--system", SHORT_TABLE, "--X", "3"), f"{SHORT_TABLE}:1: table too short for a growth estimate (need >= 8)"),
         (("ldp", "--system", "builtin:FF,q=2", "--X", "20", "--epsilon", "-1"), "--epsilon must be at least 0"),
         (("census", "--system", "builtin:FF,q=2", "--X", "4", "--precision", "65537"), "at most 65536"),
+        (("census", "--system", "builtin:periodic,values=5", "--X", "3"), "periodic values must be a list, got 5"),
     ],
 )
 def test_spec_failures_exit_2(capsys, argv, needle):
@@ -292,20 +293,40 @@ def test_malformed_json_is_line_anchored(capsys, tmp_path):
     assert f"{bad}:4:" in err
 
 
+NON_INTEGRAL_FAD = {
+    "type": "fad",
+    "c": 2,
+    "matrix": [[2, 1], [1, 1]],
+    "r": {"values": [1, 2]},
+    "primes": [{"p": 3, "s": {"values": [1]}, "t": {"values": [1]}}],
+}
+
+
 def test_json_semantic_error_anchored(capsys, tmp_path):
     spec = tmp_path / "odd.json"
     for obj, needle in (
-        ({"type": "magic"}, "unknown system type"),
+        ({"type": "magic"}, "unknown system type 'magic'"),
         # integer fields are never truncated
         ({"type": "fad", "c": 2.7}, "c must be an integer, got 2.7"),
         ({"type": "fad", "c": True}, "c must be an integer, got True"),
         ({"type": "builtin", "name": "FF", "q": 2.9}, "q must be an integer, got 2.9"),
         ({"type": "fad", "matrix": [[2.5, 0], [0, 2]]}, "matrix entry must be an integer, got 2.5"),
+        # a spec of the wrong shape is rejected input, naming the field
+        ([1, 2], "the top level must be a JSON object, got array"),
+        ({"type": "builtin"}, "name is required"),
+        ({"type": "fad", "matrix": [1, 2]}, "matrix[0] must be a JSON array, got number"),
+        ({"type": "table", "sigma": 5}, "sigma must be a JSON array, got number"),
+        ({"type": "fad", "r": {"values": 5}}, "r.values must be a JSON array, got number"),
+        ({"type": "fad", "primes": [{"p": 3}]}, "primes[0].s is required"),
+        ({"type": "builtin", "name": "periodic", "values": 5}, "periodic values must be a list, got 5"),
+        # sigma_1 = 2 * 1 * 1 / 3 is not an integer
+        (NON_INTEGRAL_FAD, "non-realizable parameters at k=1"),
     ):
         spec.write_text(json.dumps(obj))
-        code, _, err = run(capsys, "census", "--system", str(spec), "--X", "2")
-        assert code == 2
-        assert f"{spec}:1: {needle}" in err
+        for sub in ("census", "constants", "wdist", "ldp", "sample", "validate"):
+            code, out, err = run(capsys, sub, "--system", str(spec), "--X", "2")
+            assert code == 2 and out == "", (sub, obj)
+            assert err == f"error: {spec}:1: {needle}\n", sub
 
 
 def test_json_repeated_key_is_rejected(capsys, tmp_path):
@@ -354,14 +375,16 @@ def test_subcommand_help_lists_the_flags_it_reads(capsys):
         assert listed == ["--help", "--system", "--X", *flags, "--out"], sub
 
 
-def test_internal_errors_exit_1(capsys, monkeypatch):
+@pytest.mark.parametrize("error", [RuntimeError, AssertionError])
+def test_internal_errors_exit_1(capsys, monkeypatch, error):
+    # a failed internal-consistency check is the code's fault, not the input's
     def boom(config):
-        raise RuntimeError("wires crossed")
+        raise error("wires crossed")
 
     monkeypatch.setitem(cli.COMMANDS, "census", boom)
     code, out, err = run(capsys, "census", "--system", "builtin:FF,q=2", "--X", "2")
     assert code == 1 and out == ""
-    assert err.startswith("internal error: RuntimeError")
+    assert err == f"internal error: {error.__name__}: wires crossed\n"
 
 
 def test_fmt_number_shapes():

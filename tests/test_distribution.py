@@ -1,5 +1,6 @@
 """Bivariate censuses and exact W distributions against the DFS enumerator."""
 
+import copy
 from fractions import Fraction
 
 import mpmath as mp
@@ -122,6 +123,12 @@ def test_joint_census_guards(ff2_census, e32_census):
         joint_census(unit_weights(ff2_census.primes[:5]), 10)
     with pytest.raises(ValueError, match="inconsistent"):
         joint_census(unit_weights(e32_census), 5, census=ff2_census)
+    # the marginal check guards the code, not the input: a failure is an
+    # AssertionError, which the CLI reports as an internal error (exit 1)
+    altered = copy.copy(ff2_census)
+    altered.totals = [*ff2_census.totals[:3], ff2_census.totals[3] + 1, *ff2_census.totals[4:]]
+    with pytest.raises(AssertionError, match="marginal mismatch at n=3"):
+        joint_census(unit_weights(ff2_census), 5, census=altered)
 
 
 @st.composite

@@ -1,6 +1,7 @@
 """Package metadata agrees with the build configuration, every module uses
-what it imports, exact-to-real conversion has one home, and numpy is
-loaded only by the sampler's random streams."""
+what it imports, exact-to-real conversion has one home, the CLI turns a
+ValueError into exit 2 in one place, and numpy is loaded only by the
+sampler's random streams."""
 
 import ast
 import os
@@ -85,6 +86,32 @@ def test_fraction_to_mpf_has_one_home():
     }
     assert [function for function, _ in found.pop("polyops.py")] == ["to_mpf"]
     assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def value_error_handlers(path):
+    """The enclosing function of each handler in a module that catches
+    ValueError, alone or in a tuple."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            if any(ast.unparse(name) == "ValueError" for name in caught):
+                found.append(function)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_cli_anchors_value_errors_in_main_only():
+    # main is the one boundary that words a library ValueError as rejected
+    # input (exit 2, "spec:1:"); a second handler would be a second policy
+    assert value_error_handlers(ROOT / "src" / "orbitstat" / "cli.py") == ["main"]
 
 
 IMPORT_BOUNDARY = textwrap.dedent(
