@@ -107,28 +107,6 @@ def cesaro_empirical(source, lam, X, precision=128):
         return +(acc / X)
 
 
-def log_abel_mean(source, lam, u, K, precision=128):
-    """-f(u)/log(1-u) with f(u) = sum_{k<=K} (sigma_k/lam^k) u^k / k.
-
-    A logarithmic-summability probe: as u -> 1 (with K large enough that
-    the dropped tail is negligible) the value approaches the Cesaro mean.
-    """
-    if isinstance(lam, systems.GrowthRate):
-        lam = lam.exact if lam.exact is not None else lam.value
-    sigma = systems.sigma_table(source, K)
-    with mp.workprec(precision + 32):
-        u = mp.mpf(u)
-        lam = to_mpf(lam)
-        acc = mp.mpf(0)
-        ratio = u / lam
-        power = mp.mpf(1)
-        for k in range(1, K + 1):
-            power *= ratio
-            if sigma[k]:
-                acc += sigma[k] * power / k
-        return +(-acc / mp.log(1 - u))
-
-
 # ---------------------------------------------------------------------------
 # exact class sums for product-form sigma
 

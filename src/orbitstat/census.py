@@ -61,6 +61,8 @@ class OrbitCensus:
         self.primes = primes
         self.totals = totals
         self.precision = precision
+        # (X, weight classes up to X) -> BivariateCensus, kept by joint_census
+        self.joint_censuses = {}
 
     # -- construction ------------------------------------------------------
 

@@ -63,9 +63,10 @@ def _unique_keys(pairs):
 def parse_system(spec):
     """SigmaSource from shorthand or a JSON file path.
 
-    A path that names no file, and JSON that does not parse, raise CliError
-    anchored at the spec's line. An invalid or wrongly shaped system raises
-    ValueError, which main anchors at line 1.
+    A path that names no readable file, and JSON that does not parse or
+    nests too deeply, raise CliError anchored at the spec's line. An
+    invalid or wrongly shaped system raises ValueError, which main anchors
+    at line 1.
     """
     if spec.startswith("builtin:"):
         body = spec[len("builtin:") :]
@@ -91,8 +92,12 @@ def parse_system(spec):
             obj = json.load(handle, object_pairs_hook=_unique_keys)
     except FileNotFoundError:
         raise CliError(f"{spec}:1: no such system spec (not shorthand, not a readable file)")
+    except (IsADirectoryError, PermissionError) as exc:
+        raise CliError(f"{spec}:1: cannot read system spec: {exc.strerror}")
     except json.JSONDecodeError as exc:
         raise CliError(f"{spec}:{exc.lineno}: {exc.msg}")
+    except RecursionError:
+        raise CliError(f"{spec}:1: JSON nested too deeply")
     return systems.source_from_json(obj)
 
 

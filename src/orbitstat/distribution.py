@@ -87,10 +87,16 @@ class DiscreteMeasure:
         atoms = self.real_atoms(precision)
         with mp.workprec(precision + 16):
             theta = mp.mpf(theta)
-            acc = mp.mpf(0)
-            for v, m in atoms:
-                acc += m * mp.e ** (theta * v)
-            return +acc
+            return _mass_sum(atoms, (mp.e ** (theta * v) for v, _ in atoms))
+
+
+def _mass_sum(atoms, powers):
+    """Sum of mass * power over real atoms, in laplace's order: a transform
+    from shared powers is then bit-identical to laplace's."""
+    acc = mp.mpf(0)
+    for (_, m), power in zip(atoms, powers):
+        acc += m * power
+    return +acc
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,16 +215,20 @@ def joint_census(g, X, census=None):
     stops at the first factor degree that overshoots X. The marginal over
     statistic values is checked cell-exactly against the orbit counts (the
     census's recurrence route when one is supplied, the product route
-    otherwise).
+    otherwise). A census keeps the result, and every later call with the
+    same X and weight classes up to X returns it: do not mutate its cells.
     """
     if g.X < X:
         raise ValueError("weight classes do not cover the requested range")
     P = g.primes
     if census is not None:
-        totals = list(census.totals[: X + 1])
         for ell in range(1, X + 1):
             if P[ell] != census.primes[ell]:
                 raise ValueError(f"class counts at ell={ell} inconsistent with census")
+        kept = (X, g.classes[: X + 1])
+        if kept in census.joint_censuses:
+            return census.joint_censuses[kept]
+        totals = list(census.totals[: X + 1])
     else:
         totals = kernels.euler_product_series(list(P[: X + 1]), X)
     live = [(ell, count, weight) for ell in range(1, X + 1)
@@ -254,12 +264,10 @@ def joint_census(g, X, census=None):
     key_index = {v: k for k, v in enumerate(keys)}
     values = tuple(Fraction(v, D) for v in keys)
     flat = {(n, key_index[v]): c for n, row in enumerate(rows) for v, c in row.items()}
-    return BivariateCensus(
-        X=X,
-        values=values,
-        cells=flat,
-        orbit_totals=tuple(totals),
-    )
+    bc = BivariateCensus(X=X, values=values, cells=flat, orbit_totals=tuple(totals))
+    if census is not None:
+        census.joint_censuses[kept] = bc
+    return bc
 
 
 def w_pmf(bc, X=None):
@@ -285,9 +293,9 @@ def expected_w(census, X, bc=None):
     """E[W(X)] two independent ways: the prime-sum identity
     sum_ell P_ell N(X-ell)/N(X) and the mean of the exact PMF.
 
-    bc is the census's unit-weight joint census up to length >= X, built
-    here when not given. Returns (lemma_value, pmf_value) after asserting
-    exact equality.
+    bc is the census's unit-weight joint census up to length >= X, the one
+    the census keeps when not given. Returns (lemma_value, pmf_value) after
+    asserting exact equality.
     """
     if X < 0 or X > census.X_max:
         raise ValueError("X outside census")

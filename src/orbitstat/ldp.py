@@ -11,11 +11,10 @@ which the tail reports place alongside exact census tails.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 
 import mpmath as mp
 
-from orbitstat.distribution import w_pmf
+from orbitstat.distribution import _mass_sum, w_pmf
 from orbitstat.polyops import to_mpf
 
 
@@ -176,15 +175,16 @@ def chebyshev_bound(mgf_fn, a, theta_grid, precision=128):
     if not thetas:
         raise ValueError("theta grid must be non-empty")
     with mp.workprec(precision + 16):
-        best = None
-        for theta in thetas:
-            theta = to_mpf(theta)
-            if theta <= 0:
-                raise ValueError("theta grid must be positive")
-            value = mp.log(to_mpf(mgf_fn(theta))) - theta * to_mpf(a)
-            if best is None or value < best:
-                best = value
-        return +best
+        thetas = [to_mpf(theta) for theta in thetas]
+        if any(theta <= 0 for theta in thetas):
+            raise ValueError("theta grid must be positive")
+        return _grid_min([(theta, mp.log(to_mpf(mgf_fn(theta)))) for theta in thetas], to_mpf(a))
+
+
+def _grid_min(log_mgfs, a):
+    """min over (theta, log E[e^(theta g)]) pairs of log E[e^(theta g)] -
+    theta a, at the working precision; the first pair wins a tie."""
+    return +min(log_m - theta * a for theta, log_m in log_mgfs)
 
 
 _DEFAULT_THETA_GRID = tuple(mp.mpf("0.05") * mp.mpf("1.25") ** i for i in range(40))
@@ -232,15 +232,20 @@ def tail_report(bc, constants, epsilons, rate, xs=None, precision=128):
     if any(X > bc.X for X in xs):
         raise ValueError("window outside census")
     rows = []
+    pmfs = [w_pmf(bc, X) for X in xs]
     with mp.workprec(precision + 16):
         Bm = to_mpf(B)
         # I(1+eps) does not depend on the window: one evaluation per eps
         rated = [(eps_m, rate.evaluate(1 + eps_m, precision)) for eps_m in map(to_mpf, epsilons)]
-        for X in xs:
-            pmf = w_pmf(bc, X)
+        # e^(theta y) once per grid theta and value y of any window
+        values = {y for pmf in pmfs for y, _ in pmf.real_atoms(precision)}
+        thetas = [to_mpf(theta) for theta in _DEFAULT_THETA_GRID]
+        powers = [{y: mp.e ** (theta * y) for y in values} for theta in thetas]
+        for X, pmf in zip(xs, pmfs):
             real = pmf.real_atoms(precision)
-            # the grid transforms depend on the window only: one pass serves every eps
-            transform = cache(lambda t: pmf.laplace(t, precision))
+            # log E[e^(theta W)] depends on the window only: one log serves every eps
+            log_mgfs = [(theta, mp.log(_mass_sum(real, [power[y] for y, _ in real])))
+                        for theta, power in zip(thetas, powers)]
             scale = Bm * mp.log(X)
             for eps_m, rate_value in rated:
                 threshold = +((1 + eps_m) * scale)
@@ -251,7 +256,7 @@ def tail_report(bc, constants, epsilons, rate, xs=None, precision=128):
                 else:
                     log_p = +mp.log(to_mpf(p))
                     normalized = +(-log_p / scale) if scale != 0 else mp.inf
-                cheb = chebyshev_bound(transform, threshold, _DEFAULT_THETA_GRID, precision)
+                cheb = _grid_min(log_mgfs, threshold)
                 rows.append(
                     TailRow(
                         X=X,

@@ -72,16 +72,6 @@ def test_cesaro_empirical_accepts_growth_rate_and_mpf():
         asy.cesaro_empirical(src, rate, 0)
 
 
-def test_log_abel_mean():
-    ff = builtin_source("FF", q=2)
-    assert mpf_close(asy.log_abel_mean(ff, Fraction(2), "0.9", 400), 1, 1e-9)
-    per = builtin_source("periodic", values=(1, 3))
-    near = asy.log_abel_mean(per, Fraction(1), "0.99", 4000)
-    nearer = asy.log_abel_mean(per, Fraction(1), "0.999", 12000)
-    assert abs(nearer - 2) < abs(near - 2) < 0.16
-    assert abs(nearer - 2) < 0.11
-
-
 # -- exact class sums ----------------------------------------------------------
 
 

@@ -293,6 +293,23 @@ def test_malformed_json_is_line_anchored(capsys, tmp_path):
     assert f"{bad}:4:" in err
 
 
+def test_unreadable_or_deep_spec_files_exit_2(capsys, tmp_path, monkeypatch):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    code, out, err = run(capsys, "validate", "--system", str(deep), "--X", "2")
+    assert (code, out, err) == (2, "", f"error: {deep}:1: JSON nested too deeply\n")
+    code, out, err = run(capsys, "validate", "--system", str(tmp_path), "--X", "2")
+    assert (code, out, err) == (2, "", f"error: {tmp_path}:1: cannot read system spec: Is a directory\n")
+
+    def denied(path, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", path)
+
+    # a file mode would not stop a superuser, so the refusal is simulated
+    monkeypatch.setattr(cli, "open", denied, raising=False)
+    code, out, err = run(capsys, "census", "--system", str(deep), "--X", "2")
+    assert (code, out, err) == (2, "", f"error: {deep}:1: cannot read system spec: Permission denied\n")
+
+
 NON_INTEGRAL_FAD = {
     "type": "fad",
     "c": 2,

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orbitstat import distribution
 from orbitstat import (
     DiscreteMeasure,
     WeightedAdditive,
@@ -127,6 +128,7 @@ def test_joint_census_guards(ff2_census, e32_census):
     # AssertionError, which the CLI reports as an internal error (exit 1)
     altered = copy.copy(ff2_census)
     altered.totals = [*ff2_census.totals[:3], ff2_census.totals[3] + 1, *ff2_census.totals[4:]]
+    altered.joint_censuses = {}  # a shallow copy would share the original's
     with pytest.raises(AssertionError, match="marginal mismatch at n=3"):
         joint_census(unit_weights(ff2_census), 5, census=altered)
 
@@ -176,6 +178,37 @@ def test_joint_census_scales_to_x120(e32_source):
         assert bc.marginal(n) == cen.totals[n]
     lemma, via_pmf = expected_w(cen, 120, bc)
     assert lemma == via_pmf
+
+
+def test_joint_census_is_kept_on_its_census(ff2_source, monkeypatch):
+    cen = build_census(ff2_source, 12)
+    bc = joint_census(unit_weights(cen), 10, census=cen)
+    assert joint_census(unit_weights(cen), 10, census=cen) is bc
+    # another window, or other weights, is a census of its own
+    other_x = joint_census(unit_weights(cen), 9, census=cen)
+    even = subset_weights(cen, lambda ell: ell % 2 == 0)
+    subset = joint_census(even, 10, census=cen)
+    assert len({id(bc), id(other_x), id(subset)}) == 3
+    assert other_x.cells == joint_census(unit_weights(cen), 9).cells
+    assert subset.cells == joint_census(even, 10).cells
+    # E[W] reuses the unit-weight census: no factor of the product is built again
+    factors = []
+    real_comb = distribution.comb
+
+    def counting_comb(*args):
+        factors.append(args)
+        return real_comb(*args)
+
+    monkeypatch.setattr(distribution, "comb", counting_comb)
+    lemma, via_pmf = expected_w(cen, 10)
+    assert lemma == via_pmf == w_pmf(bc).mean()
+    assert factors == []
+    # without a census nothing is kept
+    fresh = build_census(ff2_source, 12)
+    first = joint_census(unit_weights(fresh), 10)
+    assert joint_census(unit_weights(fresh), 10) is not first
+    assert factors and joint_census(unit_weights(fresh), 10, census=fresh) is not first
+    assert fresh.joint_censuses.keys() == {(10, unit_weights(fresh).classes[:11])}
 
 
 def brute_value_pmf(results, X, value_of_profile):

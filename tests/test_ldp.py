@@ -1,6 +1,7 @@
 """Rate functions: closed forms vs the numeric Legendre transform, plus
 Chebyshev bounds that must dominate every exact census tail."""
 
+from collections import Counter
 from fractions import Fraction
 
 import mpmath as mp
@@ -11,12 +12,15 @@ from orbitstat import (
     AsymptoticConstants,
     DiscreteMeasure,
     RateFunction,
+    build_census,
+    builtin_source,
     chebyshev_bound,
     constants_for,
     joint_census,
     legendre_rate,
     poisson_rate,
     subset_rate,
+    subset_weights,
     tail_report,
     unit_weights,
     w_pmf,
@@ -238,12 +242,25 @@ def test_tail_report_transforms_each_window_once(ff2_census, monkeypatch):
     bc = joint_census(unit_weights(ff2_census), 30, census=ff2_census)
     constants = constants_for(ff2_census.source)
     xs = (10, 20, 30)
-    calls = []
-    real = DiscreteMeasure.laplace
+    # the window supports nest, so the largest one holds every value
+    values = len(w_pmf(bc, xs[-1]).support)
+    # E[e^(theta W)] of every (window, theta), each to be logged once
+    transforms = Counter(w_pmf(bc, X).laplace(t) for X in xs for t in _DEFAULT_THETA_GRID)
+    assert len(transforms) == len(xs) * len(_DEFAULT_THETA_GRID) == 120
+    powers = []
+    e = mp.e
 
-    def counting(self, theta, precision=128):
-        calls.append(theta)
-        return real(self, theta, precision)
+    class CountingE:
+        def __pow__(self, x):
+            powers.append(x)
+            return e**x
+
+    logged = []
+    log = mp.log
+
+    def counting_log(x):
+        logged.append(x)
+        return log(x)
 
     converted = []
     to_mpf = distribution.to_mpf
@@ -254,13 +271,18 @@ def test_tail_report_transforms_each_window_once(ff2_census, monkeypatch):
 
     # every value and mass of every window's PMF, each once
     atoms = sorted(x for X in xs for atom in w_pmf(bc, X).atoms for x in atom)
-    monkeypatch.setattr(DiscreteMeasure, "laplace", counting)
+    monkeypatch.setattr(mp, "e", CountingE())
+    monkeypatch.setattr(mp, "log", counting_log)
     monkeypatch.setattr(distribution, "to_mpf", counting_to_mpf)
     for epsilons in ((Fraction(1),), (Fraction(1, 2), Fraction(1), Fraction(2))):
-        calls.clear()
+        powers.clear()
+        logged.clear()
         converted.clear()
         rep = tail_report(bc, constants, epsilons, RateFunction.poisson(), xs=xs)
-        assert len(calls) == len(xs) * len(_DEFAULT_THETA_GRID) == 120
+        # one exponential per (theta, value) for the whole report
+        assert len(powers) == len(_DEFAULT_THETA_GRID) * values == 40 * 10
+        # one log per (window, theta), whatever the number of eps
+        assert Counter(x for x in logged if x in transforms) == transforms
         # one real view per window serves all 40 transforms and every eps
         assert sorted(converted) == atoms
     monkeypatch.undo()
@@ -269,6 +291,31 @@ def test_tail_report_transforms_each_window_once(ff2_census, monkeypatch):
         pmf = w_pmf(bc, row.X)
         expected = chebyshev_bound(lambda t: pmf.laplace(t), row.threshold, _DEFAULT_THETA_GRID)
         assert row.chebyshev == expected
+
+
+@pytest.mark.parametrize(
+    "name,params",
+    [("FF", {"q": 2}), ("E", {"p": 3, "n": 2}), ("GA", {}), ("GM", {})],
+    ids=["FF2", "E32", "GA", "GM"],
+)
+def test_tail_report_chebyshev_is_bit_identical_to_laplace(name, params):
+    source = builtin_source(name, **params)
+    cen = build_census(source, 40)
+    constants = constants_for(source, cen=cen)
+    epsilons = (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2))
+    rows = 0
+    for g in (unit_weights(cen), subset_weights(cen, lambda ell: ell % 2 == 0, Fraction(2, 3))):
+        bc = joint_census(g, 40, census=cen)
+        for precision in (53, 128, 200):
+            rep = tail_report(bc, constants, epsilons, RateFunction.poisson(), precision=precision)
+            for row in rep.rows:
+                pmf = w_pmf(bc, row.X)
+                expected = chebyshev_bound(
+                    lambda t: pmf.laplace(t, precision), row.threshold, _DEFAULT_THETA_GRID, precision
+                )
+                assert row.chebyshev == expected, (g, precision, row.X, row.epsilon)
+                rows += 1
+    assert rows == 2 * 3 * 3 * len(epsilons)
 
 
 def test_tail_report_evaluates_each_rate_once(ff2_census, monkeypatch):
