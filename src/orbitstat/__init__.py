@@ -54,7 +54,6 @@ from orbitstat.distribution import (
     expected_w,
     joint_census,
     length_decay_weights,
-    mgf,
     rho_measure,
     subset_weights,
     unit_weights,
@@ -122,7 +121,6 @@ __all__ = [
     "expected_w",
     "joint_census",
     "length_decay_weights",
-    "mgf",
     "rho_measure",
     "subset_weights",
     "unit_weights",

@@ -30,6 +30,9 @@ SCHEMA = "orbitstat/1"
 # --precision ceiling in bits: mpmath works at the given width, so the flag
 # alone would otherwise set the size of every real in a run
 MAX_PRECISION = 65536
+# --X ceiling: sample's completion tables take about X^3 log2(Lambda) / 2
+# bits, 132 MB on E(3,2) at X=1024 and 8 times that at 2048
+MAX_X = 1024
 
 
 class CliError(Exception):
@@ -172,7 +175,7 @@ def _emit_table(command, config, csv_text):
 # default given here.
 FLAGS = {
     "system": dict(required=True, help="builtin:NAME[,k=v...], table:[...], or JSON file"),
-    "X": dict(type=int, help="census range"),
+    "X": dict(type=int, help=f"census range (1 to {MAX_X})"),
     "precision": dict(type=int, default=128, help=f"working precision in bits (64 to {MAX_PRECISION})"),
     "seed": dict(type=int, default=0, help="64-bit sampling seed"),
     "samples": dict(type=int, default=100000, help="sample count"),
@@ -203,6 +206,8 @@ class RunConfig:
         self.X = args.X
         if self.X is not None and self.X < 1:
             raise CliError("--X must be at least 1")
+        if self.X is not None and self.X > MAX_X:
+            raise CliError(f"--X must be at most {MAX_X}")
         self.seed = _value(args, "seed")
         if not 0 <= self.seed < 2**64:
             raise CliError("--seed must fit in 64 bits")
@@ -220,10 +225,10 @@ class RunConfig:
         self.include_empty = _value(args, "include_empty_orbit")
         self.source = parse_system(args.system)
 
-    def census(self):
+    def census(self, **options):
         if self.X is None:
             raise CliError("--X is required for this command")
-        return build_census(self.source, self.X, precision=self.precision)
+        return build_census(self.source, self.X, precision=self.precision, **options)
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +265,7 @@ def cmd_wdist(config):
     g = distribution.unit_weights(cen)
     bc = distribution.joint_census(g, cen.X_max, census=cen)
     pmf = distribution.w_pmf(bc)
-    lemma_mean, pmf_mean = distribution.expected_w(cen, cen.X_max, bc)
+    lemma_mean, pmf_mean = distribution.expected_w(cen, cen.X_max)
     if config.format == "csv":
         lines = ["value,mass"]
         for v, m in pmf.atoms:
@@ -299,7 +304,8 @@ def cmd_ldp(config):
 
 
 def cmd_sample(config):
-    cen = config.census()
+    # the sampler's tables check the full Euler product, so the build skips its own
+    cen = config.census(crosscheck_to=0)
     # rows go out as they are drawn, so memory does not grow with --samples
     with _output(config.out) as handle:
         sampler.write_samples_csv(handle, cen, cen.X_max, config.samples, config.seed)

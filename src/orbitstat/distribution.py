@@ -6,8 +6,9 @@ generating product prod_ell prod_classes (1 + u z^ell/(1-z^ell))^count,
 truncated at degree X, enumerates general orbits jointly by total length
 and statistic value with exact big-integer coefficients. From it come the
 PMF of W(X) under the uniform measure on orbits of length at most X,
-moments, MGFs, and the prime-orbit measures rho_X whose Laplace
-transforms drive the rate functions in the ldp module.
+its moments, and the prime-orbit measures rho_X whose Laplace transforms
+drive the rate functions in the ldp module. The census is one table of
+per-length rows, which every reader sums.
 """
 
 from dataclasses import dataclass, field
@@ -51,11 +52,8 @@ class DiscreteMeasure:
     def total_mass(self):
         return sum((m for _, m in self.atoms), Fraction(0))
 
-    def is_probability(self, tol=0):
-        total = self.total_mass()
-        if tol == 0:
-            return total == 1
-        return abs(total - 1) <= tol
+    def is_probability(self):
+        return self.total_mass() == 1
 
     def mass_at(self, value):
         for v, m in self.atoms:
@@ -182,17 +180,27 @@ def length_decay_weights(census_or_primes, lam):
 
 @dataclass(frozen=True, eq=False)
 class BivariateCensus:
-    """Sparse exact table c_{n,k}: orbits of total length n whose statistic
-    equals values[k]. orbit_totals carries N_0..N_X for marginal checks and
-    PMF denominators."""
+    """Exact joint counts: rows[n] maps an integer key to the number of
+    orbits of total length n <= X whose statistic equals key / D.
+    orbit_totals carries N_0..N_X for the PMF denominators."""
 
     X: int
-    values: tuple
-    cells: dict
+    D: int
+    rows: tuple
     orbit_totals: tuple
 
-    def marginal(self, n):
-        return sum(c for (m, _), c in self.cells.items() if m == n)
+    @property
+    def values(self):
+        """Distinct values, ascending: read by the benchmark's tracer until
+        ROADMAP item 1 moves its counters into the library."""
+        keys = sorted({key for row in self.rows for key in row})
+        return tuple(Fraction(key, self.D) for key in keys)
+
+    @property
+    def cells(self):
+        """The rows as {(n, key): count}: read by the benchmark's tracer
+        until ROADMAP item 1 moves its counters into the library."""
+        return {(n, key): c for n, row in enumerate(self.rows) for key, c in row.items()}
 
     def count_orbits(self, X=None):
         X = self.X if X is None else X
@@ -209,14 +217,14 @@ def joint_census(g, X, census=None):
 
     Statistic values are kept as integer keys: every weight is scaled by D,
     the lcm of the weight denominators over the classes with count > 0, so
-    a cell's key is D times its value and values[k] is Fraction(key, D).
-    Each class updates one list of per-length rows in place, lengths
-    descending (a row is read before any lower row writes into it), and
-    stops at the first factor degree that overshoots X. The marginal over
-    statistic values is checked cell-exactly against the orbit counts (the
-    census's recurrence route when one is supplied, the product route
-    otherwise). A census keeps the result, and every later call with the
-    same X and weight classes up to X returns it: do not mutate its cells.
+    a key is D times its value. Each class updates one list of per-length
+    rows in place, lengths descending (a row is read before any lower row
+    writes into it), and stops at the first factor degree that overshoots
+    X. Each row's total over statistic values is checked against the orbit
+    counts (the census's recurrence route when one is supplied, the product
+    route otherwise). A census keeps the result, and every later call with
+    the same X and weight classes up to X returns it: do not mutate its
+    rows.
     """
     if g.X < X:
         raise ValueError("weight classes do not cover the requested range")
@@ -260,11 +268,7 @@ def joint_census(g, X, census=None):
         have = sum(rows[n].values())
         if have != totals[n]:
             raise AssertionError(f"marginal mismatch at n={n}: {have} != {totals[n]}")
-    keys = sorted({v for row in rows for v in row})
-    key_index = {v: k for k, v in enumerate(keys)}
-    values = tuple(Fraction(v, D) for v in keys)
-    flat = {(n, key_index[v]): c for n, row in enumerate(rows) for v, c in row.items()}
-    bc = BivariateCensus(X=X, values=values, cells=flat, orbit_totals=tuple(totals))
+    bc = BivariateCensus(X=X, D=D, rows=tuple(rows), orbit_totals=tuple(totals))
     if census is not None:
         census.joint_censuses[kept] = bc
     return bc
@@ -277,25 +281,22 @@ def w_pmf(bc, X=None):
     if X > bc.X or X < 0:
         raise ValueError("X outside census")
     denom = bc.count_orbits(X)
-    masses = {}
-    for (n, k), c in bc.cells.items():
-        if n <= X:
-            v = bc.values[k]
-            masses[v] = masses.get(v, 0) + c
-    atoms = {v: Fraction(c, denom) for v, c in masses.items()}
+    counts = {}
+    for row in bc.rows[: X + 1]:
+        for key, c in row.items():
+            counts[key] = counts.get(key, 0) + c
+    atoms = {Fraction(key, bc.D): Fraction(c, denom) for key, c in counts.items()}
     pmf = DiscreteMeasure.from_dict(atoms)
     if not pmf.is_probability():
         raise AssertionError("PMF fails to normalize (internal error)")
     return pmf
 
 
-def expected_w(census, X, bc=None):
+def expected_w(census, X):
     """E[W(X)] two independent ways: the prime-sum identity
-    sum_ell P_ell N(X-ell)/N(X) and the mean of the exact PMF.
-
-    bc is the census's unit-weight joint census up to length >= X, the one
-    the census keeps when not given. Returns (lemma_value, pmf_value) after
-    asserting exact equality.
+    sum_ell P_ell N(X-ell)/N(X) and the mean of the exact PMF of the
+    unit-weight joint census the census keeps. Returns (lemma_value,
+    pmf_value) after asserting exact equality.
     """
     if X < 0 or X > census.X_max:
         raise ValueError("X outside census")
@@ -304,19 +305,12 @@ def expected_w(census, X, bc=None):
     for ell in range(1, X + 1):
         if census.primes[ell]:
             acc += Fraction(census.primes[ell] * census.count_orbits(X - ell), denom)
-    if bc is None:
-        bc = joint_census(unit_weights(census), X, census=census)
-    via_pmf = w_pmf(bc, X).mean()
+    via_pmf = w_pmf(joint_census(unit_weights(census), X, census=census), X).mean()
     if acc != via_pmf:
         raise AssertionError(
             f"internal-consistency error: prime-sum mean {acc} != PMF mean {via_pmf}"
         )
     return acc, via_pmf
-
-
-def mgf(bc, X, theta, precision=128):
-    """E[exp(theta * g)] over orbits of length <= X, at working precision."""
-    return w_pmf(bc, X).laplace(theta, precision)
 
 
 def rho_measure(g, census, X, precision=128):

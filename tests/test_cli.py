@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from orbitstat import build_census, builtin_source, cli, distribution, write_samples_csv
+from orbitstat import build_census, builtin_source, census, cli, distribution, kernels, systems, write_samples_csv
 from orbitstat.cli import main
 
 
@@ -100,14 +100,17 @@ def test_wdist_builds_one_joint_census(capsys, monkeypatch):
     real = distribution.joint_census
 
     def counting(*args, **kwargs):
-        calls.append(args[1])
-        return real(*args, **kwargs)
+        bc = real(*args, **kwargs)
+        calls.append((args[1], bc))
+        return bc
 
     monkeypatch.setattr(distribution, "joint_census", counting)
     code, out, _ = run(capsys, "wdist", "--system", "builtin:FF,q=2", "--X", "6")
     assert code == 0
     assert json.loads(out)["mean"] == json.loads(out)["mean_prime_sum"]
-    assert calls == [6]
+    # expected_w asks for the same census and gets the kept one back
+    assert [X for X, _ in calls] == [6, 6]
+    assert calls[0][1] is calls[1][1]
 
 
 def test_ldp_csv(capsys):
@@ -175,6 +178,33 @@ def test_sample_streams_the_csv_rows(capsys, tmp_path):
     code, out, err = run(capsys, *argv, "--out", str(path))
     assert code == 0 and out == "" and err == ""
     assert path.read_bytes() == expected.getvalue().encode()
+
+
+def test_sample_expands_the_euler_product_once(capsys, monkeypatch):
+    # the sampler's completion tables are the full-degree cross-check, so the
+    # census build runs no Euler product of its own
+    calls = []
+    real = kernels.euler_product_series
+    monkeypatch.setattr(kernels, "euler_product_series", lambda *args: calls.append(args) or real(*args))
+    code, out, err = run(capsys, "sample", "--system", "builtin:E,p=3,n=2", "--X", "12", "--samples", "5")
+    assert code == 0 and err == "" and len(out.splitlines()) == 6
+    assert calls == []
+    # a census whose orbit counts disagree with the product still exits 1
+    real_counts = census.orbit_counts
+    monkeypatch.setattr(census, "orbit_counts", lambda sigma: [*real_counts(sigma)[:-1], 0])
+    code, out, err = run(capsys, "sample", "--system", "builtin:E,p=3,n=2", "--X", "12", "--samples", "5")
+    assert code == 1 and out == ""
+    assert err.startswith("internal error: AssertionError: completion tables disagree")
+
+
+@pytest.mark.parametrize("sub", list(cli.SUBCOMMANDS))
+def test_x_ceiling_refuses_before_sigma(capsys, monkeypatch, sub):
+    calls = []
+    monkeypatch.setattr(systems, "sigma_table", lambda *args: calls.append(args))
+    code, out, err = run(capsys, sub, "--system", "builtin:FF,q=2", "--X", "1000000000000")
+    assert code == 2 and out == ""
+    assert err == f"error: --X must be at most {cli.MAX_X}\n"
+    assert calls == []
 
 
 def test_validate_accepts_builtins(capsys):
@@ -276,6 +306,7 @@ def test_sample_of_short_table_needs_no_growth_rate(capsys):
         (("ldp", "--system", "builtin:FF,q=2", "--X", "20", "--epsilon", "-1"), "--epsilon must be at least 0"),
         (("census", "--system", "builtin:FF,q=2", "--X", "4", "--precision", "65537"), "at most 65536"),
         (("census", "--system", "builtin:periodic,values=5", "--X", "3"), "periodic values must be a list, got 5"),
+        (("census", "--system", "builtin:FF,q=2", "--X", "1025"), "--X must be at most 1024"),
     ],
 )
 def test_spec_failures_exit_2(capsys, argv, needle):

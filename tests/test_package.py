@@ -1,9 +1,11 @@
 """Package metadata agrees with the build configuration, every module uses
 what it imports, exact-to-real conversion has one home, the CLI turns a
-ValueError into exit 2 in one place, and numpy is loaded only by the
-sampler's random streams."""
+ValueError into exit 2 in one place, numpy is loaded only by the
+sampler's random streams, and the benchmark's tracer still finds the names
+it reads."""
 
 import ast
+import importlib.util
 import os
 import subprocess
 import sys
@@ -142,3 +144,22 @@ def test_numpy_loads_with_the_first_random_stream():
     proc = subprocess.run([sys.executable, "-c", IMPORT_BOUNDARY], env=env, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_benchmark_tracer_reads_what_the_library_keeps():
+    # perfbench/tracing.py counts len(bc.cells) and len(bc.values) on every
+    # joint census, and perfbench/worker.py records kernels.BACKEND; both
+    # stay until the counters move into the library
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        cen = orbitstat.build_census(orbitstat.builtin_source("FF", q=2), 2)
+        orbitstat.joint_census(orbitstat.unit_weights(cen), 2, census=cen)
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["distribution.cells"] == 4
+    assert tracer.counts["distribution.values"] == 3
+    assert hasattr(orbitstat.kernels, "BACKEND")

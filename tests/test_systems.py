@@ -1,7 +1,7 @@
 """Sources, sigma evaluation, growth rates, spectra, Dold validation."""
 
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 
 import mpmath as mp
 import numpy as np
@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitstat import asymptotics, census, polyops, systems
-from orbitstat.numtheory import PeriodicSequence
+from orbitstat import asymptotics, census, distribution, polyops, systems
+from orbitstat.numtheory import PeriodicSequence, lte_params
 from orbitstat.systems import (
     FadPrime,
     FadSpec,
@@ -423,6 +423,10 @@ def block_matrices(draw):
     )
     blocks = draw(st.lists(block, min_size=1, max_size=3))
     blocks += draw(st.lists(st.sampled_from(blocks), max_size=2))
+    return block_diagonal(blocks), blocks
+
+
+def block_diagonal(blocks):
     d = sum(len(b) for b in blocks)
     matrix = [[0] * d for _ in range(d)]
     at = 0
@@ -430,7 +434,7 @@ def block_matrices(draw):
         for i, row in enumerate(b):
             matrix[at + i][at : at + len(row)] = row
         at += len(b)
-    return tuple(map(tuple, matrix)), blocks
+    return tuple(map(tuple, matrix))
 
 
 @settings(max_examples=60, deadline=None)
@@ -448,3 +452,67 @@ def test_random_block_matrix_spectra(case, precision):
     assert spectrum.m == len(on_circle)
     if all(len(b) == 1 for b in blocks):
         assert rate.exact == prod(abs(b[0][0]) for b in blocks if abs(b[0][0]) > 1)
+
+
+# (p, n) of the p-adic factors: n = None is GA's factor at p = 2, otherwise
+# the S-integer map x -> n x at an odd prime p
+PADIC_FACTORS = ((2, None), (3, 2), (3, 4), (5, 2), (5, 3), (7, 2), (7, 3))
+
+
+@st.composite
+def padic_product_forms(draw):
+    """Product forms that FadSpec.validate accepts with an integral sigma,
+    each a product of realizable systems: a c-shift, an optional golden
+    toral block, a permutation with a m-cycles and one fixed point
+    (r_k = 1 + a m [m | k]) and one or two p-adic factors. The S-integer
+    factor |n^k - 1| |n^k - 1|_p is a 1x1 block (n), r = p^(-e) and s = 1
+    where d | k, with (d, e) = lte_params(n, p); GA's factor
+    2^k 2^(-2^v_2(k)) is a 2 in c and t = 1."""
+    c = draw(st.integers(1, 2))
+    blocks = [((2, 1), (1, 1))] if draw(st.booleans()) else []
+    m = draw(st.integers(1, 3))
+    a = draw(st.integers(0, 1))
+    r_parts = [(m, {m: Fraction(1 + a * m)})]  # (period, {residue: value}), else 1
+    primes = []
+    zero = PeriodicSequence.constant(0)
+    for p, n in draw(st.lists(st.sampled_from(PADIC_FACTORS), min_size=1, max_size=2,
+                              unique_by=lambda f: f[0])):
+        if n is None:
+            c *= 2
+            primes.append(FadPrime(2, zero, PeriodicSequence.constant(1)))
+            continue
+        d, e = lte_params(n, p)
+        blocks.append(((n,),))
+        r_parts.append((d, {d: Fraction(1, p**e)}))
+        primes.append(FadPrime(p, PeriodicSequence(tuple(int(k == d) for k in range(1, d + 1))), zero))
+    period = lcm(*(q for q, _ in r_parts))
+    r = PeriodicSequence(tuple(
+        prod(values.get((k - 1) % q + 1, 1) for q, values in r_parts) for k in range(1, period + 1)
+    ))
+    matrix = block_diagonal(blocks) if blocks else None
+    return FadSpec(c=c, matrix=matrix, r=r, primes=tuple(primes)).validate()
+
+
+@settings(max_examples=60, deadline=None)
+@given(padic_product_forms())
+def test_identities_on_padic_product_forms(spec):
+    src = fad_source(spec)
+    X = 16
+    table = sigma_table(src, X)
+    assert all(sigma_eval(src, k) == table[k] for k in range(1, X + 1))
+    assert validate_dold(table[1:]).ok
+    cen = census.build_census(src, X)
+    assert cen.verify_euler()
+    # the brute-force oracle walks every orbit and recurses once per prime,
+    # so it runs at the largest X <= 8 where both counts stay small
+    small = max([1] + [x for x in range(1, 9) if cen.count_orbits(x) <= 3000 and cen.count_primes(x) <= 300])
+    for x in (small, X):
+        lemma, via_pmf = distribution.expected_w(cen, x)
+        assert lemma == via_pmf
+    bc = distribution.joint_census(distribution.unit_weights(cen), small, census=cen)
+    labeled = {ell: [Fraction(1)] * cen.primes[ell] for ell in range(1, small + 1)}
+    expected = [{} for _ in range(small + 1)]
+    for (n, value), count in oracles.brute_weighted_census(labeled, small).items():
+        expected[n][int(value)] = count
+    assert bc.D == 1 and list(bc.rows) == expected
+    assert spectrum_for(src).lam == growth_rate(src).value
