@@ -29,8 +29,6 @@ from orbitstat.systems import (
 from orbitstat.census import (
     OrbitCensus,
     build_census,
-    euler_orbit_counts,
-    orbit_counts,
     prime_counts,
 )
 from orbitstat.asymptotics import (
@@ -100,8 +98,6 @@ __all__ = [
     "validate_dold",
     "OrbitCensus",
     "build_census",
-    "euler_orbit_counts",
-    "orbit_counts",
     "prime_counts",
     "AsymptoticConstants",
     "ca_cesaro",

@@ -35,18 +35,6 @@ def prime_counts(sigma):
     return [0, *report.primes]
 
 
-def orbit_counts(sigma):
-    """N table (N_0..N_X) from the exponential recurrence; exact."""
-    return kernels.exp_logderiv_series(sigma, len(sigma) - 1)
-
-
-def euler_orbit_counts(P, X):
-    """N table from the Euler product over prime counts; exact."""
-    if any(p < 0 for p in P):
-        raise ValueError("negative prime count")
-    return kernels.euler_product_series(P, X)
-
-
 class OrbitCensus:
     """Immutable exact census of a source up to degree X_max.
 
@@ -63,6 +51,8 @@ class OrbitCensus:
         self.precision = precision
         # (X, weight classes up to X) -> BivariateCensus, kept by joint_census
         self.joint_censuses = {}
+        # X -> OrbitSampler, kept by sampler.sampler_for
+        self.samplers = {}
 
     # -- construction ------------------------------------------------------
 
@@ -80,7 +70,7 @@ class OrbitCensus:
             raise ValueError("X_max >= 1 required")
         sigma = systems.sigma_table(source, X_max)
         primes = prime_counts(sigma)
-        totals = orbit_counts(sigma)
+        totals = kernels.exp_logderiv_series(sigma, X_max)
         census = cls(source, X_max, sigma, primes, totals, precision)
         if crosscheck_to:
             census.verify_euler(min(X_max, crosscheck_to))
@@ -89,7 +79,7 @@ class OrbitCensus:
     def verify_euler(self, up_to=None):
         """Cross-check the exponential route against the Euler product."""
         up_to = self.X_max if up_to is None else up_to
-        alt = euler_orbit_counts(self.primes[: up_to + 1], up_to)
+        alt = kernels.euler_product_series(self.primes[: up_to + 1], up_to)
         for n in range(up_to + 1):
             if alt[n] != self.totals[n]:
                 raise AssertionError(

@@ -261,7 +261,9 @@ def cmd_constants(config):
 
 
 def cmd_wdist(config):
-    cen = config.census()
+    # the joint census's row sums, sum_d C(P,d) C(k-1,d-1) = C(P+k-1,k) per
+    # factor, are the Euler product to full degree, so the build skips its own
+    cen = config.census(crosscheck_to=0)
     g = distribution.unit_weights(cen)
     bc = distribution.joint_census(g, cen.X_max, census=cen)
     pmf = distribution.w_pmf(bc)
@@ -284,7 +286,8 @@ def cmd_wdist(config):
 
 
 def cmd_ldp(config):
-    cen = config.census()
+    # the joint census's row sums are the full-degree cross-check, as in wdist
+    cen = config.census(crosscheck_to=0)
     g = distribution.unit_weights(cen)
     bc = distribution.joint_census(g, cen.X_max, census=cen)
     constants = asymptotics.constants_for(config.source, config.precision, cen=cen)

@@ -17,7 +17,6 @@ from math import comb, lcm
 
 import mpmath as mp
 
-from orbitstat import kernels
 from orbitstat.polyops import to_mpf
 
 
@@ -207,7 +206,7 @@ class BivariateCensus:
         return sum(self.orbit_totals[: X + 1])
 
 
-def joint_census(g, X, census=None):
+def joint_census(g, X, census):
     """Exact bivariate census of (length, statistic) up to length X.
 
     Multiplies the per-class factors (1 + u_w z^ell/(1-z^ell))^count:
@@ -220,25 +219,20 @@ def joint_census(g, X, census=None):
     a key is D times its value. Each class updates one list of per-length
     rows in place, lengths descending (a row is read before any lower row
     writes into it), and stops at the first factor degree that overshoots
-    X. Each row's total over statistic values is checked against the orbit
-    counts (the census's recurrence route when one is supplied, the product
-    route otherwise). A census keeps the result, and every later call with
-    the same X and weight classes up to X returns it: do not mutate its
-    rows.
+    X. Each row's total over statistic values is checked against the
+    census's orbit counts. The census keeps the result, and every later
+    call with the same X and weight classes up to X returns it: do not
+    mutate its rows.
     """
     if g.X < X:
         raise ValueError("weight classes do not cover the requested range")
-    P = g.primes
-    if census is not None:
-        for ell in range(1, X + 1):
-            if P[ell] != census.primes[ell]:
-                raise ValueError(f"class counts at ell={ell} inconsistent with census")
-        kept = (X, g.classes[: X + 1])
-        if kept in census.joint_censuses:
-            return census.joint_censuses[kept]
-        totals = list(census.totals[: X + 1])
-    else:
-        totals = kernels.euler_product_series(list(P[: X + 1]), X)
+    for ell in range(1, X + 1):
+        if g.primes[ell] != census.primes[ell]:
+            raise ValueError(f"class counts at ell={ell} inconsistent with census")
+    kept = (X, g.classes[: X + 1])
+    if kept in census.joint_censuses:
+        return census.joint_censuses[kept]
+    totals = census.totals[: X + 1]
     live = [(ell, count, weight) for ell in range(1, X + 1)
             for count, weight in g.classes[ell] if count]
     D = lcm(*(weight.denominator for _, _, weight in live))
@@ -269,8 +263,7 @@ def joint_census(g, X, census=None):
         if have != totals[n]:
             raise AssertionError(f"marginal mismatch at n={n}: {have} != {totals[n]}")
     bc = BivariateCensus(X=X, D=D, rows=tuple(rows), orbit_totals=tuple(totals))
-    if census is not None:
-        census.joint_censuses[kept] = bc
+    census.joint_censuses[kept] = bc
     return bc
 
 

@@ -20,14 +20,8 @@ from orbitstat.polyops import to_mpf
 
 def poisson_rate(x, precision=128):
     """x log x - x + 1 on x > 0, with the continuity value 1 at x = 0 and
-    +inf for x < 0."""
-    with mp.workprec(precision + 16):
-        x = to_mpf(x)
-        if x < 0:
-            return mp.inf
-        if x == 0:
-            return mp.mpf(1)
-        return +(x * mp.log(x) - x + 1)
+    +inf for x < 0: the subset rate of weight 1 on the whole measure."""
+    return subset_rate(x, 1, 1, precision)
 
 
 def subset_rate(x, lam, r, precision=128):
@@ -61,7 +55,11 @@ def _check_probability(rho):
         raise ValueError("measure has total mass %s, not a probability" % mp.nstr(mp.mpf(total), 12))
 
 
-def legendre_rate(rho, x, tol=mp.mpf("1e-10"), precision=128):
+# Newton stops once |L'(theta) - x| <= _NEWTON_TOL * max(1, |x|)
+_NEWTON_TOL = mp.mpf("1e-10")
+
+
+def legendre_rate(rho, x, precision=128):
     """sup_theta { theta x - sum mass (e^(theta y) - 1) } for a finitely
     supported probability measure rho.
 
@@ -75,8 +73,6 @@ def legendre_rate(rho, x, tol=mp.mpf("1e-10"), precision=128):
       (limit value, e.g. I(0) = 1 for the unit atom, r for a subset);
       measure concentrated at 0 -> 0 at x = 0, +inf elsewhere.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     _check_probability(rho)
     atoms = [(y, m) for y, m in rho.real_atoms(precision) if m != 0]
     with mp.workprec(precision + 16):
@@ -95,28 +91,32 @@ def legendre_rate(rho, x, tol=mp.mpf("1e-10"), precision=128):
                 # escaping limit -L(-sign * inf) = mass strictly off zero
                 return +sum((m for y, m in atoms if y != 0), mp.mpf(0))
 
-        def dL(theta):
-            return sum((m * y * mp.e ** (theta * y) for y, m in atoms), mp.mpf(0))
+        # L, L' and L'' at theta are sums over the powers e^(theta y), one per atom
+        def powers(theta):
+            return [mp.e ** (theta * y) for y, _ in atoms]
 
-        def ddL(theta):
-            return sum((m * y * y * mp.e ** (theta * y) for y, m in atoms), mp.mpf(0))
+        def dL(pw):
+            return sum((m * y * p for (y, m), p in zip(atoms, pw)), mp.mpf(0))
 
-        def L(theta):
-            return sum((m * (mp.e ** (theta * y) - 1) for y, m in atoms), mp.mpf(0))
+        def ddL(pw):
+            return sum((m * y * y * p for (y, m), p in zip(atoms, pw)), mp.mpf(0))
+
+        def L(pw):
+            return sum((m * (p - 1) for (_, m), p in zip(atoms, pw)), mp.mpf(0))
 
         # bracket theta* by doubling away from 0
         lo = hi = mp.mpf(0)
         step = mp.mpf(1)
-        d0 = dL(mp.mpf(0))
+        d0 = dL(powers(mp.mpf(0)))
         if d0 < x:
-            while dL(hi) < x:
+            while dL(powers(hi)) < x:
                 hi += step
                 step *= 2
                 if hi > 1e6:
                     raise ValueError("slope bracket failed (unreachable by atom-sign analysis)")
             lo = hi - step / 2
         elif d0 > x:
-            while dL(lo) > x:
+            while dL(powers(lo)) > x:
                 lo -= step
                 step *= 2
                 if lo < -1e6:
@@ -125,14 +125,15 @@ def legendre_rate(rho, x, tol=mp.mpf("1e-10"), precision=128):
         # Newton with bisection fallback inside [lo, hi]
         theta = (lo + hi) / 2
         for _ in range(200):
-            g = dL(theta) - x
-            if abs(g) <= tol * max(1, abs(x)):
+            pw = powers(theta)
+            g = dL(pw) - x
+            if abs(g) <= _NEWTON_TOL * max(1, abs(x)):
                 break
             if g > 0:
                 hi = theta
             else:
                 lo = theta
-            curvature = ddL(theta)
+            curvature = ddL(pw)
             if curvature > 0:
                 candidate = theta - g / curvature
             else:
@@ -141,7 +142,9 @@ def legendre_rate(rho, x, tol=mp.mpf("1e-10"), precision=128):
                 theta = candidate
             else:
                 theta = (lo + hi) / 2
-        return +(theta * x - L(theta))
+        else:  # theta moved after the last powers were taken
+            pw = powers(theta)
+        return +(theta * x - L(pw))
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,8 +164,8 @@ class RateFunction:
         return cls(lambda x, precision: subset_rate(x, lam, r, precision))
 
     @classmethod
-    def legendre(cls, rho, tol=mp.mpf("1e-10")):
-        return cls(lambda x, precision: legendre_rate(rho, x, tol, precision))
+    def legendre(cls, rho):
+        return cls(lambda x, precision: legendre_rate(rho, x, precision))
 
     def evaluate(self, x, precision=128):
         return self.rate(x, precision)

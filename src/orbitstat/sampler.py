@@ -16,7 +16,6 @@ the CLI commands that never draw) does not load numpy.
 """
 
 import json
-import weakref
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
@@ -140,20 +139,19 @@ class OrbitSampler:
     def __init__(self, census, X):
         if X < 0 or X > census.X_max:
             raise ValueError("X beyond census")
-        self.census = census
         self.X = X
         self.primes = census.primes
-        self.totals = list(census.totals[: X + 1])
+        totals = list(census.totals[: X + 1])
         # suffix[ell] = coefficient table of prod_{l < ell} (1-z^l)^(-P_l)
         suffix = [[1] + [0] * X]
         row = suffix[0]
         for ell in range(1, X + 1):
             row = kernels.inverse_factor_multiply(row, ell, census.primes[ell], X)
             suffix.append(row)
-        if suffix[X] != self.totals:
+        if suffix[X] != totals:
             raise AssertionError("completion tables disagree with the census (internal error)")
         self.suffix = suffix
-        self.cumulative = list(accumulate(self.totals))
+        self.cumulative = list(accumulate(totals))
         self.grand_total = self.cumulative[-1]
 
     def sample(self, rng):
@@ -190,14 +188,12 @@ class OrbitSampler:
         return OrbitSample(n=n, profile=tuple(reversed(profile)))
 
 
-_SAMPLER_CACHE = weakref.WeakKeyDictionary()
-
-
 def sampler_for(census, X):
-    per_census = _SAMPLER_CACHE.setdefault(census, {})
-    if X not in per_census:
-        per_census[X] = OrbitSampler(census, X)
-    return per_census[X]
+    """The census's OrbitSampler for X, built on first use and kept on the
+    census beside its joint censuses."""
+    if X not in census.samplers:
+        census.samplers[X] = OrbitSampler(census, X)
+    return census.samplers[X]
 
 
 def sample_orbit(census, X, rng):

@@ -265,10 +265,7 @@ def _fad_sigma_from_det(spec, k, ck, det_value):
         # |k|_p^s p^(-t |k|_p^(-1)) = p^(-(v s + t p^v)) with v = v_p(k)
         v, _ = p_valuation(k, fp.p)
         e = v * int(fp.s.at(k)) + int(fp.t.at(k)) * fp.p**v
-        if e >= 0:
-            den *= fp.p**e
-        else:
-            num *= fp.p**-e
+        den *= fp.p**e  # e >= 0, since PeriodicSequence refuses negative s and t
     value, rem = divmod(num, den)
     if rem:
         raise ValueError(f"non-realizable parameters at k={k}")
@@ -338,28 +335,18 @@ class GrowthRate:
         return float(self.value)
 
 
-def _split_rate(c, split, precision):
-    """GrowthRate c * prod |root| > 1 from a polyops.root_split result."""
-    with mp.workprec(precision + 16):
-        if split.exact is None:
-            return GrowthRate(value=+(c * split.outside))
-        return GrowthRate(value=mp.mpf(c * split.exact), exact=Fraction(c * split.exact))
-
-
 def growth_rate(source, precision=128):
     """Growth rate Lambda of sigma_k at the given binary precision.
 
-    Product forms use c times the product of |root| > 1 of the
-    characteristic polynomial (sampling sigma_k^(1/k) would be polluted by
-    the r and p-adic factors, which are subexponential). When every root
-    that is not a root of unity is an integer the product is exact;
-    otherwise it is rooted numerically. Tables get an empirical tail
-    estimate flagged low-confidence.
+    Product forms read the rate of their spectrum_for split: c times the
+    product of |root| > 1 of the characteristic polynomial (sampling
+    sigma_k^(1/k) would be polluted by the r and p-adic factors, which are
+    subexponential). When every root that is not a root of unity is an
+    integer the product is exact; otherwise it is rooted numerically.
+    Tables get an empirical tail estimate flagged low-confidence.
     """
-    spec = source.fad
-    if spec is not None:
-        split = polyops.root_split(polyops.charpoly(spec.matrix or ()), precision)
-        return _split_rate(spec.c, split, precision)
+    if source.fad is not None:
+        return spectrum_for(source, precision).rate
     # raw table: empirical estimate from the tail
     table = source.table
     if len(table) < 8:
@@ -411,10 +398,15 @@ def fluctuation_spectrum(A, precision=128, c=1):
     Cyclotomic factors are divided out exactly and flagged as rational
     angles; the other unit-circle eigenvalues come from the numerically
     rooted gcd of the remaining polynomial with its reversal (they come in
-    reciprocal-conjugate pairs). rate is the GrowthRate growth_rate returns
-    for the same matrix and c; lam is its value.
+    reciprocal-conjugate pairs). rate is c times the product of |root| > 1,
+    the GrowthRate growth_rate returns for a product form; lam is its value.
     """
     split = polyops.root_split(polyops.charpoly(A or ()), precision)
+    with mp.workprec(precision + 16):
+        if split.exact is None:
+            rate = GrowthRate(value=+(c * split.outside))
+        else:
+            rate = GrowthRate(value=mp.mpf(c * split.exact), exact=Fraction(c * split.exact))
     angles = []  # (theta mpf, (num, den) | None)
     with mp.workprec(precision + 48):
         for n in split.cyclotomic:
@@ -424,7 +416,7 @@ def fluctuation_spectrum(A, precision=128, c=1):
         angles.extend((+mp.arg(root), None) for root in split.unit_roots)
         angles.sort(key=lambda a: a[0])
     return SpectrumReport(
-        rate=_split_rate(c, split, precision),
+        rate=rate,
         unit_angles=tuple(a[0] for a in angles),
         rational_angles=tuple(a[1] for a in angles),
         contains_root_of_unity=bool(split.cyclotomic),
@@ -446,9 +438,6 @@ class DoldReport:
     ok: bool
     first_failure: tuple = None  # (ell, reason)
     primes: tuple = None  # P_1..P_X when ok
-
-    def __bool__(self):
-        return self.ok
 
 
 def validate_dold(sigma):

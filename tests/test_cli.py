@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from orbitstat import build_census, builtin_source, census, cli, distribution, kernels, systems, write_samples_csv
+from orbitstat import build_census, builtin_source, cli, distribution, kernels, systems, write_samples_csv
 from orbitstat.cli import main
 
 
@@ -180,21 +180,27 @@ def test_sample_streams_the_csv_rows(capsys, tmp_path):
     assert path.read_bytes() == expected.getvalue().encode()
 
 
-def test_sample_expands_the_euler_product_once(capsys, monkeypatch):
-    # the sampler's completion tables are the full-degree cross-check, so the
-    # census build runs no Euler product of its own
+@pytest.mark.parametrize("sub, lines, fault", [
+    ("sample", 6, "completion tables disagree"),
+    ("wdist", 26, "marginal mismatch at n=12"),
+    ("ldp", 4, "marginal mismatch at n=12"),
+], ids=["sample", "wdist", "ldp"])
+def test_expands_the_euler_product_once(capsys, monkeypatch, sub, lines, fault):
+    # the sampler's completion tables and the joint census's row sums are the
+    # full-degree cross-check, so the census build runs no Euler product of its own
+    argv = (sub, "--system", "builtin:E,p=3,n=2", "--X", "12", *(("--samples", "5") if sub == "sample" else ()))
     calls = []
     real = kernels.euler_product_series
     monkeypatch.setattr(kernels, "euler_product_series", lambda *args: calls.append(args) or real(*args))
-    code, out, err = run(capsys, "sample", "--system", "builtin:E,p=3,n=2", "--X", "12", "--samples", "5")
-    assert code == 0 and err == "" and len(out.splitlines()) == 6
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == "" and len(out.splitlines()) == lines
     assert calls == []
     # a census whose orbit counts disagree with the product still exits 1
-    real_counts = census.orbit_counts
-    monkeypatch.setattr(census, "orbit_counts", lambda sigma: [*real_counts(sigma)[:-1], 0])
-    code, out, err = run(capsys, "sample", "--system", "builtin:E,p=3,n=2", "--X", "12", "--samples", "5")
+    real_exp = kernels.exp_logderiv_series
+    monkeypatch.setattr(kernels, "exp_logderiv_series", lambda sigma, X: [*real_exp(sigma, X)[:-1], 0])
+    code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
-    assert err.startswith("internal error: AssertionError: completion tables disagree")
+    assert err.startswith(f"internal error: AssertionError: {fault}")
 
 
 @pytest.mark.parametrize("sub", list(cli.SUBCOMMANDS))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitstat import distribution
+from orbitstat import distribution, kernels
 from orbitstat import (
     DiscreteMeasure,
     WeightedAdditive,
@@ -106,9 +106,14 @@ def test_joint_census_ff2_x2_worked_example(ff2_census):
 
 def test_joint_census_routes_agree(ff2_census):
     with_census = joint_census(unit_weights(ff2_census), 8, census=ff2_census)
-    standalone = joint_census(unit_weights(ff2_census), 8)
-    assert with_census.rows == standalone.rows
-    assert with_census.D == standalone.D
+    # a census of the bare sigma table gives the same rows
+    table = build_census(table_source(ff2_census.sigma[1:9]), 8)
+    from_table = joint_census(unit_weights(table), 8, census=table)
+    assert with_census.rows == from_table.rows
+    assert with_census.D == from_table.D
+    # and the row sums are the Euler product over the prime counts
+    euler = kernels.euler_product_series(ff2_census.primes[:9], 8)
+    assert [sum(row.values()) for row in with_census.rows] == euler
 
 
 def test_joint_census_marginals(e32_census):
@@ -119,7 +124,7 @@ def test_joint_census_marginals(e32_census):
 
 def test_joint_census_guards(ff2_census, e32_census):
     with pytest.raises(ValueError, match="cover"):
-        joint_census(unit_weights(ff2_census.primes[:5]), 10)
+        joint_census(unit_weights(ff2_census.primes[:5]), 10, census=ff2_census)
     with pytest.raises(ValueError, match="inconsistent"):
         joint_census(unit_weights(e32_census), 5, census=ff2_census)
     # the marginal check guards the code, not the input: a failure is an
@@ -155,10 +160,9 @@ def test_joint_census_matches_labeled_oracle(case):
              for k in range(1, X + 1)]
     cen = build_census(table_source(sigma), X)
     via_census = joint_census(g, X, census=cen)
-    standalone = joint_census(g, X)
-    assert via_census.rows == standalone.rows
-    assert via_census.D == standalone.D
     results = oracles.brute_weighted_census(labeled, X)
+    cells = {(n, Fraction(key, via_census.D)): c for n, row in enumerate(via_census.rows) for key, c in row.items()}
+    assert cells == results
     for n in range(X + 1):
         assert sum(via_census.rows[n].values()) == cen.totals[n]
         assert cen.totals[n] == sum(c for (m, _), c in results.items() if m == n)
@@ -187,8 +191,6 @@ def test_joint_census_is_kept_on_its_census(ff2_source, monkeypatch):
     even = subset_weights(cen, lambda ell: ell % 2 == 0)
     subset = joint_census(even, 10, census=cen)
     assert len({id(bc), id(other_x), id(subset)}) == 3
-    assert other_x.rows == joint_census(unit_weights(cen), 9).rows
-    assert subset.rows == joint_census(even, 10).rows
     # E[W] reuses the unit-weight census: no factor of the product is built again
     factors = []
     real_comb = distribution.comb
@@ -201,12 +203,14 @@ def test_joint_census_is_kept_on_its_census(ff2_source, monkeypatch):
     lemma, via_pmf = expected_w(cen, 10)
     assert lemma == via_pmf == w_pmf(bc).mean()
     assert factors == []
-    # without a census nothing is kept
+    # another census of the same source builds and keeps censuses of its own
     fresh = build_census(ff2_source, 12)
-    first = joint_census(unit_weights(fresh), 10)
-    assert joint_census(unit_weights(fresh), 10) is not first
-    assert factors and joint_census(unit_weights(fresh), 10, census=fresh) is not first
-    assert fresh.joint_censuses.keys() == {(10, unit_weights(fresh).classes[:11])}
+    first = joint_census(unit_weights(fresh), 10, census=fresh)
+    assert factors and first is not bc and first.rows == bc.rows
+    assert joint_census(unit_weights(fresh), 9, census=fresh).rows == other_x.rows
+    assert joint_census(subset_weights(fresh, lambda ell: ell % 2 == 0), 10, census=fresh).rows == subset.rows
+    assert fresh.joint_censuses.keys() == {(10, unit_weights(fresh).classes[:11]),
+                                           (9, unit_weights(fresh).classes[:10]), (10, even.classes[:11])}
 
 
 def brute_value_pmf(results, X, value_of_profile):

@@ -128,8 +128,6 @@ def test_legendre_vanishes_at_the_mean():
 
 
 def test_legendre_validation():
-    with pytest.raises(ValueError, match="tol"):
-        legendre_rate(measure({1: 1}), 1, tol=mp.mpf(0))
     with pytest.raises(ValueError, match="total mass"):
         legendre_rate(measure({1: Fraction(1, 2)}), 1)
 
@@ -327,9 +325,9 @@ def test_tail_report_evaluates_each_rate_once(ff2_census, monkeypatch):
     calls = []
     real = ldp.legendre_rate
 
-    def counting(rho, x, tol, precision):
+    def counting(rho, x, precision):
         calls.append(x)
-        return real(rho, x, tol, precision)
+        return real(rho, x, precision)
 
     monkeypatch.setattr(ldp, "legendre_rate", counting)
     rep = tail_report(bc, constants, epsilons, rate, xs=xs)

@@ -1,8 +1,8 @@
 """Package metadata agrees with the build configuration, every module uses
-what it imports, exact-to-real conversion has one home, the CLI turns a
-ValueError into exit 2 in one place, numpy is loaded only by the
-sampler's random streams, and the benchmark's tracer still finds the names
-it reads."""
+what it imports, every top-level function and class has a reader,
+exact-to-real conversion has one home, the CLI turns a ValueError into
+exit 2 in one place, numpy is loaded only by the sampler's random streams,
+and the benchmark's tracer still finds the names it reads."""
 
 import ast
 import importlib.util
@@ -53,6 +53,40 @@ def test_no_unused_imports():
     ]
     assert len(modules) > 20
     assert [entry for path in modules for entry in unused_imports(path)] == []
+
+
+def name_reads(path):
+    """(name, enclosing top-level definition or None) for every name and
+    attribute a module reads; imports are not reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = set()
+    for top in tree.body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                found.add((node.id, owner))
+            elif isinstance(node, ast.Attribute):
+                found.add((node.attr, owner))
+    return found
+
+
+def test_every_definition_has_a_reader():
+    # a function or class that only its own body names is a pass-through
+    # nothing reaches; a re-export in __init__.py is not a reader
+    files = [path for directory in ("src", "tests", "perfbench") for path in sorted((ROOT / directory).rglob("*.py"))]
+    assert len(files) > 25
+    readers = {}
+    for path in files:
+        for name, owner in name_reads(path):
+            readers.setdefault(name, set()).add((path, owner))
+    orphans = [
+        f"{module.name}: {node.name}"
+        for module in sorted((ROOT / "src" / "orbitstat").glob("*.py"))
+        for node in ast.parse(module.read_text(encoding="utf-8")).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not readers.get(node.name, set()) - {(module, node.name)}
+    ]
+    assert orphans == []
 
 
 def fraction_conversions(path):

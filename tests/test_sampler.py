@@ -1,9 +1,11 @@
 """Exact-uniform orbit sampling: determinism, marginals, and uniformity
 against the DFS enumerator's class probabilities."""
 
+import gc
 import hashlib
 import io
 import random
+import weakref
 from fractions import Fraction
 from math import sqrt
 
@@ -147,9 +149,19 @@ def test_sampler_tables_cross_check(ff2_census):
     sampler = sampler_for(ff2_census, 20)
     assert sampler.suffix[20] == list(ff2_census.totals[:21])
     assert sampler.grand_total == ff2_census.count_orbits(20)
-    # cache: same object on repeat, separate per X
-    assert sampler_for(ff2_census, 20) is sampler
+    # kept on the census: same object on repeat, separate per X
+    assert sampler_for(ff2_census, 20) is sampler is ff2_census.samplers[20]
     assert sampler_for(ff2_census, 10) is not sampler
+
+
+def test_a_sampled_census_is_freed(e32_source):
+    # the census owns its samplers, so nothing outside it keeps it alive
+    cen = build_census(e32_source, 24)
+    sample_orbit(cen, 24, RandomStream(1, 0))
+    freed = weakref.ref(cen)
+    del cen
+    gc.collect()
+    assert freed() is None
 
 
 @settings(max_examples=40, deadline=None)
