@@ -569,7 +569,11 @@ def constants_for(source, precision=128, cen=None):
             ),
         )
     spec = systems.fad_spec_for(source)
-    spectrum = systems.spectrum_for(source, precision)
+    # a census of this source at this precision already holds its root split
+    if cen is not None and cen.source is source and cen.precision == precision:
+        spectrum = cen.spectrum
+    else:
+        spectrum = systems.spectrum_for(source, precision)
     B = cesaro_exact_fad(spec, spectrum=spectrum, precision=precision)
     if cen is None:
         cen = build_census(source, 60, precision=precision)

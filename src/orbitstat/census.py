@@ -88,10 +88,19 @@ class OrbitCensus:
         return True
 
     @cached_property
+    def spectrum(self):
+        """The SpectrumReport of a product form's matrix part at the census
+        precision: one root split serves lam and constants_for."""
+        return systems.spectrum_for(self.source, self.precision)
+
+    @cached_property
     def lam(self):
         """The growth rate used for Mertens sums, computed on first use: the
         counts and distributions never read it, and a raw table shorter
-        than growth_rate needs has none."""
+        than growth_rate needs has none. A product form reads it from its
+        spectrum, as growth_rate does."""
+        if self.source.fad is not None:
+            return self.spectrum.rate
         return systems.growth_rate(self.source, self.precision)
 
     # -- cumulative counting functions --------------------------------------

@@ -13,9 +13,11 @@ per-length rows, which every reader sums.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from math import comb, lcm
 
 import mpmath as mp
+from mpmath.libmp import fzero, mpf_add, mpf_e, mpf_exp, mpf_log, mpf_mul, round_nearest
 
 from orbitstat.polyops import to_mpf
 
@@ -84,16 +86,45 @@ class DiscreteMeasure:
         atoms = self.real_atoms(precision)
         with mp.workprec(precision + 16):
             theta = mp.mpf(theta)
-            return _mass_sum(atoms, (mp.e ** (theta * v) for v, _ in atoms))
+            return _mass_sum(atoms, _e_powers([theta * v for v, _ in atoms]))
+
+
+@cache
+def _log_e(prec):
+    """log e at prec + 10 bits, as mpmath takes it for a power of e at prec."""
+    return mpf_log(mpf_e(prec, round_nearest), prec + 10, round_nearest)
+
+
+def _e_powers(exponents):
+    """mp.e ** t for each mpf t at the working precision, bit for bit.
+
+    For a t that is neither an integer nor a half-integer, mpmath computes
+    e ** t as exp(t * log e), the product exact and log e taken afresh at
+    10 extra bits; here log e is taken once per precision. An integer or
+    half-integer t (mpf exponent >= -1, zero included) keeps mpmath's own
+    branches.
+    """
+    prec = mp.mp.prec
+    log_e = _log_e(prec)
+    powers = []
+    for t in exponents:
+        tv = t._mpf_
+        if tv[2] >= -1:
+            powers.append(mp.e ** t)
+        else:
+            powers.append(mp.make_mpf(mpf_exp(mpf_mul(tv, log_e), prec, round_nearest)))
+    return powers
 
 
 def _mass_sum(atoms, powers):
-    """Sum of mass * power over real atoms, in laplace's order: a transform
-    from shared powers is then bit-identical to laplace's."""
-    acc = mp.mpf(0)
+    """Sum of mass * power over real atoms at the working precision, in
+    laplace's order: a transform from shared powers is then bit-identical
+    to laplace's. Each step rounds as acc += m * power would."""
+    prec = mp.mp.prec
+    acc = fzero
     for (_, m), power in zip(atoms, powers):
-        acc += m * power
-    return +acc
+        acc = mpf_add(acc, mpf_mul(m._mpf_, power._mpf_, prec, round_nearest), prec, round_nearest)
+    return mp.make_mpf(acc)
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,6 +257,8 @@ def joint_census(g, X, census):
     """
     if g.X < X:
         raise ValueError("weight classes do not cover the requested range")
+    if X > census.X_max:
+        raise ValueError("X beyond census")
     for ell in range(1, X + 1):
         if g.primes[ell] != census.primes[ell]:
             raise ValueError(f"class counts at ell={ell} inconsistent with census")

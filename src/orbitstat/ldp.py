@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from orbitstat.distribution import _mass_sum, w_pmf
+from orbitstat.distribution import _e_powers, _mass_sum, w_pmf
 from orbitstat.polyops import to_mpf
 
 
@@ -93,7 +93,7 @@ def legendre_rate(rho, x, precision=128):
 
         # L, L' and L'' at theta are sums over the powers e^(theta y), one per atom
         def powers(theta):
-            return [mp.e ** (theta * y) for y, _ in atoms]
+            return _e_powers([theta * y for y, _ in atoms])
 
         def dL(pw):
             return sum((m * y * p for (y, m), p in zip(atoms, pw)), mp.mpf(0))
@@ -241,13 +241,17 @@ def tail_report(bc, constants, epsilons, rate, xs=None, precision=128):
         # I(1+eps) does not depend on the window: one evaluation per eps
         rated = [(eps_m, rate.evaluate(1 + eps_m, precision)) for eps_m in map(to_mpf, epsilons)]
         # e^(theta y) once per grid theta and value y of any window
-        values = {y for pmf in pmfs for y, _ in pmf.real_atoms(precision)}
+        index = {}
+        for pmf in pmfs:
+            for y, _ in pmf.real_atoms(precision):
+                index.setdefault(y, len(index))
         thetas = [to_mpf(theta) for theta in _DEFAULT_THETA_GRID]
-        powers = [{y: mp.e ** (theta * y) for y in values} for theta in thetas]
+        powers = [_e_powers([theta * y for y in index]) for theta in thetas]
         for X, pmf in zip(xs, pmfs):
             real = pmf.real_atoms(precision)
+            at = [index[y] for y, _ in real]
             # log E[e^(theta W)] depends on the window only: one log serves every eps
-            log_mgfs = [(theta, mp.log(_mass_sum(real, [power[y] for y, _ in real])))
+            log_mgfs = [(theta, mp.log(_mass_sum(real, [power[i] for i in at])))
                         for theta, power in zip(thetas, powers)]
             scale = Bm * mp.log(X)
             for eps_m, rate_value in rated:

@@ -314,3 +314,52 @@ def brute_weighted_census(weights, X):
 
     walk(0, 0, Fraction(0))
     return results
+
+
+# ---------------------------------------------------------------------------
+# tail reports by the definitions
+
+
+def _real(x):
+    """A Fraction as an mpf: numerator rounded, then the quotient."""
+    if isinstance(x, Fraction):
+        return mp.mpf(x.numerator) / x.denominator
+    return mp.mpf(x)
+
+
+def naive_tail_rows(windows, B, epsilons, thetas, precision):
+    """Tail-report rows (X, eps, threshold, log P, normalized, Poisson rate
+    I(1+eps), Chebyshev bound) from the definitions, at precision + 16 bits.
+
+    windows lists (X, atoms) with atoms the exact (value, mass) pairs of
+    the statistic's PMF at X, ascending by value. Every transform is the
+    plain sum of mass * mp.e ** (theta * value) over the atoms, in order,
+    and the bound is the least log transform - theta * threshold over
+    thetas (the first theta wins a tie).
+    """
+    rows = []
+    with mp.workprec(precision + 16):
+        scale_B = _real(B)
+        for X, atoms in windows:
+            real = [(_real(v), _real(m)) for v, m in atoms]
+            log_mgfs = []
+            for theta in thetas:
+                theta = _real(theta)
+                acc = mp.mpf(0)
+                for y, m in real:
+                    acc += m * mp.e ** (theta * y)
+                log_mgfs.append((theta, mp.log(acc)))
+            scale = scale_B * mp.log(X)
+            for eps in map(_real, epsilons):
+                x = 1 + eps
+                threshold = x * scale
+                p = sum((m for (v, m), (y, _) in zip(atoms, real) if y >= threshold), Fraction(0))
+                if p == 0:
+                    log_p, normalized = mp.ninf, mp.inf
+                else:
+                    log_p = mp.log(_real(p))
+                    normalized = -log_p / scale
+                rate = x * mp.log(x) - x + 1
+                cheb = min(log_m - theta * threshold for theta, log_m in log_mgfs)
+                rows.append((X, eps, threshold, log_p, normalized, rate, cheb))
+    return rows

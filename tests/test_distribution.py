@@ -1,6 +1,7 @@
 """Bivariate censuses and exact W distributions against the DFS enumerator."""
 
 import copy
+import random
 from fractions import Fraction
 
 import mpmath as mp
@@ -42,6 +43,41 @@ def test_measure_basics():
     assert m.tail_mass(0) == 1
     with mp.workprec(80):
         assert abs(m.laplace(0) - 1) < mp.mpf(2) ** -60
+
+
+def test_e_powers_is_bit_identical_to_mp_e_power():
+    rng = random.Random(14)
+    # integers and half-integers up to 200 take mpmath's own branches, whose
+    # bits differ from exp(t log e) on many of them
+    fixed = [k / 4 for k in range(-40, 41)] + [k / 2 for k in range(-400, 401)]
+    fixed += [0, 1e-30, 2.0**-200, 1000.3]
+    for precision in (53, 69, 144, 216, 300):
+        with mp.workprec(precision):
+            # random t in (-50, 50) carrying every bit of the precision
+            drawn = [mp.mpf(rng.getrandbits(precision)) / 2**precision * 100 - 50 for _ in range(100)]
+            exponents = drawn + [mp.mpf(t) for t in fixed]
+            expected = [(mp.e ** t)._mpf_ for t in exponents]
+            assert [p._mpf_ for p in distribution._e_powers(exponents)] == expected
+
+
+def test_mass_sum_is_bit_identical_to_the_mpf_loop():
+    rng = random.Random(14)
+
+    def draw(precision):
+        """A signed mpf with every bit of the precision, of size 2^-60..2^60."""
+        man = rng.getrandbits(precision) | 1 << (precision - 1)
+        return mp.mpf((rng.choice((-1, 1)) * man, rng.randint(-60, 60) - precision))
+
+    for precision in (53, 128, 200):
+        with mp.workprec(precision):
+            # masses and powers of both signs and mixed sizes, so that sums cancel
+            atoms = [(None, draw(precision)) for _ in range(200)]
+            powers = [draw(precision) for _ in range(200)]
+            acc = mp.mpf(0)
+            for (_, m), p in zip(atoms, powers):
+                acc += m * p
+            assert distribution._mass_sum(atoms, powers)._mpf_ == acc._mpf_
+            assert distribution._mass_sum([], [])._mpf_ == mp.mpf(0)._mpf_
 
 
 def test_measure_validation():
@@ -127,6 +163,10 @@ def test_joint_census_guards(ff2_census, e32_census):
         joint_census(unit_weights(ff2_census.primes[:5]), 10, census=ff2_census)
     with pytest.raises(ValueError, match="inconsistent"):
         joint_census(unit_weights(e32_census), 5, census=ff2_census)
+    # weight classes that reach past a shorter census
+    with pytest.raises(ValueError, match="X beyond census"):
+        joint_census(unit_weights(build_census(ff2_census.source, 10)), 8,
+                     census=build_census(ff2_census.source, 5))
     # the marginal check guards the code, not the input: a failure is an
     # AssertionError, which the CLI reports as an internal error (exit 1)
     altered = copy.copy(ff2_census)

@@ -28,6 +28,8 @@ from orbitstat import (
 from orbitstat.ldp import _DEFAULT_THETA_GRID
 from orbitstat.polyops import to_mpf
 
+import oracles
+
 
 def measure(d):
     return DiscreteMeasure.from_dict({Fraction(k): Fraction(v) for k, v in d.items()})
@@ -245,13 +247,14 @@ def test_tail_report_transforms_each_window_once(ff2_census, monkeypatch):
     # E[e^(theta W)] of every (window, theta), each to be logged once
     transforms = Counter(w_pmf(bc, X).laplace(t) for X in xs for t in _DEFAULT_THETA_GRID)
     assert len(transforms) == len(xs) * len(_DEFAULT_THETA_GRID) == 120
+    # the number of exponents of each call: every e^t is taken by _e_powers
     powers = []
-    e = mp.e
+    e_powers = distribution._e_powers
 
-    class CountingE:
-        def __pow__(self, x):
-            powers.append(x)
-            return e**x
+    def counting_e_powers(exponents):
+        exponents = list(exponents)
+        powers.append(len(exponents))
+        return e_powers(exponents)
 
     logged = []
     log = mp.log
@@ -269,7 +272,8 @@ def test_tail_report_transforms_each_window_once(ff2_census, monkeypatch):
 
     # every value and mass of every window's PMF, each once
     atoms = sorted(x for X in xs for atom in w_pmf(bc, X).atoms for x in atom)
-    monkeypatch.setattr(mp, "e", CountingE())
+    monkeypatch.setattr(distribution, "_e_powers", counting_e_powers)
+    monkeypatch.setattr(ldp, "_e_powers", counting_e_powers)
     monkeypatch.setattr(mp, "log", counting_log)
     monkeypatch.setattr(distribution, "to_mpf", counting_to_mpf)
     for epsilons in ((Fraction(1),), (Fraction(1, 2), Fraction(1), Fraction(2))):
@@ -278,7 +282,7 @@ def test_tail_report_transforms_each_window_once(ff2_census, monkeypatch):
         converted.clear()
         rep = tail_report(bc, constants, epsilons, RateFunction.poisson(), xs=xs)
         # one exponential per (theta, value) for the whole report
-        assert len(powers) == len(_DEFAULT_THETA_GRID) * values == 40 * 10
+        assert sum(powers) == len(_DEFAULT_THETA_GRID) * values == 40 * 10
         # one log per (window, theta), whatever the number of eps
         assert Counter(x for x in logged if x in transforms) == transforms
         # one real view per window serves all 40 transforms and every eps
@@ -314,6 +318,35 @@ def test_tail_report_chebyshev_is_bit_identical_to_laplace(name, params):
                 assert row.chebyshev == expected, (g, precision, row.X, row.epsilon)
                 rows += 1
     assert rows == 2 * 3 * 3 * len(epsilons)
+
+
+def bits(value):
+    """An mpf as its exact (sign, mantissa, exponent, bitcount) tuple."""
+    return getattr(value, "_mpf_", value)
+
+
+@pytest.mark.parametrize(
+    "name,params",
+    [("FF", {"q": 2}), ("E", {"p": 3, "n": 2}), ("GA", {}), ("GM", {})],
+    ids=["FF2", "E32", "GA", "GM"],
+)
+def test_tail_report_matches_naive_oracle(name, params):
+    # every row, bit for bit, against plain mp.e ** (theta * y) and mpf sums
+    source = builtin_source(name, **params)
+    cen = build_census(source, 40)
+    constants = constants_for(source, cen=cen)
+    epsilons = (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2))
+    for g in (unit_weights(cen), subset_weights(cen, lambda ell: ell % 2 == 0, Fraction(2, 3))):
+        bc = joint_census(g, 40, census=cen)
+        windows = [(X, w_pmf(bc, X).atoms) for X in (13, 26, 40)]
+        for precision in (64, 128, 200):
+            rep = tail_report(bc, constants, epsilons, RateFunction.poisson(), precision=precision)
+            got = [
+                (row.X, row.epsilon, row.threshold, row.log_p, row.normalized, row.rate_value, row.chebyshev)
+                for row in rep.rows
+            ]
+            expected = oracles.naive_tail_rows(windows, constants.B, epsilons, _DEFAULT_THETA_GRID, precision)
+            assert [tuple(map(bits, row)) for row in got] == [tuple(map(bits, row)) for row in expected]
 
 
 def test_tail_report_evaluates_each_rate_once(ff2_census, monkeypatch):

@@ -1,8 +1,9 @@
 """Package metadata agrees with the build configuration, every module uses
 what it imports, every top-level function and class has a reader,
-exact-to-real conversion has one home, the CLI turns a ValueError into
-exit 2 in one place, numpy is loaded only by the sampler's random streams,
-and the benchmark's tracer still finds the names it reads."""
+exact-to-real conversion and powers of e each have one home, the CLI
+turns a ValueError into exit 2 in one place, numpy is loaded only by the
+sampler's random streams, and the benchmark's tracer still finds the names
+it reads."""
 
 import ast
 import importlib.util
@@ -89,8 +90,8 @@ def test_every_definition_has_a_reader():
     assert orphans == []
 
 
-def fraction_conversions(path):
-    """The mp.mpf(<x>.numerator) calls in a module, as (enclosing function,
+def spellings(path, matches):
+    """The nodes of a module that matches accepts, as (enclosing function,
     line) pairs."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     found = []
@@ -98,13 +99,7 @@ def fraction_conversions(path):
     def visit(node, function):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             function = node.name
-        if (
-            isinstance(node, ast.Call)
-            and ast.unparse(node.func) == "mp.mpf"
-            and len(node.args) == 1
-            and isinstance(node.args[0], ast.Attribute)
-            and node.args[0].attr == "numerator"
-        ):
+        if matches(node):
             found.append((function, node.lineno))
         for child in ast.iter_child_nodes(node):
             visit(child, function)
@@ -113,14 +108,41 @@ def fraction_conversions(path):
     return found
 
 
+def is_fraction_conversion(node):
+    """mp.mpf(<x>.numerator)"""
+    return (
+        isinstance(node, ast.Call)
+        and ast.unparse(node.func) == "mp.mpf"
+        and len(node.args) == 1
+        and isinstance(node.args[0], ast.Attribute)
+        and node.args[0].attr == "numerator"
+    )
+
+
+def is_e_power(node):
+    """mp.e ** <x>"""
+    return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow) and ast.unparse(node.left) == "mp.e"
+
+
 def test_fraction_to_mpf_has_one_home():
     # the two roundings of mp.mpf(x.numerator) / x.denominator fix every
     # real column's last digits, so only polyops.to_mpf may spell them out
     found = {
-        path.name: fraction_conversions(path)
+        path.name: spellings(path, is_fraction_conversion)
         for path in sorted((ROOT / "src" / "orbitstat").glob("*.py"))
     }
     assert [function for function, _ in found.pop("polyops.py")] == ["to_mpf"]
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def test_e_power_has_one_home():
+    # _e_powers takes log e once per precision and is bit-identical to
+    # mp.e ** t, so every other power of e goes through it
+    found = {
+        path.name: spellings(path, is_e_power)
+        for path in sorted((ROOT / "src" / "orbitstat").glob("*.py"))
+    }
+    assert [function for function, _ in found.pop("distribution.py")] == ["_e_powers"]
     assert {name: hits for name, hits in found.items() if hits} == {}
 
 

@@ -314,6 +314,31 @@ def test_gm_is_rooted_once_per_call(monkeypatch):
         assert calls == [4]
 
 
+def test_gm_census_is_split_once_for_its_ldp_sequence(monkeypatch):
+    # the wdist and ldp sequence: census, constants on it, then rho, which
+    # reads the census's growth rate
+    gm = builtin_source("GM")
+    calls = []
+    real = polyops.root_split
+
+    def counting(f, precision):
+        calls.append(precision)
+        return real(f, precision)
+
+    monkeypatch.setattr(polyops, "root_split", counting)
+    cen = census.build_census(gm, 20)
+    constants = asymptotics.constants_for(gm, 128, cen=cen)
+    rho = distribution.rho_measure(distribution.unit_weights(cen), cen, 20)
+    assert calls == [128]
+    assert cen.lam is cen.spectrum.rate
+    assert cen.lam == growth_rate(gm) and constants.lam == cen.lam.value
+    assert rho.support == (1,)
+    # a census at another precision keeps its own split
+    calls.clear()
+    asymptotics.constants_for(gm, 64, cen=cen)
+    assert calls == [64]
+
+
 # -- Dold validation ----------------------------------------------------------
 
 
