@@ -22,14 +22,6 @@ from orbitstat.census import build_census, prime_counts
 from orbitstat.polyops import to_mpf
 
 
-def gamma_value(x, precision=128):
-    """Gamma(x) at the requested binary precision (relative error well
-    under 1e-10 on (0, 10]; checked by tests against Gamma(1) and
-    Gamma(1/2)^2 = pi)."""
-    with mp.workprec(precision + 16):
-        return +mp.gamma(to_mpf(x))
-
-
 @dataclass(frozen=True)
 class TruncatedSum:
     """A sum evaluated exactly up to an explicitly bounded tail.
@@ -399,34 +391,21 @@ class Lambda1Report:
         return self.leading * math.factorial(self.B)
 
 
-def lambda1_analysis(sigma, declared_periodic=True):
-    """Analyze a periodic sigma (growth rate 1, rational zeta function).
+def lambda1_analysis(period):
+    """Analyze a periodic sigma (growth rate 1, rational zeta function)
+    from one period sigma_1..sigma_w of it.
 
-    The table is read as whole periods of a periodic sequence; the minimal
-    period is the smallest divisor of the length generating the table, a
-    proper sub-period counting only when confirmed by at least two full
-    repeats. With declared_periodic=False the full length is not accepted
-    on faith either, so an aperiodic prefix is rejected instead of being
-    misread as one giant period. Checks that the period average B is a
-    positive integer, inverts to prime counts supported on divisors of the
-    period, and returns the leading coefficient of N(X) ~ leading X^B,
-    namely (1/B!) prod ell^(-P_ell).
+    The minimal period is the smallest divisor of w whose repeats generate
+    the given period. Checks that the period average B is a positive
+    integer, inverts to prime counts supported on divisors of the period,
+    and returns the leading coefficient of N(X) ~ leading X^B, namely
+    (1/B!) prod ell^(-P_ell).
     """
-    sigma = [int(v) for v in sigma]
+    sigma = [int(v) for v in period]
     X = len(sigma)
     if X < 1:
         raise ValueError("table too short")
-    varpi = None
-    for d in sorted(divisors(X)):
-        confirmed = 2 * d <= X or (d == X and declared_periodic)
-        if confirmed and all(sigma[k] == sigma[k % d] for k in range(X)):
-            varpi = d
-            break
-    if varpi is None:
-        raise ValueError(
-            "no period detected within the table; aperiodic growth-rate-1 "
-            "sequences (irrational zeta) are unsupported"
-        )
+    varpi = next(d for d in divisors(X) if all(sigma[k] == sigma[k % d] for k in range(X)))
     total = sum(sigma[:varpi])
     B, rem = divmod(total, varpi)
     if rem or B <= 0:
@@ -504,12 +483,42 @@ def _fit_growth_law(cen, B, lam, precision):
     return predict_and_fit(cen, interim, fit_window, precision)
 
 
+def _growth_rate_one_constants(source, spec):
+    """Exact (B, C, Lambda = 1) of a product form whose spectrum gives
+    growth rate exactly 1, from lambda1_analysis on one period of r.
+
+    Such a matrix factor is nilpotent (an integer matrix with no eigenvalue
+    outside the unit circle and no root of unity has only the eigenvalue
+    0), so |det(A^k - 1)| = 1 and sigma_k = r_k times the p-adic factors.
+    A nonzero p-adic exponent is refused: with c = 1 nothing offsets the
+    denominator p^(v s + t p^v), which grows with v = v_p(k).
+    """
+    if any(v for fp in spec.primes for v in fp.s.values + fp.t.values):
+        raise ValueError(
+            "growth rate 1 with a nonzero p-adic exponent: sigma cannot stay "
+            "integral as v_p(k) grows"
+        )
+    report = lambda1_analysis(systems.sigma_table(source, spec.r.period)[1:])
+    exact = "exact-closed-form"
+    return AsymptoticConstants(
+        B=Fraction(report.B),
+        C=report.C,
+        lam=Fraction(1),
+        provenance={"B": exact, "C": exact, "lambda": exact},
+        notes=(
+            "growth rate 1: the growth law reads N(X) ~ (C/Gamma(B+1)) X^B "
+            "= leading * X^B with leading = %s" % report.leading,
+        ),
+    )
+
+
 def constants_for(source, precision=128, cen=None):
     """AsymptoticConstants for any source, with honest provenance.
 
-    Closed forms where they exist (FF, E, GA, periodic); exact class-sum B
-    plus empirically fitted C for matrix sources (GM and general product
-    forms); raw tables get an empirical B and C fit against their census.
+    Closed forms where they exist (FF, E, GA, and every product form of
+    growth rate exactly 1, builtin periodic or not); exact class-sum B plus
+    empirically fitted C for the other product forms (GM among them); raw
+    tables get an empirical B and C fit against their census.
     """
     if source.kind == "builtin":
         name = source.name
@@ -534,25 +543,7 @@ def constants_for(source, precision=128, cen=None):
             return elliptic_constants(source.param("p"), source.param("n"), precision)
         if name == "GA":
             return ga_constants(precision)
-        if name == "periodic":
-            values = source.param("values")
-            reps = max(2, 24 // len(values) + 1)
-            report = lambda1_analysis(list(values) * reps)
-            return AsymptoticConstants(
-                B=Fraction(report.B),
-                C=report.C,
-                lam=Fraction(1),
-                provenance={
-                    "B": "exact-closed-form",
-                    "C": "exact-closed-form",
-                    "lambda": "exact-closed-form",
-                },
-                notes=(
-                    "growth rate 1: the growth law reads N(X) ~ (C/Gamma(B+1)) X^B "
-                    "= leading * X^B with leading = %s" % report.leading,
-                ),
-            )
-        # GM falls through to the generic product-form path
+        # GM and periodic fall through to the generic product-form path
     if source.kind == "table":
         if cen is None:
             cen = build_census(source, len(source.table), precision=precision)
@@ -574,6 +565,8 @@ def constants_for(source, precision=128, cen=None):
         spectrum = cen.spectrum
     else:
         spectrum = systems.spectrum_for(source, precision)
+    if spectrum.rate.exact == 1 and not spectrum.contains_root_of_unity:
+        return _growth_rate_one_constants(source, spec)
     B = cesaro_exact_fad(spec, spectrum=spectrum, precision=precision)
     if cen is None:
         cen = build_census(source, 60, precision=precision)

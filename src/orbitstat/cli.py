@@ -33,6 +33,9 @@ MAX_PRECISION = 65536
 # --X ceiling: sample's completion tables take about X^3 log2(Lambda) / 2
 # bits, 132 MB on E(3,2) at X=1024 and 8 times that at 2048
 MAX_X = 1024
+# sample's table budget in bits, estimated as X^2 bit_length(sigma) / 2 with
+# the largest sigma_k up to X: E(3,2) at X = 1024 is about 2^30
+MAX_SAMPLE_BITS = 2**31
 
 
 class CliError(Exception):
@@ -307,6 +310,13 @@ def cmd_ldp(config):
 
 
 def cmd_sample(config):
+    if config.X is not None:
+        bits = config.X**2 * max(systems.sigma_table(config.source, config.X)).bit_length() // 2
+        if bits > MAX_SAMPLE_BITS:
+            raise CliError(
+                f"sample tables would take about {bits} bits at --X {config.X}, "
+                f"more than the limit of 2^{MAX_SAMPLE_BITS.bit_length() - 1}"
+            )
     # the sampler's tables check the full Euler product, so the build skips its own
     cen = config.census(crosscheck_to=0)
     # rows go out as they are drawn, so memory does not grow with --samples

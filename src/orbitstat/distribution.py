@@ -211,13 +211,11 @@ def length_decay_weights(census_or_primes, lam):
 @dataclass(frozen=True, eq=False)
 class BivariateCensus:
     """Exact joint counts: rows[n] maps an integer key to the number of
-    orbits of total length n <= X whose statistic equals key / D.
-    orbit_totals carries N_0..N_X for the PMF denominators."""
+    orbits of total length n <= X whose statistic equals key / D."""
 
     X: int
     D: int
     rows: tuple
-    orbit_totals: tuple
 
     @property
     def values(self):
@@ -231,10 +229,6 @@ class BivariateCensus:
         """The rows as {(n, key): count}: read by the benchmark's tracer
         until ROADMAP item 1 moves its counters into the library."""
         return {(n, key): c for n, row in enumerate(self.rows) for key, c in row.items()}
-
-    def count_orbits(self, X=None):
-        X = self.X if X is None else X
-        return sum(self.orbit_totals[: X + 1])
 
 
 def joint_census(g, X, census):
@@ -265,7 +259,6 @@ def joint_census(g, X, census):
     kept = (X, g.classes[: X + 1])
     if kept in census.joint_censuses:
         return census.joint_censuses[kept]
-    totals = census.totals[: X + 1]
     live = [(ell, count, weight) for ell in range(1, X + 1)
             for count, weight in g.classes[ell] if count]
     D = lcm(*(weight.denominator for _, _, weight in live))
@@ -293,9 +286,9 @@ def joint_census(g, X, census):
                     target[v + step] = get(v + step, 0) + c * mult
     for n in range(X + 1):
         have = sum(rows[n].values())
-        if have != totals[n]:
-            raise AssertionError(f"marginal mismatch at n={n}: {have} != {totals[n]}")
-    bc = BivariateCensus(X=X, D=D, rows=tuple(rows), orbit_totals=tuple(totals))
+        if have != census.totals[n]:
+            raise AssertionError(f"marginal mismatch at n={n}: {have} != {census.totals[n]}")
+    bc = BivariateCensus(X=X, D=D, rows=tuple(rows))
     census.joint_censuses[kept] = bc
     return bc
 
@@ -306,11 +299,12 @@ def w_pmf(bc, X=None):
     X = bc.X if X is None else X
     if X > bc.X or X < 0:
         raise ValueError("X outside census")
-    denom = bc.count_orbits(X)
     counts = {}
     for row in bc.rows[: X + 1]:
         for key, c in row.items():
             counts[key] = counts.get(key, 0) + c
+    # joint_census checked each row's sum against the census's N_n
+    denom = sum(counts.values())
     atoms = {Fraction(key, bc.D): Fraction(c, denom) for key, c in counts.items()}
     pmf = DiscreteMeasure.from_dict(atoms)
     if not pmf.is_probability():

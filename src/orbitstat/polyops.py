@@ -31,17 +31,6 @@ def poly_degree(f):
     return len(f) - 1
 
 
-def poly_mul(f, g):
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a == 0:
-            continue
-        for j, b in enumerate(g):
-            if b:
-                out[i + j] += a * b
-    return poly_trim(out)
-
-
 def poly_eval(f, x):
     acc = 0
     for c in reversed(f):
@@ -195,10 +184,6 @@ def cyclotomic_divisors(f):
 # integer matrices
 
 
-def mat_identity(d):
-    return [[1 if i == j else 0 for j in range(d)] for i in range(d)]
-
-
 def mat_mul(A, B):
     d = len(A)
     m = len(B[0])
@@ -219,26 +204,8 @@ def mat_mul(A, B):
     return out
 
 
-def mat_pow(A, k):
-    """A^k by binary powering with exact integer entries, k >= 0."""
-    d = len(A)
-    result = mat_identity(d)
-    base = [row[:] for row in A]
-    while k:
-        if k & 1:
-            result = mat_mul(result, base)
-        k >>= 1
-        if k:
-            base = mat_mul(base, base)
-    return result
-
-
 def mat_trace(A):
     return sum(A[i][i] for i in range(len(A)))
-
-
-def mat_sub(A, B):
-    return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
 
 
 def int_det(A):

@@ -132,7 +132,11 @@ class SigmaSource:
 
     def describe(self):
         if self.kind == "builtin":
-            args = ",".join(f"{k}={v}" for k, v in self.params)
+            # a list parameter is written as the shorthand reads it: [1,3]
+            args = ",".join(
+                f"{k}=[{','.join(map(str, v))}]" if isinstance(v, tuple) else f"{k}={v}"
+                for k, v in self.params
+            )
             return f"builtin:{self.name}" + (f",{args}" if args else "")
         if self.kind == "table":
             return f"table[{len(self.table)}]"
@@ -152,10 +156,9 @@ def gm_matrix():
     return polyops.companion_matrix(list(GM_POLY))
 
 
-def fad_source(spec, validate=True):
-    if validate:
-        spec.validate()
-    return SigmaSource(kind="fad", fad=spec)
+def fad_source(spec):
+    """A validated product-form source."""
+    return SigmaSource(kind="fad", fad=spec.validate())
 
 
 def table_source(values):
@@ -272,23 +275,6 @@ def _fad_sigma_from_det(spec, k, ck, det_value):
     if value < 0:
         raise ValueError(f"negative sigma at k={k}")
     return value
-
-
-def sigma_eval(source, k):
-    """Exact sigma_k for any source; k >= 1."""
-    if k < 1:
-        raise ValueError("k >= 1 required")
-    if source.kind == "table":
-        if k > len(source.table):
-            raise ValueError(f"table covers only k <= {len(source.table)}")
-        return source.table[k - 1]
-    spec = source.fad
-    det_value = None
-    if spec.matrix is not None:
-        A = [list(row) for row in spec.matrix]
-        M = polyops.mat_sub(polyops.mat_pow(A, k), polyops.mat_identity(len(A)))
-        det_value = polyops.int_det(M)
-    return _fad_sigma_from_det(spec, k, spec.c**k, det_value)
 
 
 def sigma_table(source, X):

@@ -105,6 +105,26 @@ def iterate_det(A, k):
     return perm_det([[M[i][j] - (1 if i == j else 0) for j in range(d)] for i in range(d)])
 
 
+def sigma_fad(spec, X):
+    """sigma_1..sigma_X of a product form from its definition: c^k
+    |det(A^k - 1)| r_k prod_p p^(-(v s_k + t_k p^v)) with v = v_p(k), each
+    k on its own, the determinant by iterate_det. spec is read only through
+    its fields c, matrix, r.values and primes (p, s.values, t.values)."""
+    out = []
+    for k in range(1, X + 1):
+        value = Fraction(spec.c) ** k * spec.r.values[(k - 1) % len(spec.r.values)]
+        if spec.matrix is not None:
+            value *= abs(iterate_det([list(row) for row in spec.matrix], k))
+        for fp in spec.primes:
+            v = valuation(k, fp.p)
+            s = int(fp.s.values[(k - 1) % len(fp.s.values)])
+            t = int(fp.t.values[(k - 1) % len(fp.t.values)])
+            value /= Fraction(fp.p) ** (v * s + t * fp.p**v)
+        assert value.denominator == 1, f"sigma_{k} = {value} is not an integer"
+        out.append(int(value))
+    return out
+
+
 def sigma_gm(X):
     """sigma_k = |det(A^k - 1)| |det(A^k - 1)|_5, A the Salem companion matrix."""
     A = [[0, 0, 0, -1], [1, 0, 0, 3], [0, 1, 0, -3], [0, 0, 1, 3]]

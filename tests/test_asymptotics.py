@@ -10,6 +10,7 @@ from orbitstat import asymptotics as asy
 from orbitstat import polyops, systems
 from orbitstat.numtheory import PeriodicSequence
 from orbitstat.polyops import to_mpf
+from orbitstat.census import build_census
 from orbitstat.systems import builtin_source, fad_spec_for, table_source
 
 
@@ -17,14 +18,7 @@ def mpf_close(a, b, tol):
     return abs(mp.mpf(a) - mp.mpf(b)) < tol
 
 
-# -- gamma and containers ------------------------------------------------------
-
-
-def test_gamma_value():
-    assert mpf_close(asy.gamma_value(Fraction(1)), 1, 1e-30)
-    assert mpf_close(asy.gamma_value(5), 24, 1e-25)
-    with mp.workprec(160):
-        assert abs(asy.gamma_value(Fraction(1, 2)) ** 2 - mp.pi) < mp.mpf(2) ** -100
+# -- containers ------------------------------------------------------------------
 
 
 def test_truncated_sum_container():
@@ -131,7 +125,7 @@ def test_cesaro_exact_fad_rejects_dependent_angles():
     # 2 theta. Adding k = 3 (angle 2 pi - 3 theta) makes the Cesaro mean of
     # the oscillatory factor 6, not 2^3, so m >= 2 is refused.
     gm = systems.gm_matrix()
-    blocks = [polyops.companion_matrix(polyops.charpoly(polyops.mat_pow(gm, k))) for k in (1, 2)]
+    blocks = [polyops.companion_matrix(polyops.charpoly(power)) for power in (gm, polyops.mat_mul(gm, gm))]
     matrix = [row + [0] * 4 for row in blocks[0]] + [[0] * 4 + row for row in blocks[1]]
     spec = systems.FadSpec(matrix=matrix).validate()
     assert systems.spectrum_for(systems.fad_source(spec)).m == 2
@@ -146,7 +140,7 @@ def test_cesaro_exact_fad_rejects_repeated_unit_eigenvalues():
     d = len(gm)
     matrix = [row + [0] * d for row in gm] + [[0] * d + row for row in gm]
     spec = systems.FadSpec(matrix=matrix)
-    assert systems.spectrum_for(systems.fad_source(spec, validate=False)).m == 2
+    assert systems.spectrum_for(systems.SigmaSource(kind="fad", fad=spec)).m == 2
     with pytest.raises(ValueError, match="repeated"):
         asy.cesaro_exact_fad(spec)
 
@@ -257,8 +251,8 @@ def test_ga_constants():
     with mp.workprec(160):
         expo = mp.mpf((1 + B - A).numerator) / (1 + B - A).denominator
         assert abs(out.C - 2**expo) < mp.mpf(2) ** -100
+        assert mpf_close(out.C / mp.gamma(to_mpf(out.B)), mp.mpf("0.84738465883959301905"), 1e-15)
     assert mpf_close(out.C, mp.mpf("2.3647665838224691468"), 1e-15)
-    assert mpf_close(out.C / asy.gamma_value(out.B), mp.mpf("0.84738465883959301905"), 1e-15)
 
 
 # -- growth rate 1 -------------------------------------------------------------
@@ -291,10 +285,9 @@ def test_lambda1_analysis_prefers_confirmed_subperiods():
     assert rep2.primes == {1: 2, 2: 0, 4: 1}
 
 
-def test_lambda1_analysis_strict_mode():
-    with pytest.raises(ValueError, match="no period detected"):
-        asy.lambda1_analysis((1, 3), declared_periodic=False)
-    assert asy.lambda1_analysis((1, 3, 1, 3), declared_periodic=False).varpi == 2
+def test_lambda1_analysis_reads_the_minimal_period():
+    # a given period that repeats a shorter one is read at the shorter one
+    assert asy.lambda1_analysis((1, 3, 1, 3)).varpi == 2
 
 
 def test_lambda1_analysis_rejections():
@@ -350,6 +343,30 @@ def test_constants_for_periodic():
     out = asy.constants_for(builtin_source("periodic", values=(1, 3)))
     assert out.B == 2 and out.C == Fraction(1, 2) and out.lam == 1
     assert any("1/4" in note for note in out.notes)
+
+
+def test_growth_rate_one_comes_from_the_product_form():
+    # the builtin's product form, unnamed and with a nilpotent matrix factor
+    # (|det(A^k - 1)| = 1), gets the same exact constants at any census
+    builtin = asy.constants_for(builtin_source("periodic", values=(1, 3)))
+    r = PeriodicSequence((1, 3))
+    for spec in (systems.FadSpec(r=r), systems.FadSpec(matrix=((0, 1), (0, 0)), r=r)):
+        src = systems.fad_source(spec)
+        for cen in (None, build_census(src, 200)):
+            out = asy.constants_for(src, cen=cen)
+            assert (out.B, out.C, out.lam, out.notes) == (builtin.B, builtin.C, builtin.lam, builtin.notes)
+            assert set(out.provenance.values()) == {"exact-closed-form"}
+    # one period of r is read: (2, 2, 2, 6) has period 4 and B = 3
+    out = asy.constants_for(systems.fad_source(systems.FadSpec(r=PeriodicSequence((2, 2, 2, 6)))))
+    assert out.B == 3 and out.C == Fraction(1, 4)
+
+
+def test_growth_rate_one_refuses_padic_exponents():
+    zero = PeriodicSequence.constant(0)
+    for s, t in ((PeriodicSequence.constant(1), zero), (zero, PeriodicSequence((0, 1)))):
+        src = systems.fad_source(systems.FadSpec(primes=(systems.FadPrime(3, s, t),)))
+        with pytest.raises(ValueError, match="nonzero p-adic exponent"):
+            asy.constants_for(src)
 
 
 def test_constants_for_gm():

@@ -35,7 +35,7 @@ def test_constants_elliptic_json(capsys):
     assert "C" in doc["tail_bounds"]
 
 
-def test_constants_ff_and_periodic(capsys):
+def test_constants_ff_and_periodic(capsys, tmp_path):
     code, out, _ = run(capsys, "constants", "--system", "builtin:FF,q=2")
     assert code == 0
     doc = json.loads(out)
@@ -45,6 +45,20 @@ def test_constants_ff_and_periodic(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["B"] == "2" and doc["C"] == "1/2" and doc["lambda"] == "1"
+    # the system field is shorthand that --system reads back
+    assert doc["system"] == "builtin:periodic,values=[1,3]"
+    assert main(["constants", "--system", doc["system"]]) == 0
+    assert capsys.readouterr().out == out
+    # the same product form written as JSON: exact constants, not a C fitted
+    # against the Lambda > 1 growth law, at any --X
+    spec = tmp_path / "periodic.json"
+    spec.write_text(json.dumps({"type": "fad", "r": {"values": [1, 3]}}))
+    for extra in ((), ("--X", "200")):
+        code, out, err = run(capsys, "constants", "--system", str(spec), *extra)
+        assert code == 0 and err == ""
+        doc = json.loads(out)
+        assert (doc["B"], doc["C"], doc["lambda"]) == ("2", "1/2", "1")
+        assert doc["provenance"] == dict.fromkeys(("B", "C", "lambda"), "exact-closed-form")
 
 
 def test_census_csv(capsys):
@@ -201,6 +215,20 @@ def test_expands_the_euler_product_once(capsys, monkeypatch, sub, lines, fault):
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith(f"internal error: AssertionError: {fault}")
+
+
+def test_sample_bit_budget_refuses_before_the_census(capsys, monkeypatch):
+    # X = 1024 passes --X, but q = 2^20 makes every table entry 20 times wider
+    calls = []
+    monkeypatch.setattr(cli, "build_census", lambda *args, **kwargs: calls.append(args))
+    code, out, err = run(capsys, "sample", "--system", "builtin:FF,q=1048576", "--X", "1024")
+    assert code == 2 and out == ""
+    assert err.startswith("error: sample tables would take about ")
+    assert err.endswith("bits at --X 1024, more than the limit of 2^31\n")
+    assert calls == []
+    # E(3,2) at X = 1024 is the case the --X ceiling was set for; it fits
+    bits = 1024**2 * max(systems.sigma_table(builtin_source("E", p=3, n=2), 1024)).bit_length() // 2
+    assert 2**29 < bits <= cli.MAX_SAMPLE_BITS == 2**31
 
 
 @pytest.mark.parametrize("sub", list(cli.SUBCOMMANDS))

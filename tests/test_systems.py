@@ -9,17 +9,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitstat import asymptotics, census, distribution, kernels, polyops, systems
+from orbitstat import asymptotics, census, cli, distribution, kernels, polyops, systems
 from orbitstat.numtheory import PeriodicSequence, lte_params
 from orbitstat.systems import (
     FadPrime,
     FadSpec,
+    SigmaSource,
     builtin_source,
     fad_source,
     fad_spec_for,
     fluctuation_spectrum,
     growth_rate,
-    sigma_eval,
     sigma_table,
     source_from_json,
     spectrum_for,
@@ -38,7 +38,6 @@ def test_sigma_ff_matches_oracle():
         src = builtin_source("FF", q=q)
         table = sigma_table(src, 20)
         assert table[1:] == oracles.sigma_ff(q, 20)
-        assert all(sigma_eval(src, k) == table[k] for k in range(1, 21))
 
 
 def test_sigma_e_matches_oracle():
@@ -46,22 +45,20 @@ def test_sigma_e_matches_oracle():
         src = builtin_source("E", p=p, n=n)
         table = sigma_table(src, 24)
         assert table[1:] == oracles.sigma_e(p, n, 24)
-        assert all(sigma_eval(src, k) == table[k] for k in range(1, 25))
 
 
 def test_sigma_ga_matches_oracle():
     src = builtin_source("GA")
     table = sigma_table(src, 32)
     assert table[1:] == oracles.sigma_ga(32)
-    assert sigma_eval(src, 8) == 2 ** (8 - 8)
-    assert sigma_eval(src, 12) == 2 ** (12 - 4)
+    assert table[8] == 2 ** (8 - 8)
+    assert table[12] == 2 ** (12 - 4)
 
 
 def test_sigma_gm_matches_independent_determinants():
     src = builtin_source("GM")
     table = sigma_table(src, 12)
     assert table[1:] == oracles.sigma_gm(12)
-    assert all(sigma_eval(src, k) == table[k] for k in range(1, 13))
 
 
 def test_sigma_periodic_and_table():
@@ -69,9 +66,6 @@ def test_sigma_periodic_and_table():
     assert sigma_table(src, 7)[1:] == [1, 3, 1, 3, 1, 3, 1]
     tab = table_source((5, 1, 2))
     assert sigma_table(tab, 3)[1:] == [5, 1, 2]
-    assert sigma_eval(tab, 2) == 1
-    with pytest.raises(ValueError, match="covers only"):
-        sigma_eval(tab, 4)
     with pytest.raises(ValueError, match="covers only"):
         sigma_table(tab, 4)
 
@@ -137,14 +131,14 @@ def test_fad_spec_validation():
 def test_fad_sigma_realizability_errors():
     # r = 1/2 at k = 1 makes sigma fractional there.
     spec = FadSpec(c=1, r=PeriodicSequence((Fraction(1, 2), 1)))
-    src = fad_source(spec, validate=False)
-    with pytest.raises(ValueError, match="non-realizable"):
-        sigma_eval(src, 1)
+    src = SigmaSource(kind="fad", fad=spec)
+    with pytest.raises(ValueError, match="non-realizable parameters at k=1"):
+        sigma_table(src, 1)
     # c = 1 with s = 1 at one prime makes sigma_p fractional.
     spec2 = FadSpec(c=1, primes=(FadPrime(3, PeriodicSequence.constant(1), PeriodicSequence.constant(0)),))
-    src2 = fad_source(spec2, validate=False)
-    with pytest.raises(ValueError, match="non-realizable"):
-        sigma_eval(src2, 3)
+    src2 = SigmaSource(kind="fad", fad=spec2)
+    with pytest.raises(ValueError, match="non-realizable parameters at k=3"):
+        sigma_table(src2, 3)
 
 
 # -- growth rates -------------------------------------------------------------
@@ -187,7 +181,7 @@ def test_growth_rate_large_integer_roots():
         assert growth_rate(builtin_source("E", p=3, n=n)).exact == n**2
     big = 2**89 - 1
     mixed = ((big, 0, 0, 0), (0, -3, 0, 0), (0, 0, 2, 1), (0, 0, 1, 1))
-    assert growth_rate(fad_source(FadSpec(matrix=mixed), validate=False)).exact is None
+    assert growth_rate(SigmaSource(kind="fad", fad=FadSpec(matrix=mixed))).exact is None
     diagonal = FadSpec(c=2, matrix=((big, 0, 0), (0, big + 2, 0), (0, 0, -3)))
     assert growth_rate(fad_source(diagonal)).exact == 2 * big * (big + 2) * 3
 
@@ -257,7 +251,7 @@ REPEATED_GOLDEN = ((2, 1, 0, 0), (1, 1, 0, 0), (0, 0, 2, 1), (0, 0, 1, 1))
 def test_repeated_non_integer_eigenvalue():
     # (x^2 - 3x + 1)^2: a double irrational root, which numeric root finding
     # on the whole characteristic polynomial does not settle.
-    src = fad_source(FadSpec(matrix=REPEATED_GOLDEN), validate=False)
+    src = SigmaSource(kind="fad", fad=FadSpec(matrix=REPEATED_GOLDEN))
     rate = growth_rate(src)
     assert rate.exact is None
     with mp.workprec(160):
@@ -265,17 +259,27 @@ def test_repeated_non_integer_eigenvalue():
     assert spectrum_for(src).m == 0
 
 
+def poly_product(*factors):
+    """The product of ascending coefficient lists."""
+    out = [1]
+    for factor in factors:
+        step = [0] * (len(out) + len(factor) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(factor):
+                step[i + j] += a * b
+        out = step
+    return out
+
+
 def test_root_split_parts():
     # x^2 (x - 1)^2 (x + 1) (x^2 + x + 1) (x - 3)^2 (x^4 - 3x^3 + 3x^2 - 3x + 1)
-    f = [1]
-    for factor in ([0, 1], [0, 1], [-1, 1], [-1, 1], [1, 1], [1, 1, 1], [-3, 1], [-3, 1]):
-        f = polyops.poly_mul(f, factor)
+    f = poly_product([0, 1], [0, 1], [-1, 1], [-1, 1], [1, 1], [1, 1, 1], [-3, 1], [-3, 1])
     split = polyops.root_split(f, 128)
     assert split.exact == 9
     assert abs(split.outside - 9) < mp.mpf(2) ** -100
     assert sorted(split.cyclotomic) == [1, 1, 2, 3]
     assert split.unit_roots == ()
-    gm = polyops.root_split(polyops.poly_mul(f, list(systems.GM_POLY)), 128)
+    gm = polyops.root_split(poly_product(f, systems.GM_POLY), 128)
     assert gm.exact is None and sorted(gm.cyclotomic) == [1, 1, 2, 3]
     assert len(gm.unit_roots) == 1
     assert polyops.root_split([0, 0, 1], 128) == polyops.RootSplit(1, 1, (), ())
@@ -285,7 +289,7 @@ def test_spectrum_and_growth_rate_share_lambda():
     sources = [builtin_source(name) for name in ("GM", "GA")]
     sources += [builtin_source("FF", q=3), builtin_source("E", p=3, n=2**61 - 1)]
     sources += [
-        fad_source(FadSpec(c=c, matrix=m), validate=False)
+        SigmaSource(kind="fad", fad=FadSpec(c=c, matrix=m))
         for c, m in ((1, ((2, 1), (1, 1))), (2, ((2, 1), (1, 1))), (1, REPEATED_GOLDEN))
     ]
     for src in sources:
@@ -375,7 +379,7 @@ def test_source_from_json_variants():
     assert t.kind == "table" and t.table == (1, 1, 2)
 
     b = source_from_json({"type": "builtin", "name": "E", "p": 3, "n": 2})
-    assert sigma_eval(b, 3) == 49
+    assert sigma_table(b, 3)[3] == 49
 
     f = source_from_json(
         {
@@ -405,6 +409,17 @@ def test_describe_strings():
     assert builtin_source("FF", q=2).describe() == "builtin:FF,q=2"
     assert table_source((1, 2, 3)).describe() == "table[3]"
     assert fad_source(FadSpec(c=2)).describe() == "fad"
+    # every builtin's description is shorthand that reads back as the source
+    for src, text in (
+        (builtin_source("FF", q=2), "builtin:FF,q=2"),
+        (builtin_source("E", p=3, n=2), "builtin:E,n=2,p=3"),
+        (builtin_source("GA"), "builtin:GA"),
+        (builtin_source("GM"), "builtin:GM"),
+        (builtin_source("periodic", values=(1, 3)), "builtin:periodic,values=[1,3]"),
+        (builtin_source("periodic", values=(5,)), "builtin:periodic,values=[5]"),
+    ):
+        assert src.describe() == text
+        assert cli.parse_system(text) == src
 
 
 # -- random product forms -----------------------------------------------------
@@ -430,7 +445,7 @@ def test_random_diagonal_product_forms(case):
     src = fad_source(spec)
     X = 16
     table = sigma_table(src, X)
-    assert all(sigma_eval(src, k) == table[k] for k in range(1, X + 1))
+    assert table[1:] == oracles.sigma_fad(spec, X)
     P = census.prime_counts(table)
     assert kernels.exp_logderiv_series(table, X) == kernels.euler_product_series(P, X)
     assert growth_rate(src).exact == spec.c * prod(abs(d) for d in entries if abs(d) > 1)
@@ -466,7 +481,7 @@ def block_diagonal(blocks):
 @given(block_matrices(), st.sampled_from((64, 128, 256)))
 def test_random_block_matrix_spectra(case, precision):
     matrix, blocks = case
-    src = fad_source(FadSpec(matrix=matrix), validate=False)
+    src = SigmaSource(kind="fad", fad=FadSpec(matrix=matrix))
     rate = growth_rate(src, precision)
     spectrum = spectrum_for(src, precision)
     assert spectrum.lam == rate.value
@@ -524,7 +539,7 @@ def test_identities_on_padic_product_forms(spec):
     src = fad_source(spec)
     X = 16
     table = sigma_table(src, X)
-    assert all(sigma_eval(src, k) == table[k] for k in range(1, X + 1))
+    assert table[1:] == oracles.sigma_fad(spec, X)
     assert validate_dold(table[1:]).ok
     cen = census.build_census(src, X)
     assert cen.verify_euler()
