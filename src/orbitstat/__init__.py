@@ -51,7 +51,6 @@ from orbitstat.distribution import (
     WeightedAdditive,
     expected_w,
     joint_census,
-    length_decay_weights,
     rho_measure,
     subset_weights,
     unit_weights,
@@ -69,12 +68,9 @@ from orbitstat.sampler import (
     OrbitSample,
     OrbitSampler,
     RandomStream,
-    TailEstimate,
     distinct_parts,
-    monte_carlo_tail,
     sample_orbit,
     sampler_for,
-    wilson_interval,
     write_samples_csv,
 )
 
@@ -116,7 +112,6 @@ __all__ = [
     "WeightedAdditive",
     "expected_w",
     "joint_census",
-    "length_decay_weights",
     "rho_measure",
     "subset_weights",
     "unit_weights",
@@ -130,11 +125,8 @@ __all__ = [
     "OrbitSample",
     "RandomStream",
     "OrbitSampler",
-    "TailEstimate",
     "distinct_parts",
     "sampler_for",
-    "wilson_interval",
     "write_samples_csv",
-    "monte_carlo_tail",
     "sample_orbit",
 ]

@@ -381,9 +381,8 @@ def ga_constants(precision=128):
 
 @dataclass(frozen=True)
 class Lambda1Report:
-    varpi: int
     B: int
-    primes: dict  # ell -> P_ell over ell | varpi
+    primes: dict  # ell -> P_ell over the divisors ell of the minimal period
     leading: Fraction  # N(X) ~ leading * X^B; leading = C / Gamma(B+1) = C / B!
 
     @property
@@ -415,12 +414,10 @@ def lambda1_analysis(period):
         if varpi % ell != 0 and P[ell] != 0:
             raise ValueError(f"nonzero prime count at ell={ell} not dividing the period")
     supported = {ell: P[ell] for ell in divisors(varpi)}
-    if sum(supported.values()) != B:
-        raise ValueError("prime counts do not sum to the period average")
     leading = Fraction(1, math.factorial(B))
     for ell, count in supported.items():
         leading *= Fraction(1, ell**count)
-    return Lambda1Report(varpi=varpi, B=B, primes=supported, leading=leading)
+    return Lambda1Report(B=B, primes=supported, leading=leading)
 
 
 # ---------------------------------------------------------------------------
@@ -430,13 +427,7 @@ def lambda1_analysis(period):
 @dataclass(frozen=True)
 class FitReport:
     rows: tuple  # (X, predicted N(X) or None, ratio mpf)
-    fitted: object  # mpf: ratio at the largest window point, estimates C/Gamma(B)
-    fitted_C: object  # mpf: fitted * Gamma(B)
-    gamma_B: object
-
-    def drift(self):
-        """|ratio - fitted| per row; diagnostic only."""
-        return tuple(abs(r[2] - self.fitted) for r in self.rows)
+    fitted_C: object  # mpf: the ratio at the largest window point times Gamma(B)
 
 
 def predict_and_fit(cen, constants, window, precision=128):
@@ -466,8 +457,7 @@ def predict_and_fit(cen, constants, window, precision=128):
             ratio = +(mp.mpf(cen.count_orbits(X)) / scale)
             predicted = +(Cm / gB * scale) if Cm is not None else None
             rows.append((X, predicted, ratio))
-        fitted = rows[-1][2]
-        return FitReport(rows=tuple(rows), fitted=fitted, fitted_C=+(fitted * gB), gamma_B=+gB)
+        return FitReport(rows=tuple(rows), fitted_C=+(rows[-1][2] * gB))
 
 
 # ---------------------------------------------------------------------------

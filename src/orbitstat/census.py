@@ -175,10 +175,6 @@ class OrbitCensus:
         with mp.workprec(self.precision + 16):
             return to_mpf(exact)
 
-    def cumulative(self, X):
-        """(N(X), P(X), M(X)); the first two exact integers, M high precision."""
-        return self.count_orbits(X), self.count_primes(X), self.mertens(X)
-
     # -- export --------------------------------------------------------------
 
     def write_csv(self, fileobj, include_empty=True):

@@ -238,7 +238,42 @@ class RunConfig:
 # commands
 
 
+def _refuse_long_integers(config, squared=False):
+    """Refuse, before the census is built, integers with more digits than
+    Python writes out. Those printed are at most max(sigma_k, N(X)), or
+    X^2 N(X)^2 when squared (a PMF variance's denominator divides N(X)^2);
+    as the N_n are the coefficients of exp(sum_k sigma_k z^k / k), log N(X)
+    <= sum_{k<=X} sigma_k z^k / k - X log z for every 0 < z <= 1, least
+    where sum_k sigma_k z^k = X."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    sigma = systems.sigma_table(config.source, config.X) if limit and config.X else []
+    logs = [(k, math.log(s)) for k, s in enumerate(sigma) if s]
+    if not logs:
+        return
+
+    def log_sum(lz, per_k=False):
+        """log sum_k sigma_k e^(k lz), each term over k when per_k."""
+        terms = [ls + k * lz - (math.log(k) if per_k else 0) for k, ls in logs]
+        top = max(terms)
+        return top + math.log(sum(math.exp(t - top) for t in terms))
+
+    log_x = math.log(config.X)
+    lo, hi = -max(ls / k for k, ls in logs) - 1, 0.0  # sum_k sigma_k e^(k lo) < 1
+    if log_sum(hi) > log_x:
+        for _ in range(40):
+            mid = (lo + hi) / 2
+            lo, hi = (lo, mid) if log_sum(mid) > log_x else (mid, hi)
+    nats = max(math.exp(log_sum(hi, per_k=True)) - config.X * hi, max(ls for _, ls in logs))
+    digits = int((2 * (nats + log_x) if squared else nats) / math.log(10)) + 1
+    if digits > limit:
+        raise CliError(
+            f"output integers could have up to {digits} decimal digits at --X {config.X}, more than "
+            f"Python's limit of {limit}; the PYTHONINTMAXSTRDIGITS environment variable raises it"
+        )
+
+
 def cmd_census(config):
+    _refuse_long_integers(config)
     buf = io.StringIO()
     config.census().write_csv(buf, include_empty=config.include_empty)
     _emit_table("census", config, buf.getvalue())
@@ -264,6 +299,8 @@ def cmd_constants(config):
 
 
 def cmd_wdist(config):
+    # only the JSON form prints the variance
+    _refuse_long_integers(config, squared=config.format == "json")
     # the joint census's row sums, sum_d C(P,d) C(k-1,d-1) = C(P+k-1,k) per
     # factor, are the Euler product to full degree, so the build skips its own
     cen = config.census(crosscheck_to=0)

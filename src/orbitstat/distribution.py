@@ -69,10 +69,6 @@ class DiscreteMeasure:
         mu = self.mean()
         return sum(((v - mu) ** 2 * m for v, m in self.atoms), Fraction(0))
 
-    def tail_mass(self, threshold):
-        """Mass of [threshold, +inf); exact when atoms are rational."""
-        return sum((m for v, m in self.atoms if v >= threshold), Fraction(0))
-
     def real_atoms(self, precision=128):
         """The atoms as (value, mass) mpf pairs at precision + 16 bits,
         converted once per precision and shared by every transform."""
@@ -80,13 +76,6 @@ class DiscreteMeasure:
             with mp.workprec(precision + 16):
                 self._real[precision] = tuple((to_mpf(v), to_mpf(m)) for v, m in self.atoms)
         return self._real[precision]
-
-    def laplace(self, theta, precision=128):
-        """Sum of mass * e^(theta * value) at working precision."""
-        atoms = self.real_atoms(precision)
-        with mp.workprec(precision + 16):
-            theta = mp.mpf(theta)
-            return _mass_sum(atoms, _e_powers([theta * v for v, _ in atoms]))
 
 
 @cache
@@ -118,8 +107,9 @@ def _e_powers(exponents):
 
 def _mass_sum(atoms, powers):
     """Sum of mass * power over real atoms at the working precision, in
-    laplace's order: a transform from shared powers is then bit-identical
-    to laplace's. Each step rounds as acc += m * power would."""
+    atom order, each step rounded as acc += m * power would: with powers
+    from _e_powers, a transform is bit-identical to the plain mpf sum of
+    mass * mp.e ** (theta * value)."""
     prec = mp.mp.prec
     acc = fzero
     for (_, m), power in zip(atoms, powers):
@@ -183,28 +173,6 @@ def subset_weights(census_or_primes, pred, scale=Fraction(1)):
     classes = [()]
     for ell in range(1, len(P)):
         classes.append(((P[ell], scale if pred(ell) else Fraction(0)),))
-    return WeightedAdditive(P, tuple(classes))
-
-
-def length_decay_weights(census_or_primes, lam):
-    """g with per-prime weight lam^(-ell(P)).
-
-    For rational lam the weights are exact; otherwise each lam^(-ell) is
-    replaced by the dyadic rational of its double-precision value (exact
-    bucketing requires rational weights; the surrogate's rounding is the
-    documented double rounding, deterministic across runs).
-    """
-    P = _ptable(census_or_primes)
-    classes = [()]
-    exact = isinstance(lam, (int, Fraction))
-    if exact:
-        lam = Fraction(lam)
-    for ell in range(1, len(P)):
-        if exact:
-            w = Fraction(1) / lam**ell
-        else:
-            w = Fraction(*float(mp.mpf(lam) ** (-ell)).as_integer_ratio())
-        classes.append(((P[ell], w),))
     return WeightedAdditive(P, tuple(classes))
 
 
@@ -338,7 +306,7 @@ def rho_measure(g, census, X, precision=128):
     with mass (sum over ell of count_{ell,w} Lambda^(-ell)) / M(X).
 
     Exact rationals when the growth rate is exact; masses always sum to 1.
-    The returned measure's laplace method is the transform evaluator.
+    legendre_rate takes its transform.
     """
     if X < 1 or X > census.X_max:
         raise ValueError("X outside census")

@@ -149,23 +149,14 @@ def legendre_rate(rho, x, precision=128):
 
 @dataclass(frozen=True, eq=False)
 class RateFunction:
-    """A rate function x -> I(x): the closed-form poisson or subset rate,
-    or the numeric Legendre transform of a discrete measure."""
+    """A rate function x -> I(x) from a callable (x, precision) -> mpf,
+    such as poisson_rate, subset_rate or legendre_rate on a fixed measure."""
 
     rate: object  # callable (x, precision) -> mpf
 
     @classmethod
     def poisson(cls):
         return cls(poisson_rate)
-
-    @classmethod
-    def subset(cls, lam, r):
-        lam, r = Fraction(lam), Fraction(r)
-        return cls(lambda x, precision: subset_rate(x, lam, r, precision))
-
-    @classmethod
-    def legendre(cls, rho):
-        return cls(lambda x, precision: legendre_rate(rho, x, precision))
 
     def evaluate(self, x, precision=128):
         return self.rate(x, precision)

@@ -20,7 +20,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
-from math import comb, sqrt
+from math import comb
 
 from orbitstat import kernels
 
@@ -199,48 +199,6 @@ def sampler_for(census, X):
 def sample_orbit(census, X, rng):
     """One exact-uniform draw from the orbits of total length <= X."""
     return sampler_for(census, X).sample(rng)
-
-
-@dataclass(frozen=True)
-class TailEstimate:
-    threshold: object
-    hits: int
-    samples: int
-    estimate: float
-    interval: tuple  # Wilson 95%
-
-    def covers(self, p):
-        return self.interval[0] <= p <= self.interval[1]
-
-
-def wilson_interval(hits, n):
-    """95% Wilson score interval; well-behaved at 0 and n hits."""
-    z = 1.959963984540054
-    phat = hits / n
-    denom = 1 + z * z / n
-    center = (phat + z * z / (2 * n)) / denom
-    half = z * sqrt(phat * (1 - phat) / n + z * z / (4 * n * n)) / denom
-    return (max(0.0, center - half), min(1.0, center + half))
-
-
-def monte_carlo_tail(census, X, threshold, samples, seed):
-    """Empirical P[W >= threshold] over per-index substreams of the seed,
-    with a 95% Wilson interval."""
-    if samples < 1:
-        raise ValueError("samples >= 1 required")
-    sampler = sampler_for(census, X)
-    hits = 0
-    for i in range(samples):
-        s = sampler.sample(RandomStream(seed, i))
-        if s.W >= threshold:
-            hits += 1
-    return TailEstimate(
-        threshold=threshold,
-        hits=hits,
-        samples=samples,
-        estimate=hits / samples,
-        interval=wilson_interval(hits, samples),
-    )
 
 
 def write_samples_csv(fileobj, census, X, samples, seed):

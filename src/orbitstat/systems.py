@@ -19,7 +19,6 @@ integrality check that any realizable sigma must satisfy.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
 
 import mpmath as mp
 
@@ -315,7 +314,6 @@ class GrowthRate:
 
     value: object  # mpf
     exact: Fraction = None
-    low_confidence: bool = False
 
     def __float__(self):
         return float(self.value)
@@ -329,7 +327,7 @@ def growth_rate(source, precision=128):
     sigma_k^(1/k) would be polluted by the r and p-adic factors, which are
     subexponential). When every root that is not a root of unity is an
     integer the product is exact; otherwise it is rooted numerically.
-    Tables get an empirical tail estimate flagged low-confidence.
+    Tables get an empirical tail estimate, with no exact value.
     """
     if source.fad is not None:
         return spectrum_for(source, precision).rate
@@ -344,7 +342,7 @@ def growth_rate(source, precision=128):
             if s > 0:
                 best = max(best, mp.mpf(s) ** (mp.mpf(1) / (k + 1)))
         v = +best
-    return GrowthRate(value=v, low_confidence=True)
+    return GrowthRate(value=v)
 
 
 # ---------------------------------------------------------------------------
@@ -355,16 +353,16 @@ def growth_rate(source, precision=128):
 class SpectrumReport:
     """Unit-circle eigenvalue data of the matrix part.
 
-    m conjugate pairs e^(+-i theta_j), 0 < theta_j < pi, one record per
-    pair: unit_angles[j] is theta_j and rational_angles[j] is not None iff
-    theta_j is a rational multiple of pi, certified by exact cyclotomic
-    divisibility (never by numerics). cesaro_exact_fad certifies m <= 1
-    and refuses m >= 2.
+    contains_root_of_unity flags a root of unity among the eigenvalues,
+    certified by exact cyclotomic divisibility (never by numerics). The
+    other unit-circle eigenvalues come in m conjugate pairs e^(+-i
+    theta_j), 0 < theta_j < pi, with unit_angles the theta_j ascending.
+    cesaro_exact_fad refuses a root of unity, certifies m <= 1 and refuses
+    m >= 2.
     """
 
     rate: GrowthRate  # c * product of |roots| > 1, as growth_rate returns it
     unit_angles: tuple
-    rational_angles: tuple  # (num, den) pairs meaning theta = 2*pi*num/den, or None
     contains_root_of_unity: bool
 
     @property
@@ -381,9 +379,9 @@ def fluctuation_spectrum(A, precision=128, c=1):
     for none), both from one exact-first root split of its characteristic
     polynomial.
 
-    Cyclotomic factors are divided out exactly and flagged as rational
-    angles; the other unit-circle eigenvalues come from the numerically
-    rooted gcd of the remaining polynomial with its reversal (they come in
+    Cyclotomic factors are divided out exactly and flagged; the other
+    unit-circle eigenvalues come from the numerically rooted gcd of the
+    remaining polynomial with its reversal (they come in
     reciprocal-conjugate pairs). rate is c times the product of |root| > 1,
     the GrowthRate growth_rate returns for a product form; lam is its value.
     """
@@ -393,20 +391,9 @@ def fluctuation_spectrum(A, precision=128, c=1):
             rate = GrowthRate(value=+(c * split.outside))
         else:
             rate = GrowthRate(value=mp.mpf(c * split.exact), exact=Fraction(c * split.exact))
-    angles = []  # (theta mpf, (num, den) | None)
     with mp.workprec(precision + 48):
-        for n in split.cyclotomic:
-            for num in range(1, (n + 1) // 2):  # 0 < theta = 2 pi num/n < pi
-                if gcd(num, n) == 1:
-                    angles.append((+(2 * mp.pi * num / n), (num, n)))
-        angles.extend((+mp.arg(root), None) for root in split.unit_roots)
-        angles.sort(key=lambda a: a[0])
-    return SpectrumReport(
-        rate=rate,
-        unit_angles=tuple(a[0] for a in angles),
-        rational_angles=tuple(a[1] for a in angles),
-        contains_root_of_unity=bool(split.cyclotomic),
-    )
+        angles = tuple(sorted(+mp.arg(root) for root in split.unit_roots))
+    return SpectrumReport(rate=rate, unit_angles=angles, contains_root_of_unity=bool(split.cyclotomic))
 
 
 def spectrum_for(source, precision=128):

@@ -347,28 +347,32 @@ def _real(x):
     return mp.mpf(x)
 
 
+def naive_laplace(atoms, theta, precision):
+    """Sum of mass * mp.e ** (theta * value) over exact (value, mass)
+    atoms, in order, at precision + 16 bits."""
+    with mp.workprec(precision + 16):
+        theta = _real(theta)
+        acc = mp.mpf(0)
+        for v, m in atoms:
+            acc += _real(m) * mp.e ** (theta * _real(v))
+        return acc
+
+
 def naive_tail_rows(windows, B, epsilons, thetas, precision):
     """Tail-report rows (X, eps, threshold, log P, normalized, Poisson rate
     I(1+eps), Chebyshev bound) from the definitions, at precision + 16 bits.
 
     windows lists (X, atoms) with atoms the exact (value, mass) pairs of
-    the statistic's PMF at X, ascending by value. Every transform is the
-    plain sum of mass * mp.e ** (theta * value) over the atoms, in order,
-    and the bound is the least log transform - theta * threshold over
-    thetas (the first theta wins a tie).
+    the statistic's PMF at X, ascending by value. Every transform is
+    naive_laplace's, and the bound is the least log transform - theta *
+    threshold over thetas (the first theta wins a tie).
     """
     rows = []
     with mp.workprec(precision + 16):
         scale_B = _real(B)
         for X, atoms in windows:
             real = [(_real(v), _real(m)) for v, m in atoms]
-            log_mgfs = []
-            for theta in thetas:
-                theta = _real(theta)
-                acc = mp.mpf(0)
-                for y, m in real:
-                    acc += m * mp.e ** (theta * y)
-                log_mgfs.append((theta, mp.log(acc)))
+            log_mgfs = [(_real(theta), mp.log(naive_laplace(atoms, theta, precision))) for theta in thetas]
             scale = scale_B * mp.log(X)
             for eps in map(_real, epsilons):
                 x = 1 + eps

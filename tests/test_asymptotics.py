@@ -260,7 +260,6 @@ def test_ga_constants():
 
 def test_lambda1_analysis_period_two():
     rep = asy.lambda1_analysis((1, 3))
-    assert rep.varpi == 2
     assert rep.B == 2
     assert rep.primes == {1: 1, 2: 1}
     assert rep.leading == Fraction(1, 4)
@@ -269,25 +268,25 @@ def test_lambda1_analysis_period_two():
 
 def test_lambda1_analysis_constant_and_even():
     rep1 = asy.lambda1_analysis((1,))
-    assert rep1.varpi == 1 and rep1.B == 1 and rep1.leading == 1
+    assert rep1.primes == {1: 1} and rep1.B == 1 and rep1.leading == 1
     rep2 = asy.lambda1_analysis((0, 2))
-    assert rep2.varpi == 2 and rep2.B == 1
+    assert rep2.B == 1
     assert rep2.primes == {1: 0, 2: 1}
     assert rep2.leading == Fraction(1, 2)
 
 
 def test_lambda1_analysis_prefers_confirmed_subperiods():
-    rep = asy.lambda1_analysis((1, 3, 1, 3, 1, 3))
-    assert rep.varpi == 2
+    # the prime counts run over the divisors of the minimal period
+    assert asy.lambda1_analysis((1, 3, 1, 3, 1, 3)).primes == {1: 1, 2: 1}
     # a declared table of length 4 that only repeats at full length
     rep2 = asy.lambda1_analysis((2, 2, 2, 6))
-    assert rep2.varpi == 4 and rep2.B == 3
+    assert rep2.B == 3
     assert rep2.primes == {1: 2, 2: 0, 4: 1}
 
 
 def test_lambda1_analysis_reads_the_minimal_period():
     # a given period that repeats a shorter one is read at the shorter one
-    assert asy.lambda1_analysis((1, 3, 1, 3)).varpi == 2
+    assert asy.lambda1_analysis((1, 3, 1, 3)).primes.keys() == {1, 2}
 
 
 def test_lambda1_analysis_rejections():
@@ -308,12 +307,13 @@ def test_predict_and_fit_ff(ff2_census):
     constants = asy.constants_for(ff2_census.source)
     fit = asy.predict_and_fit(ff2_census, constants, (20, 40, 60))
     # ratio(X) = (2^(X+1) - 1)/2^X marches to C = 2
-    assert mpf_close(fit.fitted, 2, 1e-15)
+    fitted = fit.rows[-1][2]
+    assert mpf_close(fitted, 2, 1e-15)
     assert mpf_close(fit.fitted_C, 2, 1e-15)
     for X, predicted, ratio in fit.rows:
         assert abs(predicted - ff2_census.count_orbits(X)) <= 1
         assert 1.9 < ratio <= 2
-    assert max(fit.drift()) < 1e-5
+        assert abs(ratio - fitted) < 1e-5
 
 
 def test_predict_and_fit_guards(ff2_census):

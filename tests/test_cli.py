@@ -4,6 +4,7 @@ diagnostics, schema-tagged JSON, and deterministic outputs."""
 import io
 import json
 import re
+import sys
 
 import pytest
 
@@ -229,6 +230,49 @@ def test_sample_bit_budget_refuses_before_the_census(capsys, monkeypatch):
     # E(3,2) at X = 1024 is the case the --X ceiling was set for; it fits
     bits = 1024**2 * max(systems.sigma_table(builtin_source("E", p=3, n=2), 1024)).bit_length() // 2
     assert 2**29 < bits <= cli.MAX_SAMPLE_BITS == 2**31
+
+
+@pytest.fixture
+def int_digits():
+    """Sets Python's int-to-string digit limit for one test."""
+    saved = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(saved)
+
+
+def test_digit_limit_refuses_before_the_census(capsys, monkeypatch, int_digits):
+    # sigma_1024 = 2^14336 has 4316 digits, more than the CSV can be written
+    # with, so nothing is built
+    int_digits(4300)
+    calls = []
+    monkeypatch.setattr(cli, "build_census", lambda *args, **kwargs: calls.append(args))
+    code, out, err = run(capsys, "census", "--system", "builtin:FF,q=16384", "--X", "1024")
+    assert code == 2 and out == "" and calls == []
+    assert err == ("error: output integers could have up to 4319 decimal digits at --X 1024, more than "
+                   "Python's limit of 4300; the PYTHONINTMAXSTRDIGITS environment variable raises it\n")
+
+
+@pytest.mark.parametrize("argv,code,digits", [
+    # N(X) is about 1024^X: 603 digits at X = 200, 648 at X = 215
+    (["census", "--system", "builtin:FF,q=1024", "--X", "200"], 0, 603),
+    (["census", "--system", "builtin:FF,q=1024", "--X", "215"], 2, 650),
+    # wdist's JSON variance has a denominator near N(X)^2, its CSV only N(X)
+    (["wdist", "--system", "builtin:FF,q=1048576", "--X", "50"], 0, 603),
+    (["wdist", "--system", "builtin:FF,q=1048576", "--X", "56"], 2, 682),
+    (["wdist", "--system", "builtin:FF,q=1048576", "--X", "56", "--format", "csv"], 0, 338),
+    # ldp prints X and reals at --precision only, though N(36) has 694 digits
+    (["ldp", "--system", "builtin:FF,q=18446744073709551616", "--X", "36"], 0, 36),
+])
+def test_digit_limit_on_each_side(capsys, int_digits, argv, code, digits):
+    # the longest digit run printed, or the bound in the refusal
+    int_digits(640)
+    got, out, err = run(capsys, *argv)
+    assert got == code
+    if code == 0:
+        assert err == "" and max(len(part) for part in re.split(r"[^0-9]", out)) == digits
+    else:
+        assert out == ""
+        assert err.startswith(f"error: output integers could have up to {digits} decimal digits at --X {argv[-1]}")
 
 
 @pytest.mark.parametrize("sub", list(cli.SUBCOMMANDS))

@@ -17,7 +17,6 @@ from orbitstat import (
     builtin_source,
     expected_w,
     joint_census,
-    length_decay_weights,
     rho_measure,
     subset_weights,
     table_source,
@@ -39,10 +38,7 @@ def test_measure_basics():
     assert m.mass_at(Fraction(7)) == 0
     assert m.mean() == Fraction(1, 2)
     assert m.variance() == Fraction(2) ** 2 * Fraction(1, 4) - Fraction(1, 4)
-    assert m.tail_mass(1) == Fraction(1, 4)
-    assert m.tail_mass(0) == 1
-    with mp.workprec(80):
-        assert abs(m.laplace(0) - 1) < mp.mpf(2) ** -60
+    assert m.real_atoms(64) == ((0, 0.75), (2, 0.25))
 
 
 def test_e_powers_is_bit_identical_to_mp_e_power():
@@ -103,9 +99,6 @@ def test_weight_constructors(ff2_census):
     even = subset_weights(ff2_census, lambda ell: ell % 2 == 0)
     assert even.classes[2][0][1] == 1 and even.classes[3][0][1] == 0
 
-    decay = length_decay_weights(ff2_census, Fraction(2))
-    assert decay.classes[4][0][1] == Fraction(1, 16)
-
     scaled = subset_weights(P, lambda ell: True, scale=Fraction(2, 3))
     assert scaled.classes[1][0][1] == Fraction(2, 3)
 
@@ -119,14 +112,6 @@ def test_weight_validation():
         WeightedAdditive((0, 0), ((), ((-1, Fraction(1)), (1, Fraction(0)))))
     with pytest.raises(ValueError, match="rational"):
         WeightedAdditive((0, 1), ((), ((1, 0.5),)))
-
-
-def test_length_decay_irrational_is_deterministic(ff2_census):
-    lam = mp.mpf(2) ** mp.mpf("0.5")
-    a = length_decay_weights(ff2_census, lam)
-    b = length_decay_weights(ff2_census, lam)
-    assert a.classes == b.classes
-    assert isinstance(a.classes[2][0][1], Fraction)
 
 
 # -- the bivariate census ---------------------------------------------------------
@@ -289,16 +274,33 @@ def test_subset_statistic_matches_dfs(ff2_census):
     assert {int(v): m for v, m in w_pmf(bc, 6).atoms} == expected
 
 
+def decay_weights(P, X, lam):
+    """g with per-prime weight lam^(-ell) at each length ell <= X."""
+    return WeightedAdditive(tuple(P[: X + 1]), ((),) + tuple(((P[ell], lam**-ell),) for ell in range(1, X + 1)))
+
+
 def test_length_decay_statistic_matches_dfs(e32_census):
-    cen = e32_census
-    P = {ell: cen.primes[ell] for ell in range(1, 6)}
-    results = oracles.brute_enumerate(P, 5)
-    g = length_decay_weights(cen, Fraction(4))
-    bc = joint_census(g, 5, census=cen)
+    # each length's primes split into three classes, weighted 4^(-ell), 1/2
+    # and -1/3 as evenly as the count allows
+    X = 5
+    P = e32_census.primes
+    weights = (lambda ell: Fraction(1, 4**ell), lambda ell: Fraction(1, 2), lambda ell: Fraction(-1, 3))
+    classes, labeled = [()], {}
+    for ell in range(1, X + 1):
+        parts = tuple((P[ell] // 3 + (i < P[ell] % 3), w(ell)) for i, w in enumerate(weights))
+        classes.append(parts)
+        labeled[ell] = [w for count, w in parts for _ in range(count)]
+    assert all(count for parts in classes[3:] for count, _ in parts)
+    bc = joint_census(WeightedAdditive(tuple(P[: X + 1]), tuple(classes)), X, census=e32_census)
+    cells = {(n, Fraction(key, bc.D)): c for n, row in enumerate(bc.rows) for key, c in row.items()}
+    assert cells == oracles.brute_weighted_census(labeled, X)
+    # the single-class length decay against the profile enumerator
+    results = oracles.brute_enumerate({ell: P[ell] for ell in range(1, X + 1)}, X)
+    bc = joint_census(decay_weights(P, X, Fraction(4)), X, census=e32_census)
     expected = brute_value_pmf(
-        results, 5, lambda profile: sum(Fraction(d, 4**l) for l, _, d in profile)
+        results, X, lambda profile: sum(Fraction(d, 4**l) for l, _, d in profile)
     )
-    assert dict(w_pmf(bc, 5).atoms) == expected
+    assert dict(w_pmf(bc, X).atoms) == expected
 
 
 def test_w_pmf_edges(ff2_census):
@@ -333,7 +335,7 @@ def test_mgf(ff2_census):
     bc = joint_census(unit_weights(ff2_census), 6, census=ff2_census)
 
     def mgf(X, theta):
-        return w_pmf(bc, X).laplace(theta)
+        return oracles.naive_laplace(w_pmf(bc, X).atoms, theta, 128)
 
     with mp.workprec(100):
         assert abs(mgf(6, 0) - 1) < mp.mpf(2) ** -80
@@ -365,12 +367,12 @@ def test_rho_subset_masses_exact(ff2_census):
 def test_rho_length_decay_escapes_to_zero(ff2_census):
     # Weights lam^(-ell) push the prime mass toward 0 as X grows, so the
     # Laplace transform at any fixed theta sags toward 1.
-    g = length_decay_weights(ff2_census, Fraction(2))
+    g = decay_weights(ff2_census.primes, 60, Fraction(2))
     vals = []
     for X in (15, 30, 60):
         rho = rho_measure(g, ff2_census, X)
         assert rho.total_mass() == 1
-        vals.append(rho.laplace(1))
+        vals.append(oracles.naive_laplace(rho.atoms, 1, 128))
     assert vals[0] > vals[1] > vals[2] > 1
 
 

@@ -3,6 +3,7 @@ Chebyshev bounds that must dominate every exact census tail."""
 
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 
 import mpmath as mp
 import pytest
@@ -138,8 +139,9 @@ def test_rate_function_dispatch():
     rho = measure({1: 1})
     with mp.workprec(100):
         assert RateFunction.poisson().evaluate(2) == poisson_rate(2)
-        assert RateFunction.subset(2, Fraction(1, 3)).evaluate(1) == subset_rate(1, 2, Fraction(1, 3))
-        got = RateFunction.legendre(rho).evaluate(2)
+        subset = RateFunction(lambda x, precision: subset_rate(x, 2, Fraction(1, 3), precision))
+        assert subset.evaluate(1) == subset_rate(1, 2, Fraction(1, 3))
+        got = RateFunction(partial(legendre_rate, rho)).evaluate(2)
         assert abs(got - poisson_rate(2)) < 1e-8
 
 
@@ -150,7 +152,7 @@ def test_chebyshev_single_theta_worked_example(ff2_census):
     bc = joint_census(unit_weights(ff2_census), 2, census=ff2_census)
     pmf = w_pmf(bc, 2)
     with mp.workprec(100):
-        bound = chebyshev_bound(lambda t: pmf.laplace(t), 2, (mp.log(2),))
+        bound = chebyshev_bound(partial(oracles.naive_laplace, pmf.atoms, precision=128), 2, (mp.log(2),))
         # E[2^W] = 15/7, so the bound is log(15/7) - 2 log 2 = log(15/28)
         assert abs(bound - mp.log(mp.mpf(15) / 28)) < mp.mpf(2) ** -70
         # and it dominates the exact tail P[W >= 2] = 1/7
@@ -162,10 +164,11 @@ def test_chebyshev_grid_refinement_monotone(ff2_census):
     pmf = w_pmf(bc, 10)
     coarse = list(_DEFAULT_THETA_GRID[::4])
     fine = list(_DEFAULT_THETA_GRID)
-    b_coarse = chebyshev_bound(lambda t: pmf.laplace(t), 4, coarse)
-    b_fine = chebyshev_bound(lambda t: pmf.laplace(t), 4, fine)
+    mgf = partial(oracles.naive_laplace, pmf.atoms, precision=128)
+    b_coarse = chebyshev_bound(mgf, 4, coarse)
+    b_fine = chebyshev_bound(mgf, 4, fine)
     assert b_fine <= b_coarse
-    assert chebyshev_bound(lambda t: pmf.laplace(t), 0, fine) >= 0
+    assert chebyshev_bound(mgf, 0, fine) >= 0
 
 
 def test_chebyshev_validation():
@@ -245,7 +248,7 @@ def test_tail_report_transforms_each_window_once(ff2_census, monkeypatch):
     # the window supports nest, so the largest one holds every value
     values = len(w_pmf(bc, xs[-1]).support)
     # E[e^(theta W)] of every (window, theta), each to be logged once
-    transforms = Counter(w_pmf(bc, X).laplace(t) for X in xs for t in _DEFAULT_THETA_GRID)
+    transforms = Counter(oracles.naive_laplace(w_pmf(bc, X).atoms, t, 128) for X in xs for t in _DEFAULT_THETA_GRID)
     assert len(transforms) == len(xs) * len(_DEFAULT_THETA_GRID) == 120
     # the number of exponents of each call: every e^t is taken by _e_powers
     powers = []
@@ -290,8 +293,8 @@ def test_tail_report_transforms_each_window_once(ff2_census, monkeypatch):
     monkeypatch.undo()
     assert len(rep.rows) == 9
     for row in rep.rows:
-        pmf = w_pmf(bc, row.X)
-        expected = chebyshev_bound(lambda t: pmf.laplace(t), row.threshold, _DEFAULT_THETA_GRID)
+        mgf = partial(oracles.naive_laplace, w_pmf(bc, row.X).atoms, precision=128)
+        expected = chebyshev_bound(mgf, row.threshold, _DEFAULT_THETA_GRID)
         assert row.chebyshev == expected
 
 
@@ -312,9 +315,8 @@ def test_tail_report_chebyshev_is_bit_identical_to_laplace(name, params):
             rep = tail_report(bc, constants, epsilons, RateFunction.poisson(), precision=precision)
             for row in rep.rows:
                 pmf = w_pmf(bc, row.X)
-                expected = chebyshev_bound(
-                    lambda t: pmf.laplace(t, precision), row.threshold, _DEFAULT_THETA_GRID, precision
-                )
+                mgf = partial(oracles.naive_laplace, pmf.atoms, precision=precision)
+                expected = chebyshev_bound(mgf, row.threshold, _DEFAULT_THETA_GRID, precision)
                 assert row.chebyshev == expected, (g, precision, row.X, row.epsilon)
                 rows += 1
     assert rows == 2 * 3 * 3 * len(epsilons)
@@ -352,7 +354,8 @@ def test_tail_report_matches_naive_oracle(name, params):
 def test_tail_report_evaluates_each_rate_once(ff2_census, monkeypatch):
     bc = joint_census(unit_weights(ff2_census), 30, census=ff2_census)
     constants = constants_for(ff2_census.source)
-    rate = RateFunction.legendre(measure({0: Fraction(1, 4), 2: Fraction(1, 4), 3: Fraction(1, 2)}))
+    rho = measure({0: Fraction(1, 4), 2: Fraction(1, 4), 3: Fraction(1, 2)})
+    rate = RateFunction(lambda x, precision: ldp.legendre_rate(rho, x, precision))
     epsilons = (Fraction(1, 2), Fraction(1), Fraction(3, 2))
     xs = (10, 20, 30)
     calls = []

@@ -1,10 +1,11 @@
 """Package metadata agrees with the build configuration, every module uses
-what it imports, every top-level function and class has a reader (outside
-the public API, one in the package or the benchmark),
-exact-to-real conversion and powers of e each have one home, the CLI
-turns a ValueError into exit 2 in one place, numpy is loaded only by the
-sampler's random streams, and the benchmark's tracer still finds the names
-it reads."""
+what it imports, every top-level function and class and every method,
+property and dataclass field has a reader (in the package or the
+benchmark, save top-level names of the public API, which tests may read
+alone), exact-to-real conversion and powers of e each have one home, the
+CLI turns a ValueError into exit 2 in one place, numpy is loaded only by
+the sampler's random streams, and the benchmark's tracer still finds the
+names it reads."""
 
 import ast
 import importlib.util
@@ -57,41 +58,89 @@ def test_no_unused_imports():
     assert [entry for path in modules for entry in unused_imports(path)] == []
 
 
-def name_reads(path):
-    """(name, enclosing top-level definition or None) for every name and
-    attribute a module reads; imports are not reads."""
+def scan(path):
+    """One pass over a module: its definitions and its reads.
+
+    The definitions map 'name' to 'top' for each top-level function and
+    class, and 'Class.name' to 'member' for each method and property and to
+    'field' for each dataclass field of a top-level class, dunders aside.
+    The reads are (kind, name, owner) triples: kind 'name' for every name
+    and attribute, which reaches a top-level definition; 'attribute' for
+    every attribute that is not assigned to, which reaches a member; and
+    'fields' for the class C of each fields(C) call, which reads every
+    field of C. owner is the key of the innermost enclosing definition, or
+    None at module level. Imports are not reads.
+    """
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    found = set()
+    definitions = {}
+    reads = set()
+
+    def visit(node, owner):
+        if isinstance(node, ast.Name):
+            reads.add(("name", node.id, owner))
+        elif isinstance(node, ast.Attribute):
+            reads.add(("name", node.attr, owner))
+            if not isinstance(node.ctx, ast.Store):
+                reads.add(("attribute", node.attr, owner))
+        elif isinstance(node, ast.Call) and node.args and ast.unparse(node.func).rpartition(".")[2] == "fields":
+            reads.add(("fields", ast.unparse(node.args[0]).rpartition(".")[2], owner))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
     for top in tree.body:
-        owner = getattr(top, "name", None)
-        for node in ast.walk(top):
-            if isinstance(node, ast.Name):
-                found.add((node.id, owner))
-            elif isinstance(node, ast.Attribute):
-                found.add((node.attr, owner))
-    return found
+        if not isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            visit(top, None)
+            continue
+        definitions[top.name] = "top"
+        if not isinstance(top, ast.ClassDef):
+            visit(top, top.name)
+            continue
+        dataclass = any(ast.unparse(d).partition("(")[0].endswith("dataclass") for d in top.decorator_list)
+        for node in top.decorator_list + top.bases + top.keywords:
+            visit(node, top.name)
+        for node in top.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name, kind = node.name, "member"
+            elif dataclass and isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                name, kind = node.target.id, "field"
+            else:
+                name = kind = None
+            if name is None or name.startswith("__") and name.endswith("__"):
+                visit(node, top.name)
+            else:
+                definitions[f"{top.name}.{name}"] = kind
+                visit(node, f"{top.name}.{name}")
+    return definitions, reads
 
 
 def unread_definitions(directories, exempt=()):
-    """The top-level functions and classes of the package, as 'module:
-    name', that no module under the given directories reads, names in
-    exempt aside. A function or class that only its own body names is a
-    pass-through nothing reaches; a re-export in __init__.py is not a
-    reader."""
+    """The definitions of the package, as 'module: key' (see scan), that no
+    module under the given directories reads, top-level names in exempt
+    aside. A definition that only its own body reads is a pass-through
+    nothing reaches; a re-export in __init__.py is not a reader."""
     files = [path for directory in directories for path in sorted((ROOT / directory).rglob("*.py"))]
     assert {path.relative_to(ROOT).parts[0] for path in files} == set(directories)
+    scans = {path: scan(path) for path in files}
     readers = {}
-    for path in files:
-        for name, owner in name_reads(path):
-            readers.setdefault(name, set()).add((path, owner))
-    return [
-        f"{module.name}: {node.name}"
-        for module in sorted((ROOT / "src" / "orbitstat").glob("*.py"))
-        for node in ast.parse(module.read_text(encoding="utf-8")).body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and node.name not in exempt
-        and not readers.get(node.name, set()) - {(module, node.name)}
-    ]
+    for path, (_, reads) in scans.items():
+        for kind, name, owner in reads:
+            readers.setdefault((kind, name), set()).add((path, owner))
+    unread = []
+    for module in sorted((ROOT / "src" / "orbitstat").glob("*.py")):
+        for key, kind in scans[module][0].items():
+            cls, _, name = key.rpartition(".")
+            if kind == "top":
+                if key in exempt:
+                    continue
+                found = {(path, owner) for path, owner in readers.get(("name", key), ())
+                         if path != module or (owner or "").partition(".")[0] != key}
+            else:
+                found = readers.get(("attribute", name), set()) - {(module, key)}
+                if kind == "field":
+                    found |= readers.get(("fields", cls), set())
+            if not found:
+                unread.append(f"{module.name}: {key}")
+    return unread
 
 
 def test_every_definition_has_a_reader():
@@ -99,9 +148,10 @@ def test_every_definition_has_a_reader():
 
 
 def test_package_code_is_reached_by_more_than_tests():
-    # a definition outside the public API that only tests read is code no
-    # caller of the package runs: tests check what the package does, so the
-    # package itself or the benchmark must reach it
+    # a definition that only tests read is code no caller of the package
+    # runs: tests check what the package does, so the package itself or the
+    # benchmark must reach it. Top-level names in the public API are exempt;
+    # their methods, properties and fields are not.
     assert unread_definitions(("src", "perfbench"), exempt=orbitstat.__all__) == []
 
 

@@ -20,13 +20,11 @@ from orbitstat import (
     builtin_source,
     distinct_parts,
     joint_census,
-    monte_carlo_tail,
     sample_orbit,
     sampler_for,
     table_source,
     unit_weights,
     w_pmf,
-    wilson_interval,
     write_samples_csv,
 )
 
@@ -235,30 +233,15 @@ def test_sampler_uniformity_against_dfs(ff2_census):
 
 
 def test_monte_carlo_tail_covers_exact_value(ff2_census):
+    # the share of draws with W >= 2 against w_pmf's exact tail p: p lies in
+    # the 95% Wilson interval of the share exactly when this score test holds
     bc = joint_census(unit_weights(ff2_census), 2, census=ff2_census)
-    exact = float(w_pmf(bc, 2).tail_mass(2))  # P[W >= 2] = 1/7
-    est = monte_carlo_tail(ff2_census, 2, 2, 20000, seed=5)
-    assert est.covers(exact)
-    assert est.interval[0] <= est.estimate <= est.interval[1]
-
-
-def test_monte_carlo_tail_edges(ff2_census):
-    always = monte_carlo_tail(ff2_census, 4, 0, 500, seed=1)
-    assert always.hits == 500 and always.estimate == 1.0
-    never = monte_carlo_tail(ff2_census, 4, 99, 500, seed=1)
-    assert never.hits == 0 and never.estimate == 0.0
-    assert never.interval[0] < 1e-12
-    with pytest.raises(ValueError):
-        monte_carlo_tail(ff2_census, 4, 1, 0, seed=1)
-
-
-def test_wilson_interval_sane():
-    lo, hi = wilson_interval(50, 100)
-    assert 0.4 < lo < 0.5 < hi < 0.6
-    lo0, hi0 = wilson_interval(0, 100)
-    assert lo0 < 1e-12 and hi0 > 0.01
-    lo1, hi1 = wilson_interval(100, 100)
-    assert hi1 > 1 - 1e-12 and lo1 < 0.99
+    exact = sum(m for v, m in w_pmf(bc, 2).atoms if v >= 2)
+    assert exact == Fraction(1, 7)
+    trials = 20000
+    hits = sum(sample_orbit(ff2_census, 2, RandomStream(5, i)).W >= 2 for i in range(trials))
+    p = float(exact)
+    assert abs(hits - trials * p) <= 1.959963984540054 * sqrt(trials * p * (1 - p))
 
 
 def test_csv_export_is_byte_identical(ff2_census):
