@@ -67,36 +67,22 @@ class AsymptoticConstants:
 
 
 def cesaro_empirical(source, lam, X, precision=128):
-    """Partial Cesaro mean (1/X) sum_{k<=X} sigma_k / lam^k.
+    """Partial Cesaro mean (1/X) sum_{k<=X} sigma_k / lam^k from
+    GrowthRate.inverse_power_sums.
 
     Rational lam accumulates exactly (one rounding at the end); otherwise
     mpf accumulation at elevated working precision.
     """
     if X < 1:
         raise ValueError("X >= 1 required")
-    if isinstance(lam, systems.GrowthRate):
-        lam = lam.exact if lam.exact is not None else lam.value
-    sigma = systems.sigma_table(source, X)
     with mp.workprec(precision + 32):
-        if isinstance(lam, (int, Fraction)):
-            lam = Fraction(lam)
-            num, den = lam.numerator, lam.denominator
-            # T = sum sigma_k den^k num^(X-k), built as T <- T*num + sigma_k den^k
-            total = 0
-            dpow = 1
-            for k in range(1, X + 1):
-                dpow *= den
-                total = total * num + sigma[k] * dpow
-            val = Fraction(total, num**X * X)
-            return +to_mpf(val)
-        lam = mp.mpf(lam)
-        acc = mp.mpf(0)
-        power = mp.mpf(1)
-        for k in range(1, X + 1):
-            power /= lam
-            if sigma[k]:
-                acc += sigma[k] * power
-        return +(acc / X)
+        if not isinstance(lam, systems.GrowthRate):
+            exact = Fraction(lam) if isinstance(lam, (int, Fraction)) else None
+            lam = systems.GrowthRate(value=to_mpf(lam), exact=exact)
+        total = lam.inverse_power_sums(systems.sigma_table(source, X), precision)[X]
+        if lam.exact is not None:
+            return +to_mpf(Fraction(total, lam.exact.numerator**X * X))
+        return +(total / X)
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +141,7 @@ def fad_class_mean(spec, precision=128):
     Lp = L0
     mps = {}
     for fp in spec.primes:
-        v, _ = p_valuation(L0, fp.p) if L0 % fp.p == 0 else (0, None)
+        v = p_valuation(L0, fp.p)
         mps[fp.p] = v
         Lp //= fp.p**v
     total = Fraction(0)
@@ -171,7 +157,7 @@ def fad_class_mean(spec, precision=128):
                 m_p = mps[fp.p]
                 if m_p > 0 and a % (fp.p**m_p) != 0:
                     # the residue pins v_p(k) below m_p
-                    w_forced = p_valuation(a, fp.p)[0]
+                    w_forced = p_valuation(a, fp.p)
                 else:
                     w_forced = None
                 g_val, g_tail = _local_factor(

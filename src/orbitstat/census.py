@@ -2,9 +2,9 @@
 
 From sigma_k three tables are derived, all in exact big integers:
 
-  P_ell = (1/ell) sum_{n | ell} mu(ell/n) sigma_n   (prime orbits of length ell)
-  N_n   from n N_n = sum_k sigma_k N_{n-k}          (general orbits of length n)
-  N_n   again from prod (1 - z^ell)^(-P_ell)        (independent cross-check)
+  P_ell = (sigma_ell - sum_{d | ell, d < ell} d P_d) / ell   (prime orbits of length ell)
+  N_n   from n N_n = sum_k sigma_k N_{n-k}                   (general orbits of length n)
+  N_n   again from prod (1 - z^ell)^(-P_ell)                 (independent cross-check)
 
 plus the cumulative counting functions N(X) = sum_{n<=X} N_n (the empty
 orbit is included via N_0 = 1), P(X) = sum_{ell<=X} P_ell, and the Mertens
@@ -118,29 +118,11 @@ class OrbitCensus:
 
     @cached_property
     def _mertens_prefix(self):
-        """Running M(X) for X = 0..X_max. For rational Lambda = num/den the
-        entry is the integer T_X with M(X) = T_X / num^X, from
-        T_ell = T_{ell-1} num + P_ell den^ell; otherwise it is the mpf
-        partial sum at the census precision plus 16 bits."""
-        table = [0] * (self.X_max + 1)
-        exact = self.lam.exact
-        if exact is not None:
-            num, den = exact.numerator, exact.denominator
-            acc = 0
-            dpow = 1
-            for ell in range(1, self.X_max + 1):
-                dpow *= den
-                acc = acc * num + self.primes[ell] * dpow
-                table[ell] = acc
-            return table
-        with mp.workprec(self.precision + 16):
-            lam = self.lam.value
-            acc = table[0] = mp.mpf(0)
-            for ell in range(1, self.X_max + 1):
-                if self.primes[ell]:
-                    acc += self.primes[ell] * lam ** (-ell)
-                table[ell] = acc
-        return table
+        """Running M(X) for X = 0..X_max as GrowthRate.inverse_power_sums
+        gives it: the integer T_X with M(X) = T_X / num^X for rational
+        Lambda = num/den, else the mpf partial sum at the census precision
+        plus 16 bits."""
+        return self.lam.inverse_power_sums(self.primes, self.precision)
 
     def _check_range(self, X):
         if X > self.X_max or X < 0:

@@ -1,5 +1,6 @@
-"""Arithmetic kernels: Mobius function, p-adic valuations, multiplicative
-orders, lifting-the-exponent parameters, and periodic gcd-sequence checks.
+"""Arithmetic kernels: primality, divisors, p-adic valuations,
+multiplicative orders, lifting-the-exponent parameters, and periodic
+gcd-sequence checks.
 
 Everything here is exact. Rationals are fractions.Fraction; no floats.
 """
@@ -42,28 +43,6 @@ def is_prime(n):
     return True
 
 
-def mobius(n):
-    """Mobius function mu(n).
-
-    mu(1) = 1; mu(n) = 0 if a square divides n; otherwise (-1)^(number of
-    prime factors). Trial division suffices at the input sizes used here.
-    """
-    if n < 1:
-        raise ValueError("mobius requires n >= 1")
-    result = 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            result = -result
-        d += 1
-    if n > 1:
-        result = -result
-    return result
-
-
 def divisors(n):
     """Sorted list of positive divisors of n >= 1."""
     if n < 1:
@@ -80,7 +59,7 @@ def divisors(n):
 
 
 def p_valuation(k, p):
-    """(v, abs) with v = v_p(k) and abs = |k|_p = p^(-v) as an exact rational.
+    """v_p(k), the exponent of p in k.
 
     k must be a nonzero integer (v_p(0) is infinite) and p prime.
     """
@@ -93,7 +72,7 @@ def p_valuation(k, p):
     while k % p == 0:
         k //= p
         v += 1
-    return v, Fraction(1, p**v)
+    return v
 
 
 def multiplicative_order(n, p):
@@ -124,7 +103,7 @@ def lte_params(n, p):
     if n < 2:
         raise ValueError("lte_params requires n >= 2")
     d = multiplicative_order(n, p)
-    e, _ = p_valuation(n**d - 1, p)
+    e = p_valuation(n**d - 1, p)
     return d, e
 
 

@@ -22,15 +22,7 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from orbitstat.numtheory import (
-    PeriodicSequence,
-    divisors,
-    is_gcd_sequence,
-    is_prime,
-    lte_params,
-    mobius,
-    p_valuation,
-)
+from orbitstat.numtheory import PeriodicSequence, is_gcd_sequence, is_prime, lte_params, p_valuation
 from orbitstat import polyops
 
 
@@ -265,7 +257,7 @@ def _fad_sigma_from_det(spec, k, ck, det_value):
         num *= abs(det_value)
     for fp in spec.primes:
         # |k|_p^s p^(-t |k|_p^(-1)) = p^(-(v s + t p^v)) with v = v_p(k)
-        v, _ = p_valuation(k, fp.p)
+        v = p_valuation(k, fp.p)
         e = v * int(fp.s.at(k)) + int(fp.t.at(k)) * fp.p**v
         den *= fp.p**e  # e >= 0, since PeriodicSequence refuses negative s and t
     value, rem = divmod(num, den)
@@ -317,6 +309,30 @@ class GrowthRate:
 
     def __float__(self):
         return float(self.value)
+
+    def inverse_power_sums(self, terms, precision):
+        """Running sums S_k = sum_{j<=k} terms[j] Lambda^(-j), k = 0..len(terms)-1
+        (terms[0] unused). For rational Lambda = num/den entry k is the
+        integer T_k with S_k = T_k / num^k, from T_k = T_{k-1} num +
+        terms[k] den^k; otherwise it is the mpf partial sum at precision
+        plus 16 bits."""
+        out = [0] * len(terms)
+        if self.exact is not None:
+            num, den = self.exact.numerator, self.exact.denominator
+            acc = 0
+            dpow = 1
+            for k in range(1, len(terms)):
+                dpow *= den
+                acc = acc * num + terms[k] * dpow
+                out[k] = acc
+            return out
+        with mp.workprec(precision + 16):
+            acc = out[0] = mp.mpf(0)
+            for k in range(1, len(terms)):
+                if terms[k]:
+                    acc += terms[k] * self.value ** (-k)
+                out[k] = acc
+        return out
 
 
 def growth_rate(source, precision=128):
@@ -416,26 +432,30 @@ class DoldReport:
 def validate_dold(sigma):
     """Check the Dold integrality condition on a prefix sigma_1..sigma_X.
 
-    For every ell <= X the Mobius-transformed sum sum_{n | ell} mu(ell/n)
-    sigma_n must be divisible by ell with non-negative quotient P_ell (the
-    count of prime orbits of length ell). This is the package's one Mobius
-    pass: a passing report carries P_1..P_X.
+    sigma_ell = sum_{d | ell} d P_d, so for every ell <= X the Mobius sum
+    sigma_ell - sum_{d | ell, d < ell} d P_d must be divisible by ell with
+    non-negative quotient P_ell (the count of prime orbits of length ell).
+    One sieve finds them: once P_ell is known, ell P_ell is added to the
+    running sum of every multiple of ell. This is the package's one
+    inversion: a passing report carries P_1..P_X.
     """
     sigma = list(sigma)
     X = len(sigma)
     if X < 1:
         raise ValueError("need at least sigma_1")
+    below = [0] * (X + 1)  # below[k] = sum_{d | k, d < k} d P_d so far
     primes = []
     for ell in range(1, X + 1):
-        total = 0
-        for n in divisors(ell):
-            total += mobius(ell // n) * sigma[n - 1]
+        total = sigma[ell - 1] - below[ell]
         q, r = divmod(total, ell)
         if r:
             return DoldReport(False, (ell, f"Mobius sum {total} not divisible by {ell}"))
         if q < 0:
             return DoldReport(False, (ell, f"negative orbit count {q}"))
         primes.append(q)
+        if q:
+            for k in range(2 * ell, X + 1, ell):
+                below[k] += total
     return DoldReport(True, None, tuple(primes))
 
 

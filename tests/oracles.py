@@ -135,16 +135,26 @@ def sigma_gm(X):
     return out
 
 
-def oracle_prime_counts(sigma):
-    """P_ell from sigma_1..sigma_X by direct Mobius inversion."""
-    X = len(sigma)
-    P = {}
-    for ell in range(1, X + 1):
+def oracle_dold(sigma):
+    """(ok, first_failure, primes) of the Dold check on sigma_1..sigma_X by
+    direct Mobius inversion, with the reasons validate_dold gives."""
+    primes = []
+    for ell in range(1, len(sigma) + 1):
         total = sum(trial_mobius(ell // d) * sigma[d - 1] for d in trial_divisors(ell))
         q, r = divmod(total, ell)
-        assert r == 0 and q >= 0, f"not realizable at ell={ell}"
-        P[ell] = q
-    return P
+        if r:
+            return False, (ell, f"Mobius sum {total} not divisible by {ell}"), None
+        if q < 0:
+            return False, (ell, f"negative orbit count {q}"), None
+        primes.append(q)
+    return True, None, tuple(primes)
+
+
+def oracle_prime_counts(sigma):
+    """P_ell from sigma_1..sigma_X by direct Mobius inversion."""
+    ok, failure, primes = oracle_dold(sigma)
+    assert ok, f"not realizable at ell={failure[0]}"
+    return dict(enumerate(primes, 1))
 
 
 def necklace_counts(q, X):

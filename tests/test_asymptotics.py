@@ -300,6 +300,15 @@ def test_lambda1_analysis_rejections():
         asy.lambda1_analysis((0, 0))
 
 
+def test_lambda1_analysis_refuses_prime_counts_off_the_period():
+    # the period passes Dold, averages 5 and is minimal, but P_4 = 1 and 4
+    # does not divide 6: no orbit of length 4 can recur with period 6
+    period = (1, 1, 1, 5, 21, 1)
+    assert systems.validate_dold(period).primes[3] == 1
+    with pytest.raises(ValueError, match="^nonzero prime count at ell=4 not dividing the period$"):
+        asy.lambda1_analysis(period)
+
+
 # -- fitting and dispatch ------------------------------------------------------
 
 

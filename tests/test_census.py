@@ -84,6 +84,27 @@ def test_unrealizable_tables_fail_at_the_perturbed_length(case, data):
             run()
 
 
+@st.composite
+def sigma_tables(draw):
+    """sigma_1..sigma_X: a realizable table with a few entries moved, or
+    arbitrary small integers; both pass or fail at any length."""
+    if draw(st.booleans()):
+        _, sigma = draw(realizable_tables())
+        sigma = sigma[1:]
+        for _ in range(draw(st.integers(0, 3))):
+            k = draw(st.integers(0, len(sigma) - 1))
+            sigma[k] += draw(st.integers(-12, 12))
+        return sigma
+    return draw(st.lists(st.integers(-4, 40), min_size=1, max_size=40))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sigma_tables())
+def test_dold_sieve_matches_mobius_inversion(sigma):
+    report = validate_dold(sigma)
+    assert (report.ok, report.first_failure, report.primes) == oracles.oracle_dold(sigma)
+
+
 def test_orbit_count_routes_agree(ff2_census, e32_census):
     for cen in (ff2_census, e32_census):
         assert cen.verify_euler()

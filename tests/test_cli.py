@@ -385,6 +385,9 @@ def test_sample_of_short_table_needs_no_growth_rate(capsys):
         (("census", "--system", "builtin:FF,q=2", "--X", "4", "--precision", "65537"), "at most 65536"),
         (("census", "--system", "builtin:periodic,values=5", "--X", "3"), "periodic values must be a list, got 5"),
         (("census", "--system", "builtin:FF,q=2", "--X", "1025"), "--X must be at most 1024"),
+        # passes Dold with a minimal period of 6 and average 5, but P_4 = 1
+        (("constants", "--system", "builtin:periodic,values=[1,1,1,5,21,1]"),
+         "builtin:periodic,values=[1,1,1,5,21,1]:1: nonzero prime count at ell=4 not dividing the period"),
     ],
 )
 def test_spec_failures_exit_2(capsys, argv, needle):

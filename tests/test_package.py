@@ -66,10 +66,11 @@ def scan(path):
     'field' for each dataclass field of a top-level class, dunders aside.
     The reads are (kind, name, owner) triples: kind 'name' for every name
     and attribute, which reaches a top-level definition; 'attribute' for
-    every attribute that is not assigned to, which reaches a member; and
-    'fields' for the class C of each fields(C) call, which reads every
-    field of C. owner is the key of the innermost enclosing definition, or
-    None at module level. Imports are not reads.
+    every attribute that is not assigned to, which reaches a member, save
+    'self' for such an attribute of self, which reaches only a member of
+    the enclosing class; and 'fields' for the class C of each fields(C)
+    call, which reads every field of C. owner is the key of the innermost
+    enclosing definition, or None at module level. Imports are not reads.
     """
     tree = ast.parse(path.read_text(encoding="utf-8"))
     definitions = {}
@@ -81,7 +82,8 @@ def scan(path):
         elif isinstance(node, ast.Attribute):
             reads.add(("name", node.attr, owner))
             if not isinstance(node.ctx, ast.Store):
-                reads.add(("attribute", node.attr, owner))
+                on_self = isinstance(node.value, ast.Name) and node.value.id == "self"
+                reads.add(("self" if on_self else "attribute", node.attr, owner))
         elif isinstance(node, ast.Call) and node.args and ast.unparse(node.func).rpartition(".")[2] == "fields":
             reads.add(("fields", ast.unparse(node.args[0]).rpartition(".")[2], owner))
         for child in ast.iter_child_nodes(node):
@@ -116,17 +118,24 @@ def scan(path):
 def unread_definitions(directories, exempt=()):
     """The definitions of the package, as 'module: key' (see scan), that no
     module under the given directories reads, top-level names in exempt
-    aside. A definition that only its own body reads is a pass-through
-    nothing reaches; a re-export in __init__.py is not a reader."""
+    aside."""
     files = [path for directory in directories for path in sorted((ROOT / directory).rglob("*.py"))]
     assert {path.relative_to(ROOT).parts[0] for path in files} == set(directories)
     scans = {path: scan(path) for path in files}
+    return unread_in(scans, sorted((ROOT / "src" / "orbitstat").glob("*.py")), exempt)
+
+
+def unread_in(scans, modules, exempt=()):
+    """The definitions of the given modules, as 'module: key', that no
+    scanned file reads. A definition that only its own body reads is a
+    pass-through nothing reaches; a re-export in __init__.py is not a
+    reader; self.name reads a member name only inside its own class."""
     readers = {}
     for path, (_, reads) in scans.items():
         for kind, name, owner in reads:
             readers.setdefault((kind, name), set()).add((path, owner))
     unread = []
-    for module in sorted((ROOT / "src" / "orbitstat").glob("*.py")):
+    for module in modules:
         for key, kind in scans[module][0].items():
             cls, _, name = key.rpartition(".")
             if kind == "top":
@@ -135,7 +144,11 @@ def unread_definitions(directories, exempt=()):
                 found = {(path, owner) for path, owner in readers.get(("name", key), ())
                          if path != module or (owner or "").partition(".")[0] != key}
             else:
-                found = readers.get(("attribute", name), set()) - {(module, key)}
+                found = readers.get(("attribute", name), set()) | {
+                    (path, owner) for path, owner in readers.get(("self", name), ())
+                    if path == module and (owner or "").partition(".")[0] == cls
+                }
+                found -= {(module, key)}
                 if kind == "field":
                     found |= readers.get(("fields", cls), set())
             if not found:
@@ -153,6 +166,43 @@ def test_package_code_is_reached_by_more_than_tests():
     # benchmark must reach it. Top-level names in the public API are exempt;
     # their methods, properties and fields are not.
     assert unread_definitions(("src", "perfbench"), exempt=orbitstat.__all__) == []
+
+
+TWO_CLASSES = textwrap.dedent(
+    """
+    class Census:
+        def __init__(self, counts):
+            self.counts = counts
+
+        @property
+        def cumulative(self):
+            return sum(self.counts)
+
+        def total(self):
+            return len(self.counts)
+
+
+    class Sampler:
+        def __init__(self, census):
+            self.cumulative = census.total()
+
+        def sample(self):
+            return self.cumulative
+
+
+    Sampler(Census([1, 2])).sample()
+    """
+)
+
+
+def test_self_attribute_reads_only_its_own_class(tmp_path):
+    # Sampler.sample loads its own self.cumulative; that must not count as a
+    # read of Census.cumulative, which nothing else reads
+    module = tmp_path / "two_classes.py"
+    module.write_text(TWO_CLASSES, encoding="utf-8")
+    assert unread_in({module: scan(module)}, [module]) == [
+        "two_classes.py: Census.cumulative"
+    ]
 
 
 def spellings(path, matches):

@@ -1,7 +1,8 @@
 """Sources, sigma evaluation, growth rates, spectra, Dold validation."""
 
+from dataclasses import replace
 from fractions import Fraction
-from math import lcm, prod
+from math import isqrt, lcm, prod
 
 import mpmath as mp
 import numpy as np
@@ -209,6 +210,8 @@ def test_gm_spectrum():
         # 2 cos theta = (3 - sqrt 5) / 2 for the unit-circle pair
         assert abs(2 * mp.cos(theta) - (3 - mp.sqrt(5)) / 2) < mp.mpf(2) ** -100
     assert abs(float(rep.lam) - float(growth_rate(builtin_source("GM")).value)) < 1e-30
+    # GM's matrix is the Salem block (a, b) = (3, 3) of the generated spectra
+    assert (3, 3) in SALEM_PAIRS and salem_block(3, 3) == fad_spec_for(builtin_source("GM")).matrix
 
 
 def test_spectrum_of_repeated_integer_eigenvalues():
@@ -451,15 +454,39 @@ def test_random_diagonal_product_forms(case):
     assert growth_rate(src).exact == spec.c * prod(abs(d) for d in entries if abs(d) > 1)
 
 
+# (a, b) of the Salem quartics x^4 - a x^3 + b x^2 - a x + 1 = x^2 q(x + 1/x)
+# with q(y) = y^2 - a y + (b - 2) irreducible and one root of q in (-2, 2):
+# that root is 2 cos theta of one unit-circle pair, the other root gives a
+# real reciprocal pair, and an irreducible q leaves no cyclotomic factor
+SALEM_PAIRS = tuple(
+    (a, b)
+    for a in range(-4, 5)
+    for b in range(-4, 5)
+    if (2 - 2 * a + b) * (2 + 2 * a + b) < 0 and isqrt(a * a - 4 * b + 8) ** 2 != a * a - 4 * b + 8
+)
+
+
+def salem_block(a, b):
+    return tuple(map(tuple, polyops.companion_matrix([1, -a, b, -a, 1])))
+
+
+def salem_cosine(a, b):
+    """2 cos theta: the root of y^2 - a y + (b - 2) in (-2, 2)."""
+    root = (a - mp.sqrt(a * a - 4 * b + 8)) / 2
+    return root if -2 < root < 2 else a - root
+
+
 @st.composite
 def block_matrices(draw):
     """Block-diagonal integer matrices from 1x1 and 2x2 blocks with entries
-    in [-3, 3], repeated blocks allowed: defective blocks, repeated
-    irrational eigenvalues, roots of unity and zero eigenvalues all occur."""
+    in [-3, 3] and Salem quartic companions, repeated blocks allowed:
+    defective blocks, repeated irrational eigenvalues, roots of unity, zero
+    eigenvalues and irrational unit-circle angles all occur."""
     entry = st.integers(-3, 3)
     block = st.one_of(
         st.tuples(entry).map(lambda b: ((b[0],),)),
         st.tuples(entry, entry, entry, entry).map(lambda b: ((b[0], b[1]), (b[2], b[3]))),
+        st.sampled_from(SALEM_PAIRS).map(lambda ab: salem_block(*ab)),
     )
     blocks = draw(st.lists(block, min_size=1, max_size=3))
     blocks += draw(st.lists(st.sampled_from(blocks), max_size=2))
@@ -490,7 +517,8 @@ def test_random_block_matrix_spectra(case, precision):
     assert abs(float(rate.value) / expected - 1) < 1e-6
     on_circle = [z for z in eigenvalues if abs(abs(z) - 1) < 1e-6]
     # an eigenvalue of a block of size <= 2 has degree <= 2, so a root of
-    # unity among them has order <= 6; m counts the other pairs only
+    # unity among them has order <= 6 (Salem blocks have none); m counts
+    # the other pairs only
     roots_of_unity = [z for z in on_circle if any(abs(z**n - 1) < 1e-6 for n in range(1, 7))]
     assert spectrum.contains_root_of_unity == bool(roots_of_unity)
     assert spectrum.m == sum(z.imag > 1e-6 for z in on_circle if z not in roots_of_unity)
@@ -535,6 +563,21 @@ def padic_product_forms(draw):
     ))
     matrix = block_diagonal(blocks) if blocks else None
     return FadSpec(c=c, matrix=matrix, r=r, primes=tuple(primes)).validate()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(SALEM_PAIRS), padic_product_forms())
+def test_salem_block_has_one_irrational_unit_pair(pair, base):
+    a, b = pair
+    blocks = [salem_block(a, b)] if base.matrix is None else [base.matrix, salem_block(a, b)]
+    spec = replace(base, matrix=block_diagonal(blocks)).validate()
+    spectrum = spectrum_for(fad_source(spec))
+    assert spectrum.m == 1 and not spectrum.contains_root_of_unity
+    with mp.workprec(160):
+        assert abs(2 * mp.cos(spectrum.unit_angles[0]) - salem_cosine(a, b)) < mp.mpf(2) ** -120
+    B = asymptotics.cesaro_exact_fad(spec, spectrum=spectrum)
+    base_mean = asymptotics.fad_class_mean(replace(spec, matrix=None))
+    assert B.value == 2 * base_mean.value and B.tail_bound == 2 * base_mean.tail_bound
 
 
 @settings(max_examples=60, deadline=None)
