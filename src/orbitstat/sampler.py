@@ -12,10 +12,15 @@ identical streams regardless of batching.
 
 The RNG is numpy's Philox, imported when the first stream is built: the
 rest of the package (censuses, constants, distributions, rate functions,
-the CLI commands that never draw) does not load numpy.
+the CLI commands that never draw) does not load numpy. Each seed has one
+Philox, built once; a stream keeps only its seed's key and its own
+counter, and positions that shared generator at the counter, under a
+lock, for each 4 KB chunk it fetches. Philox output depends only on
+(key, counter), so sharing the generator changes no byte.
 """
 
 import json
+import threading
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
@@ -26,6 +31,9 @@ from orbitstat import kernels
 
 # raw 64-bit Philox words fetched at a time: 4 KB, about one long draw
 _CHUNK_WORDS = 512
+_WORD = (1 << 64) - 1
+# guards the shared per-seed generators from position to fetch
+_LOCK = threading.Lock()
 
 
 @lru_cache(maxsize=None)
@@ -37,8 +45,11 @@ def _philox():
 
 
 @lru_cache(maxsize=64)
-def _philox_key(seed):
-    return _philox()(seed=seed).state["state"]["key"]
+def _seeded(seed):
+    """(key, generator) of a seed: its Philox key as two ints, and the one
+    Philox that every stream of the seed is served from."""
+    bitgen = _philox()(seed=seed)
+    return tuple(int(k) for k in bitgen.state["state"]["key"]), bitgen
 
 
 class RandomStream:
@@ -47,14 +58,21 @@ class RandomStream:
     The Philox key comes from the seed and stream index i starts the counter
     at i * 2^128 (mod 2^256), the stream Philox(seed).jumped(i) gives, so
     per-sample substreams are independent and reproducible across any
-    thread layout. Bytes are consumed in blocks of max(nbytes, 256), each
-    starting at the next unused 32-bit word, exactly as Generator.bytes
-    would serve them. randbelow(n) is exact-uniform via byte-block
-    rejection sampling.
+    thread layout. A stream holds only that key and its counter: the seed's
+    one Philox is set to (counter, key) under a lock for each chunk of
+    whole 4-word blocks, and the counter advances past them. Bytes are
+    consumed in blocks of max(nbytes, 256), each starting at the next unused
+    32-bit word, exactly as Generator.bytes would serve them. randbelow(n)
+    is exact-uniform via byte-block rejection sampling.
     """
 
     def __init__(self, seed, index=0):
-        self._bitgen = _philox()(key=_philox_key(int(seed)), counter=(int(index) << 128) % (1 << 256))
+        if not (isinstance(seed, int) and not isinstance(seed, bool) and seed >= 0):
+            raise ValueError(f"stream seed must be an int >= 0, got {seed!r}")
+        if not isinstance(index, int) or isinstance(index, bool):
+            raise ValueError(f"stream index must be an int, got {index!r}")
+        self._key, self._bitgen = _seeded(seed)
+        self._counter = (index << 128) % (1 << 256)
         self._buf = b""
         self._pos = 0  # next unread byte of the current block
         self._end = 0  # end of the current block
@@ -64,8 +82,17 @@ class RandomStream:
         size = max(nbytes, 256)
         start = self._next
         if start + size > len(self._buf):
-            words = max(_CHUNK_WORDS, size // 8 + 1)
-            self._buf = self._buf[start:] + self._bitgen.random_raw(words).tobytes()
+            # whole Philox blocks, so no partial block waits in numpy's buffer
+            blocks = (max(_CHUNK_WORDS, size // 8 + 1) + 3) // 4
+            c = self._counter
+            counter = (c & _WORD, c >> 64 & _WORD, c >> 128 & _WORD, c >> 192)
+            state = {"bit_generator": "Philox", "state": {"counter": counter, "key": self._key},
+                     "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+            with _LOCK:
+                self._bitgen.state = state
+                raw = self._bitgen.random_raw(4 * blocks)
+            self._counter = (c + blocks) % (1 << 256)
+            self._buf = self._buf[start:] + raw.tobytes()
             start = 0
         self._pos = start
         self._end = start + size
@@ -79,7 +106,9 @@ class RandomStream:
         # one spare byte keeps the rejection rate under 1/256
         nbytes = n.bit_length() // 8 + 1
         span = 1 << (8 * nbytes)
-        limit = span - span % n
+        # span % n < n, so r < span - n already lies below the rejection
+        # limit span - span % n, which is only computed for the rest
+        sure = span - n
         while True:
             pos = self._pos
             end = pos + nbytes
@@ -89,7 +118,7 @@ class RandomStream:
                 end = pos + nbytes
             self._pos = end
             r = int.from_bytes(self._buf[pos:end], "big")
-            if r < limit:
+            if r < sure or r < span - span % n:
                 return r % n
 
 

@@ -5,8 +5,11 @@ import gc
 import hashlib
 import io
 import random
+import sys
+import threading
 import weakref
 from fractions import Fraction
+from itertools import chain, zip_longest
 from math import sqrt
 
 import pytest
@@ -27,6 +30,8 @@ from orbitstat import (
     w_pmf,
     write_samples_csv,
 )
+
+from orbitstat import sampler as sampler_module
 
 import oracles
 
@@ -92,6 +97,86 @@ def test_interleaved_streams_stay_independent():
         got_b.append(b.randbelow(n))
     assert got_a == oracles.oracle_stream(9, 3, bounds)
     assert got_b == oracles.oracle_stream(9, 4, [n for n in bounds for _ in range(2)])
+
+
+@pytest.mark.parametrize("seed, index", [(1.9, 0), (True, 0), (True, 0.7), (-1, 0), ("1", 0), (1, 0.0),
+                                         (1, False), (1, "2"), (None, 0)])
+def test_stream_parameters_are_never_truncated(seed, index):
+    # int() would read RandomStream(1.9, 0) and RandomStream(True, 0.7) as
+    # RandomStream(1, 0); they must be refused instead
+    with pytest.raises(ValueError, match="stream (seed|index)"):
+        RandomStream(seed, index)
+
+
+def test_streams_of_one_seed_share_a_generator_across_threads():
+    # 4 threads, each with its own 4 streams of seed 5, positioning the seed's
+    # one Philox for every chunk; a short switch interval interleaves them
+    bounds = [n for n in chain.from_iterable(zip_longest(SMALL_BOUNDS[:240], BIG_BOUNDS * 6)) if n is not None]
+    indices = [tuple(range(5 * t, 5 * t + 4)) for t in range(4)]
+    got = {}
+
+    def draw(own):
+        streams = [RandomStream(5, i) for i in own]
+        rows = {i: [] for i in own}
+        for n in bounds:
+            for i, rng in zip(own, streams):
+                rows[i].append(rng.randbelow(n))
+        got.update(rows)
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=draw, args=(own,)) for own in indices]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(t.is_alive() for t in threads)
+    for own in indices:
+        for i in own:
+            assert got[i] == oracles.oracle_stream(5, i, bounds), i
+
+
+def test_streams_of_one_seed_build_one_philox(monkeypatch):
+    # numpy's Philox builds a SeedSequence from OS entropy on every
+    # construction; a stream must reuse its seed's generator instead
+    Philox = sampler_module._philox()
+    built = []
+
+    def counting_philox(*args, **kwargs):
+        built.append(kwargs)
+        return Philox(*args, **kwargs)
+
+    monkeypatch.setattr(sampler_module, "_philox", lambda: counting_philox)
+    sampler_module._seeded.cache_clear()
+    try:
+        for i in range(1000):
+            rng = RandomStream(17, i)
+            # a 4 KB chunk, then a 4126-byte draw that needs a second one
+            rng.randbelow(10**12)
+            rng.randbelow(1 << 33000)
+        assert len(built) <= 2
+    finally:
+        sampler_module._seeded.cache_clear()
+
+
+def test_randbelow_accept_boundary():
+    # n = 10^6 takes 3 bytes, span = 2^24 and span % n = 777216, so
+    # [span - n, limit) is the range only the exact limit test accepts
+    n = 10**6
+    span = 1 << 24
+    limit = span - span % n
+    fed = [span - n - 1, span - n, limit - 1, limit, 5]
+    rng = RandomStream(0)
+    rng._buf = b"".join(r.to_bytes(3, "big") for r in fed)
+    rng._pos, rng._end, rng._next = 0, len(rng._buf), len(rng._buf)
+    got = [rng.randbelow(n) for _ in range(4)]
+    assert rng._pos == len(rng._buf)
+    # the rule before the shortcut: accept r exactly when r < limit
+    old = [r % n for r in fed if r < limit]
+    assert got == old == [(span - n - 1) % n, (span - n) % n, (limit - 1) % n, 5]
 
 
 # sha256 of "n profile" lines for RandomStream(1, i), i < 300
