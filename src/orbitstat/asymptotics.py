@@ -451,12 +451,10 @@ def predict_and_fit(cen, constants, window, precision=128):
 
 
 def _fit_growth_law(cen, B, lam, precision):
-    """predict_and_fit with B and Lambda fixed and C unknown, over the
-    census range's thirds."""
-    top = cen.X_max
-    fit_window = (max(1, top // 3), max(2, 2 * top // 3), top)
+    """predict_and_fit with B and Lambda fixed and C unknown, at the top of
+    the census range, the one point the fitted C reads."""
     interim = AsymptoticConstants(B=B, C=None, lam=lam, provenance={})
-    return predict_and_fit(cen, interim, fit_window, precision)
+    return predict_and_fit(cen, interim, (cen.X_max,), precision)
 
 
 def _growth_rate_one_constants(source, spec):

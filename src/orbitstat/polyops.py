@@ -8,9 +8,11 @@ which runs in mpmath at a caller-chosen precision.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from operator import mul
 
 import mpmath as mp
+
+from orbitstat.numtheory import divisors, is_prime
 
 
 # ---------------------------------------------------------------------------
@@ -165,17 +167,19 @@ def cyclotomic(n):
 def cyclotomic_divisors(f):
     """All n with Phi_n dividing f, searched up to phi(n) <= deg f.
 
-    phi(n) >= sqrt(n/2) bounds the search at n <= 2*(deg f)^2.
+    phi(n) >= sqrt(n/2) bounds the search at n <= 2*(deg f)^2; Phi_n is
+    built only for the n whose degree phi(n) passes.
     """
     d = poly_degree(f)
     if d < 1:
         return []
     hits = []
     for n in range(1, 2 * d * d + 2):
-        phi = cyclotomic(n)
-        if len(phi) - 1 > d:
-            continue
-        if poly_divides(phi, f):
+        phi = n
+        for p in divisors(n):
+            if is_prime(p):
+                phi = phi // p * (p - 1)
+        if phi <= d and poly_divides(cyclotomic(n), f):
             hits.append(n)
     return hits
 
@@ -206,28 +210,6 @@ def mat_mul(A, B):
 
 def mat_trace(A):
     return sum(A[i][i] for i in range(len(A)))
-
-
-def int_det(A):
-    """Determinant of an integer matrix by Bareiss fraction-free elimination."""
-    M = [row[:] for row in A]
-    n = len(M)
-    sign = 1
-    prev = 1
-    for i in range(n - 1):
-        if M[i][i] == 0:
-            for r in range(i + 1, n):
-                if M[r][i] != 0:
-                    M[i], M[r] = M[r], M[i]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for r in range(i + 1, n):
-            for c in range(i + 1, n):
-                M[r][c] = (M[r][c] * M[i][i] - M[r][i] * M[i][c]) // prev
-        prev = M[i][i]
-    return sign * M[n - 1][n - 1]
 
 
 def charpoly(A):
@@ -267,64 +249,48 @@ def companion_matrix(f):
     return A
 
 
-def exterior_power(A, j):
-    """Matrix of the j-th exterior power of A (minor matrix on j-subsets)."""
-    d = len(A)
-    subsets = list(combinations(range(d), j))
-    out = [[0] * len(subsets) for _ in subsets]
-    for a, S in enumerate(subsets):
-        for b, T in enumerate(subsets):
-            out[a][b] = int_det([[A[s][t] for t in T] for s in S]) if j else 1
-    return out
+def power_trace_table(f, n):
+    """Power sums [p_m]_{m=0..n} of the roots of a monic integer polynomial f
+    (ascending coefficients), counted with multiplicity; for f = charpoly(A),
+    p_m = tr(A^m).
 
-
-def power_trace_table(A, X):
-    """[tr(A^k)]_{k=0..X} via the characteristic-polynomial recurrence.
-
-    Newton's identities seed p_1..p_d from the charpoly; beyond the degree,
-    p_k = -(a_{d-1} p_{k-1} + ... + a_0 p_{k-d}) with integer arithmetic.
-    Cost per step is O(d) bigint operations, independent of k.
+    Newton's identities give p_1..p_d; beyond the degree d,
+    p_m = -(a_(d-1) p_(m-1) + ... + a_0 p_(m-d)), O(d) integer operations a step.
     """
-    d = len(A)
-    cp = charpoly(A)  # x^d + a_{d-1} x^{d-1} + ... + a_0
-    a = cp[:d]
-    p = [0] * (X + 1)
+    d = len(f) - 1
+    a = f[:d]  # f = x^d + a_(d-1) x^(d-1) + ... + a_0
+    p = [0] * (n + 1)
     p[0] = d
-    for k in range(1, min(d, X) + 1):
-        # p_k + a_{d-1} p_{k-1} + ... + a_{d-k+1} p_1 + k a_{d-k} = 0
-        s = k * a[d - k]
-        for i in range(1, k):
-            s += a[d - i] * p[k - i]
-        p[k] = -s
-    for k in range(d + 1, X + 1):
-        s = 0
-        for i in range(1, d + 1):
-            s += a[d - i] * p[k - i]
-        p[k] = -s
+    for m in range(1, n + 1):
+        # p_m + a_(d-1) p_(m-1) + ... + a_(d-m+1) p_1 + m a_(d-m) = 0 for m <= d
+        s = m * a[d - m] if m <= d else 0
+        for i in range(1, min(m - 1, d) + 1):
+            s += a[d - i] * p[m - i]
+        p[m] = -s
     return p
 
 
-def det_iterate_minus_identity(A, X):
-    """[det(A^k - I)]_{k=1..X} (index 0 unused) from exterior-power traces.
+def det_iterate_minus_identity(f, X):
+    """[det(A^k - I)]_{k=1..X} (index 0 unused) from f = charpoly(A) alone.
 
-    det(A^k - I) = sum_{j=0}^{d} (-1)^(d-j) e_j(eigenvalues^k) and
-    e_j(eigenvalues^k) = tr((wedge^j A)^k), so d+1 trace tables suffice;
-    each follows a linear recurrence of order C(d, j).
+    The roots of f to the k-th power, mu = lambda^k, have power sums
+    p_m(mu) = p_(mk), so one power_trace_table to d*X gives them all.
+    Newton's identities j b_j = -(b_(j-1) p_k + ... + b_0 p_(jk)) turn them
+    into the coefficients b_j = (-1)^j e_j(mu) of the characteristic
+    polynomial of A^k, each division by j exact, and
+    det(A^k - I) = prod (mu - 1) = (-1)^d (b_0 + ... + b_d).
     """
-    d = len(A)
-    tables = []
-    for j in range(d + 1):
-        if j == 0:
-            tables.append([1] * (X + 1))
-        else:
-            tables.append(power_trace_table(exterior_power(A, j), X))
+    d = len(f) - 1
+    p = power_trace_table(f, d * X)
     out = [0] * (X + 1)
     for k in range(1, X + 1):
-        s = 0
-        for j in range(d + 1):
-            term = tables[j][k]
-            s += term if (d - j) % 2 == 0 else -term
-        out[k] = s
+        pk = p[k : d * k + 1 : k]  # p_k(mu), ..., p_d(mu)
+        b = [1]
+        for j in range(1, d + 1):
+            q, r = divmod(-sum(map(mul, reversed(b), pk)), j)
+            assert r == 0, "Newton's identity not divisible"
+            b.append(q)
+        out[k] = -sum(b) if d % 2 else sum(b)
     return out
 
 

@@ -271,9 +271,9 @@ def _fad_sigma_from_det(spec, k, ck, det_value):
 def sigma_table(source, X):
     """[sigma_k]_{k=0..X} with index 0 a zero placeholder (bulk, exact).
 
-    Matrix determinants run through exterior-power trace recurrences, so the
-    cost per k is a handful of big-integer operations instead of a matrix
-    power.
+    Matrix determinants come from the characteristic polynomial's power
+    sums, so the cost per k is O(d^2) big-integer operations instead of a
+    matrix power.
     """
     if X < 0:
         raise ValueError("X >= 0 required")
@@ -288,7 +288,7 @@ def sigma_table(source, X):
     spec = source.fad
     dets = None
     if spec.matrix is not None:
-        dets = polyops.det_iterate_minus_identity([list(row) for row in spec.matrix], X)
+        dets = polyops.det_iterate_minus_identity(polyops.charpoly(spec.matrix), X)
     ck = 1
     for k in range(1, X + 1):
         ck *= spec.c

@@ -11,6 +11,8 @@ import pytest
 from orbitstat import build_census, builtin_source, cli, distribution, kernels, systems, write_samples_csv
 from orbitstat.cli import main
 
+import oracles
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -340,6 +342,29 @@ def test_repeated_irrational_eigenvalue_system(capsys, tmp_path):
     code, out, err = run(capsys, "constants", "--system", str(spec))
     assert code == 0 and err == ""
     assert json.loads(out)["lambda"].startswith("6.854101966249684544613760503")
+
+
+def gm_blocks(n):
+    """n copies of GM's Salem companion matrix down the diagonal."""
+    gm = systems.gm_matrix()
+    return [[gm[i % 4][j % 4] if i // 4 == j // 4 else 0 for j in range(4 * n)] for i in range(4 * n)]
+
+
+def test_large_block_matrix_systems(capsys, tmp_path):
+    # sigma_k = |det(GM^k - 1)|^3 for three GM blocks (12x12); validate's
+    # cyclotomic search on five blocks (20x20) runs up to n = 801
+    spec = tmp_path / "gm3.json"
+    spec.write_text(json.dumps({"type": "fad", "matrix": gm_blocks(3)}))
+    code, out, err = run(capsys, "census", "--system", str(spec), "--X", "64")
+    assert code == 0 and err == ""
+    rows = [line.split(",") for line in out.strip().split("\n")[2:]]
+    gm = systems.gm_matrix()
+    assert [int(row[1]) for row in rows] == [abs(oracles.iterate_det(gm, k)) ** 3 for k in range(1, 65)]
+
+    spec.write_text(json.dumps({"type": "fad", "matrix": gm_blocks(5)}))
+    code, out, err = run(capsys, "validate", "--system", str(spec))
+    assert code == 0 and err == ""
+    assert "Dold congruences: ok" in out
 
 
 # -- failure modes ----------------------------------------------------------------

@@ -526,6 +526,23 @@ def test_random_block_matrix_spectra(case, precision):
         assert rate.exact == prod(abs(b[0][0]) for b in blocks if abs(b[0][0]) > 1)
 
 
+@settings(max_examples=40, deadline=None)
+@given(block_matrices())
+def test_block_matrix_sigma_is_the_product_of_its_blocks(case):
+    # |det(A^k - 1)| is multiplicative over diagonal blocks; the whole
+    # matrix reaches d = 20, each block is checked against the definition
+    matrix, blocks = case
+    X = 32
+    expected = [1] * X
+    for block in set(blocks):
+        spec = FadSpec(matrix=block)
+        table = sigma_table(SigmaSource(kind="fad", fad=spec), X)[1:]
+        assert table == oracles.sigma_fad(spec, X)
+        for _ in range(blocks.count(block)):
+            expected = [e * s for e, s in zip(expected, table)]
+    assert sigma_table(SigmaSource(kind="fad", fad=FadSpec(matrix=matrix)), X)[1:] == expected
+
+
 # (p, n) of the p-adic factors: n = None is GA's factor at p = 2, otherwise
 # the S-integer map x -> n x at an odd prime p
 PADIC_FACTORS = ((2, None), (3, 2), (3, 4), (5, 2), (5, 3), (7, 2), (7, 3))
