@@ -159,15 +159,29 @@ def test_joint_census_guards(ff2_census, e32_census):
     altered.joint_censuses = {}  # a shallow copy would share the original's
     with pytest.raises(AssertionError, match="marginal mismatch at n=3"):
         joint_census(unit_weights(ff2_census), 5, census=altered)
+    # the packed slots are sized from sigma, not from the totals under check:
+    # slots sized from these totals (10 bits) would carry row 7's largest
+    # count, 2305, and report another sum than the true N_7
+    altered = copy.copy(e32_census)
+    altered.totals = [*e32_census.totals[:7], 1, 1, *e32_census.totals[9:]]
+    altered.joint_censuses = {}
+    true_n7 = kernels.euler_product_series(e32_census.primes, 8)[7]
+    assert true_n7 == 3265
+    with pytest.raises(AssertionError, match=f"marginal mismatch at n=7: {true_n7} != 1"):
+        joint_census(unit_weights(e32_census), 8, census=altered)
 
 
 @st.composite
 def weighted_statistics(draw):
     """X <= 7 and a WeightedAdditive with 1-3 classes per length (counts in
     [0, 2], weights p/q with p in [-3, 3] and q in [1, 6]), plus each
-    length's per-prime weights for the labeled oracle."""
+    length's per-prime weights for the labeled oracle. Some draws are count
+    statistics, one weight for every class (zero and negative included),
+    which joint_census expands as packed rows; the others keep its dicts."""
     X = draw(st.integers(1, 7))
     weight = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 6))
+    if draw(st.booleans()):
+        weight = st.just(draw(weight))
     P, classes, labeled = [0], [()], {}
     for ell in range(1, X + 1):
         parts = draw(st.lists(st.tuples(st.integers(0, 2), weight), min_size=1, max_size=3))
@@ -196,6 +210,17 @@ def test_joint_census_matches_labeled_oracle(case):
         masses[v] = masses.get(v, 0) + c
     total = sum(masses.values())
     assert dict(w_pmf(via_census).atoms) == {v: Fraction(c, total) for v, c in masses.items()}
+
+
+def test_packed_rows_equal_keyed_rows_on_both_sides_of_the_bound(e32_source):
+    for source, X, S in ((e32_source, 120, 242), (builtin_source("FF", q=1024), 70, 702)):
+        cen = build_census(source, X, crosscheck_to=0)
+        assert distribution._slot_bits(cen.sigma, X) == S
+        live = [(ell, cen.primes[ell], Fraction(1)) for ell in range(1, X + 1)]
+        rows = distribution._keyed_rows(live, X, 1)
+        assert distribution._packed_rows(live, X, 1, S) == rows
+        assert [sum(row.values()) for row in rows] == cen.totals
+    assert 242 <= distribution._PACKED_SLOT_BITS < 702
 
 
 def test_joint_census_scales_to_x120(e32_source):
