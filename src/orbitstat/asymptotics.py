@@ -426,8 +426,7 @@ def predict_and_fit(cen, constants, window, precision=128):
     honest about being low-confidence).
     """
     B = constants.B
-    bf = float(B)
-    if bf <= 0:
+    if B <= 0:
         raise ValueError("B > 0 required by the growth law")
     window = sorted(window)
     if window[0] < 1 or window[-1] > cen.X_max:

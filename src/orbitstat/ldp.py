@@ -9,6 +9,7 @@ exponential Chebyshev inequality gives bounds valid at every finite X,
 which the tail reports place alongside exact census tails.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -200,6 +201,27 @@ class TailReport:
     rows: tuple
 
 
+def _screen(atoms, thetas):
+    """Per theta, a float log E[e^(theta W)] from the exact (value, mass)
+    atoms and the magnitude M its error bound scales with (see tail_report).
+
+    log m is taken as log numerator - log denominator, which holds for
+    integers of any size; each term log m + theta y goes through one
+    log-sum-exp shifted by its largest term.
+    """
+    logs = []
+    for y, m in atoms:
+        num, den = math.log(m.numerator), math.log(m.denominator)
+        logs.append((num - den, abs(num) + abs(den), float(y)))
+    screen = []
+    for theta in thetas:
+        terms = [log_m + theta * y for log_m, _, y in logs]
+        top = max(terms)
+        approx = top + math.log(sum(math.exp(t - top) for t in terms))
+        screen.append((approx, max(size + theta * abs(y) for _, size, y in logs) + 2))
+    return screen
+
+
 def tail_report(bc, constants, epsilons, rate, xs=None, precision=128):
     """Exact census tails P[W >= (1+eps) B log X] next to the rate value
     I(1+eps) and an always-valid Chebyshev bound.
@@ -209,15 +231,21 @@ def tail_report(bc, constants, epsilons, rate, xs=None, precision=128):
     refused (the statistic is bounded; there is no meaningful
     large-deviation regime), and so is eps < 0 (below 1 + eps = 1 the upper
     tail tends to 1, so I(1+eps) is no exponent of it).
+
+    The Chebyshev column is chebyshev_bound over the default grid on the
+    plain mpf transform, bit for bit. A float screen of every grid theta
+    keeps only those where the minimum can fall; each kept (window, theta)
+    takes its transform once, one e^(theta y) per value of the window and
+    one log, shared by every eps.
     """
     lam = constants.lam
-    if float(lam) == 1:
+    if lam == 1:
         raise ValueError(
             "growth rate 1: W is eventually constant in distribution and "
             "tails beyond B vanish; no meaningful large-deviation report"
         )
     B = constants.B
-    if float(B) <= 0:
+    if B <= 0:
         raise ValueError("constants.B must be positive")
     epsilons = tuple(epsilons)
     if any(eps < 0 for eps in epsilons):
@@ -227,23 +255,40 @@ def tail_report(bc, constants, epsilons, rate, xs=None, precision=128):
         raise ValueError("window outside census")
     rows = []
     pmfs = [w_pmf(bc, X) for X in xs]
+    float_thetas = [float(theta) for theta in _DEFAULT_THETA_GRID]
     with mp.workprec(precision + 16):
         Bm = to_mpf(B)
         # I(1+eps) does not depend on the window: one evaluation per eps
         rated = [(eps_m, rate.evaluate(1 + eps_m, precision)) for eps_m in map(to_mpf, epsilons)]
-        # e^(theta y) once per grid theta and value y of any window
-        index = {}
-        for pmf in pmfs:
-            for y, _ in pmf.real_atoms(precision):
-                index.setdefault(y, len(index))
         thetas = [to_mpf(theta) for theta in _DEFAULT_THETA_GRID]
-        powers = [_e_powers([theta * y for y in index]) for theta in thetas]
         for X, pmf in zip(xs, pmfs):
             real = pmf.real_atoms(precision)
-            at = [index[y] for y, _ in real]
-            # log E[e^(theta W)] depends on the window only: one log serves every eps
-            log_mgfs = [(theta, mp.log(_mass_sum(real, [power[i] for i in at])))
-                        for theta, power in zip(thetas, powers)]
+            screen = _screen(pmf.atoms, float_thetas)
+            # Screen error. Let c_i = log E[e^(theta_i W)] - theta_i a in exact
+            # arithmetic, on the exact atoms and the mpf threshold a, with n
+            # atoms and M_i = max_y (|log num| + |log den| + theta_i |y|) + 2.
+            # Floats, u = 2^-53: the log of an integer is off by at most
+            # 4u (|log| + 1), so each term log m + theta y is off by 6u M_i, and
+            # the log-sum-exp moves by no more than its worst term. The shift,
+            # exp, n - 1 additions, log and final addition add 3u M_i + nu +
+            # 2u log n; float(a), theta a and the subtraction add u (M_i + log n
+            # + 3 theta |a|). In all |float - c_i| <= u (10 M_i + 4n + 3 theta |a|)
+            # <= 2^-52 (n + 10)(M_i + theta |a|), as M_i >= 2.
+            # mpf, v = 2^-(precision + 16): mass and value conversions round
+            # twice each, theta y once, and log e is off by v, so e^(theta y)
+            # is off by 4.01 v theta |y| relative; exp and mass * power add v
+            # each and the additions of positive terms (n - 1) v. The masses
+            # sum to 1, so |log E| <= theta max|y|; the log, theta a and the
+            # subtraction round once each. Below 37 bits theta itself rounds,
+            # which moves c_i by v theta (max|y| + |a|). In all |mpf - c_i| <=
+            # v (1.01 n + 3.03 + 7.05 theta max|y| + 3 theta |a|)
+            # <= v (n + 10)(M_i + theta |a|).
+            # Both are taken four times over, for second-order terms and
+            # mpmath's last-ulp rounding. Then |float - mpf| <= err_i, so the
+            # theta whose mpf value is least has float - err <= min(float + err).
+            slack = (len(real) + 10) * (2.0**-50 + 2.0 ** -(precision + 14))
+            # log E[e^(theta W)] depends on the window only: one log per kept theta serves every eps
+            log_mgfs = {}
             scale = Bm * mp.log(X)
             for eps_m, rate_value in rated:
                 threshold = +((1 + eps_m) * scale)
@@ -254,7 +299,16 @@ def tail_report(bc, constants, epsilons, rate, xs=None, precision=128):
                 else:
                     log_p = +mp.log(to_mpf(p))
                     normalized = +(-log_p / scale) if scale != 0 else mp.inf
-                cheb = _grid_min(log_mgfs, threshold)
+                a = float(threshold)
+                bounds = [(approx - theta * a, slack * (size + theta * abs(a)))
+                          for (approx, size), theta in zip(screen, float_thetas)]
+                cut = min(c + err for c, err in bounds)
+                kept = [i for i, (c, err) in enumerate(bounds) if c - err <= cut]
+                for i in kept:
+                    if i not in log_mgfs:
+                        powers = _e_powers([thetas[i] * y for y, _ in real])
+                        log_mgfs[i] = mp.log(_mass_sum(real, powers))
+                cheb = _grid_min([(thetas[i], log_mgfs[i]) for i in kept], threshold)
                 rows.append(
                     TailRow(
                         X=X,

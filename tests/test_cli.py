@@ -554,3 +554,13 @@ def test_fmt_number_shapes():
     assert cli.fmt_number(mp.inf) == "inf"
     assert cli.fmt_number(mp.ninf) == "-inf"
     assert cli.fmt_number(mp.mpf("0.5")) == "0.5"
+
+
+@pytest.mark.parametrize("sub", ["ldp", "wdist", "constants", "census", "validate"])
+def test_growth_rate_beyond_float_range_exits_cleanly(capsys, sub):
+    # Lambda = 2^4000 has no float; every comparison on it stays exact
+    code, out, err = run(capsys, sub, "--system", f"builtin:FF,q={2**4000}", "--X", "3")
+    assert code in (0, 2), err
+    assert "internal error" not in err
+    if sub == "ldp":
+        assert code == 0 and out.startswith("X,epsilon,threshold")

@@ -1,7 +1,6 @@
 """Rate functions: closed forms vs the numeric Legendre transform, plus
 Chebyshev bounds that must dominate every exact census tail."""
 
-from collections import Counter
 from fractions import Fraction
 from functools import partial
 
@@ -241,24 +240,43 @@ def test_tail_report_refuses_negative_epsilon(ff2_census):
     assert len(rows) == 1 and rows[0].rate_value == 0
 
 
-def test_tail_report_transforms_each_window_once(ff2_census, monkeypatch):
-    bc = joint_census(unit_weights(ff2_census), 30, census=ff2_census)
-    constants = constants_for(ff2_census.source)
-    xs = (10, 20, 30)
-    # the window supports nest, so the largest one holds every value
-    values = len(w_pmf(bc, xs[-1]).support)
-    # E[e^(theta W)] of every (window, theta), each to be logged once
-    transforms = Counter(oracles.naive_laplace(w_pmf(bc, X).atoms, t, 128) for X in xs for t in _DEFAULT_THETA_GRID)
-    assert len(transforms) == len(xs) * len(_DEFAULT_THETA_GRID) == 120
-    # the number of exponents of each call: every e^t is taken by _e_powers
-    powers = []
+def full_grid_bound(bc, X, threshold, precision=128):
+    """chebyshev_bound over the whole default grid on the plain mpf transform."""
+    mgf = partial(oracles.naive_laplace, w_pmf(bc, X).atoms, precision=precision)
+    return chebyshev_bound(mgf, threshold, _DEFAULT_THETA_GRID, precision)
+
+
+def counting_transforms(monkeypatch, bc, xs, precision=128):
+    """Patch _e_powers to record each transform as its (window, grid index):
+    a call's exponents are theta * y over one window's real atoms."""
+    with mp.workprec(precision + 16):
+        thetas = [to_mpf(theta) for theta in _DEFAULT_THETA_GRID]
+        keys = {}
+        for X in xs:
+            real = w_pmf(bc, X).real_atoms(precision)
+            for i, theta in enumerate(thetas):
+                keys.setdefault(tuple(theta * y for y, _ in real), (X, i))
+    assert len(keys) == len(xs) * len(thetas)
+    transformed = []
     e_powers = distribution._e_powers
 
     def counting_e_powers(exponents):
         exponents = list(exponents)
-        powers.append(len(exponents))
+        transformed.append(keys[tuple(exponents)])
         return e_powers(exponents)
 
+    monkeypatch.setattr(ldp, "_e_powers", counting_e_powers)
+    return transformed
+
+
+def test_tail_report_transforms_each_window_once(ff2_census, monkeypatch):
+    bc = joint_census(unit_weights(ff2_census), 30, census=ff2_census)
+    constants = constants_for(ff2_census.source)
+    xs = (10, 20, 30)
+    # E[e^(theta W)] of every (window, theta), each to be logged at most once
+    transforms = {oracles.naive_laplace(w_pmf(bc, X).atoms, t, 128): (X, i)
+                  for X in xs for i, t in enumerate(_DEFAULT_THETA_GRID)}
+    assert len(transforms) == len(xs) * len(_DEFAULT_THETA_GRID) == 120
     logged = []
     log = mp.log
 
@@ -275,27 +293,34 @@ def test_tail_report_transforms_each_window_once(ff2_census, monkeypatch):
 
     # every value and mass of every window's PMF, each once
     atoms = sorted(x for X in xs for atom in w_pmf(bc, X).atoms for x in atom)
-    monkeypatch.setattr(distribution, "_e_powers", counting_e_powers)
-    monkeypatch.setattr(ldp, "_e_powers", counting_e_powers)
+    transformed = counting_transforms(monkeypatch, bc, xs)
     monkeypatch.setattr(mp, "log", counting_log)
     monkeypatch.setattr(distribution, "to_mpf", counting_to_mpf)
     for epsilons in ((Fraction(1),), (Fraction(1, 2), Fraction(1), Fraction(2))):
-        powers.clear()
+        transformed.clear()
         logged.clear()
         converted.clear()
         rep = tail_report(bc, constants, epsilons, RateFunction.poisson(), xs=xs)
-        # one exponential per (theta, value) for the whole report
-        assert sum(powers) == len(_DEFAULT_THETA_GRID) * values == 40 * 10
-        # one log per (window, theta), whatever the number of eps
-        assert Counter(x for x in logged if x in transforms) == transforms
-        # one real view per window serves all 40 transforms and every eps
+        # each (window, theta) takes e^(theta y) at most once, whatever the number of eps
+        assert len(set(transformed)) == len(transformed)
+        # and one log of its transform, nothing for a theta the screen dropped
+        assert sorted(transforms[x] for x in logged if x in transforms) == sorted(transformed)
+        # the screen drops most of the grid
+        assert len(transformed) <= 2 * len(rep.rows)
+        # one real view per window serves every transform and every eps
         assert sorted(converted) == atoms
     monkeypatch.undo()
     assert len(rep.rows) == 9
+    with mp.workprec(128 + 16):
+        grid = [to_mpf(t) for t in _DEFAULT_THETA_GRID]
+        for X, i in transformed:
+            # e^(theta y) only where the minimum can fall: within the screen's
+            # slack of some row's bound
+            log_m = mp.log(oracles.naive_laplace(w_pmf(bc, X).atoms, grid[i], 128))
+            assert min(log_m - grid[i] * row.threshold - row.chebyshev
+                       for row in rep.rows if row.X == X) < 1e-9
     for row in rep.rows:
-        mgf = partial(oracles.naive_laplace, w_pmf(bc, row.X).atoms, precision=128)
-        expected = chebyshev_bound(mgf, row.threshold, _DEFAULT_THETA_GRID)
-        assert row.chebyshev == expected
+        assert row.chebyshev == full_grid_bound(bc, row.X, row.threshold)
 
 
 @pytest.mark.parametrize(
@@ -374,3 +399,105 @@ def test_tail_report_evaluates_each_rate_once(ff2_census, monkeypatch):
     with mp.workprec(128 + 16):
         expected = [rate.evaluate(1 + to_mpf(eps)) for eps in epsilons]
     assert [row.rate_value for row in rep.rows] == expected * len(xs)
+
+
+@pytest.mark.parametrize(
+    "name,params",
+    [("FF", {"q": 2}), ("E", {"p": 3, "n": 2}), ("GA", {}), ("GM", {})],
+    ids=["FF2", "E32", "GA", "GM"],
+)
+def test_tail_report_matches_naive_oracle_at_low_precision(name, params):
+    # the float screen's slack widens as the mpf transform coarsens; a
+    # negative weight puts every value at or below 0
+    source = builtin_source(name, **params)
+    cen = build_census(source, 40)
+    constants = constants_for(source, cen=cen)
+    epsilons = (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2))
+    weights = (
+        unit_weights(cen),
+        subset_weights(cen, lambda ell: ell % 2 == 0, Fraction(2, 3)),
+        subset_weights(cen, lambda ell: ell % 3 != 0, Fraction(-5, 2)),
+    )
+    for g in weights:
+        bc = joint_census(g, 40, census=cen)
+        windows = [(X, w_pmf(bc, X).atoms) for X in (13, 26, 40)]
+        for precision in (8, 24, 128):
+            rep = tail_report(bc, constants, epsilons, RateFunction.poisson(), precision=precision)
+            got = [
+                (row.X, row.epsilon, row.threshold, row.log_p, row.normalized, row.rate_value, row.chebyshev)
+                for row in rep.rows
+            ]
+            expected = oracles.naive_tail_rows(windows, constants.B, epsilons, _DEFAULT_THETA_GRID, precision)
+            assert [tuple(map(bits, row)) for row in got] == [tuple(map(bits, row)) for row in expected]
+
+
+def as_fraction(x):
+    man, exp = x.man_exp
+    return Fraction(man) * Fraction(2) ** exp
+
+
+def exact_tie(bc, constants, X, eps):
+    """For the grid theta k where the bound at eps falls: k, the eps at
+    which k and k + 1 give equal exact bounds, and the exact log transforms."""
+    with mp.workprec(416):
+        grid = [to_mpf(t) for t in _DEFAULT_THETA_GRID]
+        log_mgfs = [mp.log(oracles.naive_laplace(w_pmf(bc, X).atoms, t, 400)) for t in grid]
+        scale = to_mpf(constants.B) * mp.log(X)
+        k = min(range(len(grid)), key=lambda i: log_mgfs[i] - grid[i] * (1 + eps) * scale)
+        tie_at = (log_mgfs[k + 1] - log_mgfs[k]) / (grid[k + 1] - grid[k])
+        return k, as_fraction(tie_at / scale - 1), log_mgfs
+
+
+def pair_gap(log_mgfs, k, threshold):
+    """Bound at grid theta k minus the bound at k + 1, at the working precision."""
+    grid = [to_mpf(t) for t in _DEFAULT_THETA_GRID]
+    return (log_mgfs[k] - grid[k] * threshold) - (log_mgfs[k + 1] - grid[k + 1] * threshold)
+
+
+def test_tail_report_keeps_both_thetas_of_a_near_tie(ff2_census, monkeypatch):
+    bc = joint_census(unit_weights(ff2_census), 30, census=ff2_census)
+    constants = constants_for(ff2_census.source)
+    cases = 0
+    for X in (10, 20, 30):
+        k, tie_eps, log_mgfs = exact_tie(bc, constants, X, Fraction(1, 2))
+        # either side of the tie, so that one side of it disagrees with the
+        # float screen's own ordering of the pair
+        for offset in (Fraction(1, 10**30), Fraction(-1, 10**30)):
+            transformed = counting_transforms(monkeypatch, bc, (X,))
+            (row,) = tail_report(bc, constants, (tie_eps + offset,), RateFunction.poisson(), xs=(X,)).rows
+            monkeypatch.undo()
+            with mp.workprec(128 + 16):
+                gap = pair_gap(log_mgfs, k, row.threshold)
+            # the two bounds differ by about 1e-30, far below the float screen's resolution
+            assert 0 < abs(gap) < 1e-29 and (gap > 0) == (offset > 0)
+            assert (X, k) in transformed and (X, k + 1) in transformed
+            assert row.chebyshev == full_grid_bound(bc, X, row.threshold)
+            cases += 1
+    assert cases == 6
+
+
+def test_tail_report_keeps_the_low_precision_winner_of_a_near_tie(ff2_census, monkeypatch):
+    # at 8 bits the mpf transform is off by about 1e-7, so near a tie it can
+    # order the pair against the exact values the float screen approximates
+    bc = joint_census(unit_weights(ff2_census), 30, census=ff2_census)
+    constants = constants_for(ff2_census.source)
+    precision = 8
+    reversed_pairs = 0
+    for X in (10, 20, 30):
+        k, tie_eps, exact = exact_tie(bc, constants, X, Fraction(1))
+        with mp.workprec(precision + 16):
+            coarse = [mp.log(oracles.naive_laplace(w_pmf(bc, X).atoms, t, precision)) for t in _DEFAULT_THETA_GRID]
+        for step in range(-40, 41, 4):
+            eps = tie_eps + Fraction(step, 2**27)
+            transformed = counting_transforms(monkeypatch, bc, (X,), precision)
+            (row,) = tail_report(bc, constants, (eps,), RateFunction.poisson(), xs=(X,), precision=precision).rows
+            monkeypatch.undo()
+            with mp.workprec(precision + 16):
+                coarse_gap = pair_gap(coarse, k, row.threshold)
+            with mp.workprec(416):
+                exact_gap = pair_gap(exact, k, row.threshold)
+            if (coarse_gap > 0) != (exact_gap > 0):
+                reversed_pairs += 1
+                assert (X, k) in transformed and (X, k + 1) in transformed
+            assert row.chebyshev == full_grid_bound(bc, X, row.threshold, precision)
+    assert reversed_pairs > 0
