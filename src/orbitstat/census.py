@@ -82,8 +82,13 @@ class OrbitCensus:
         alt = kernels.euler_product_series(self.primes[: up_to + 1], up_to)
         for n in range(up_to + 1):
             if alt[n] != self.totals[n]:
+                # sizes, not decimals: a count past Python's digit limit
+                # would turn this report into a ValueError
                 raise AssertionError(
-                    f"orbit-count routes disagree at n={n}: {self.totals[n]} vs {alt[n]}"
+                    f"orbit-count routes disagree at n={n}: the exponential route gives "
+                    f"{self.totals[n].bit_length()} bits, the Euler product "
+                    f"{alt[n].bit_length()} bits, differing by a "
+                    f"{(self.totals[n] - alt[n]).bit_length()}-bit amount"
                 )
         return True
 

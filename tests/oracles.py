@@ -9,6 +9,7 @@ the small sizes where it is feasible.
 
 from fractions import Fraction
 from itertools import permutations
+from math import comb
 
 import mpmath as mp
 from numpy.random import Generator, Philox
@@ -185,6 +186,18 @@ def oracle_mertens_mpf(P, lam, X, precision):
             if P[ell]:
                 acc += P[ell] * lam ** (-ell)
         return +acc
+
+
+def binomial_factor_multiply(coeffs, ell, count, X):
+    """coeffs times (1 - z^ell)^(-count) to degree X, each term of the
+    factor's series taken from math.comb."""
+    out = []
+    for n in range(X + 1):
+        acc = coeffs[n]
+        for m in range(1, n // ell + 1):
+            acc += comb(count + m - 1, m) * coeffs[n - ell * m]
+        out.append(acc)
+    return out
 
 
 def random_sigma_table(rng, X):

@@ -112,6 +112,17 @@ def test_orbit_count_routes_agree(ff2_census, e32_census):
         assert cen.totals == kernels.exp_logderiv_series(cen.sigma, cen.X_max)
 
 
+def test_verify_euler_reports_counts_past_the_digit_limit(monkeypatch):
+    # FF(2^64) at X=300 has 19201-bit totals, more digits than str() of an
+    # int allows by default: a product off by one at n = X still raises the
+    # AssertionError, reporting sizes instead of decimals
+    cen = build_census(builtin_source("FF", q=2**64), 300, crosscheck_to=0)
+    off = [*cen.totals[:-1], cen.totals[-1] + 1]
+    monkeypatch.setattr(kernels, "euler_product_series", lambda P, X: off[: X + 1])
+    with pytest.raises(AssertionError, match=r"at n=300: .* 19201 bits, .* 19201 bits, differing by a 1-bit"):
+        cen.verify_euler()
+
+
 def test_totals_match_brute_enumeration(e32_census):
     P = {ell: e32_census.primes[ell] for ell in range(1, 7)}
     results = oracles.brute_enumerate(P, 6)

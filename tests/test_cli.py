@@ -220,6 +220,22 @@ def test_expands_the_euler_product_once(capsys, monkeypatch, sub, lines, fault):
     assert err.startswith(f"internal error: AssertionError: {fault}")
 
 
+def test_a_failed_cross_check_on_long_counts_exits_1(capsys, monkeypatch):
+    # constants at X=300 cross-checks FF(2^64) to n=256, a 16385-bit count
+    # past Python's digit limit: the failed check is an internal error, exit 1
+    source = builtin_source("FF", q=2**64)
+
+    def off_by_one(P, X):
+        totals = kernels.exp_logderiv_series(systems.sigma_table(source, X), X)
+        totals[X] += 1
+        return totals
+
+    monkeypatch.setattr(kernels, "euler_product_series", off_by_one)
+    code, out, err = run(capsys, "constants", "--system", f"builtin:FF,q={2**64}", "--X", "300")
+    assert code == 1 and out == ""
+    assert err.startswith("internal error: AssertionError: orbit-count routes disagree at n=256:")
+
+
 def test_sample_bit_budget_refuses_before_the_census(capsys, monkeypatch):
     # X = 1024 passes --X, but q = 2^20 makes every table entry 20 times wider
     calls = []

@@ -1,12 +1,17 @@
-"""The series kernels: known values, realizability errors, and the
-exponential route against the Euler product on random realizable tables."""
+"""The series kernels: known values, realizability errors, both expansions
+of an Euler factor against a math.comb oracle, and the exponential route
+against the Euler product on random realizable tables."""
 
 import random
+from itertools import accumulate
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitstat import kernels
 
+import oracles
 from oracles import random_sigma_table
 
 
@@ -40,10 +45,33 @@ def test_inverse_factor_multiply_is_a_geometric_factor():
     assert out == [1, 0, 3, 0, 6, 0, 10]
 
 
-def test_inverse_factor_multiply_matches_euler_product():
-    P = [0, 2, 1, 2, 3, 0, 1]
-    X = 6
-    coeffs = [1] + [0] * X
-    for ell in range(1, X + 1):
-        coeffs = kernels.inverse_factor_multiply(coeffs, ell, P[ell], X)
-    assert coeffs == kernels.euler_product_series(P, X)
+COEFFICIENT = st.one_of(st.just(0), st.integers(-1000, 1000), st.integers(2**200, 2**260))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), X=st.integers(0, 48))
+def test_inverse_factor_multiply_matches_the_binomial_oracle(data, X):
+    # both expansions against math.comb term by term; the counts either side
+    # of prefix_route_max show which route ran through the running-sum calls
+    ell = data.draw(st.integers(1, X + 2), label="ell")
+    coeffs = data.draw(st.lists(COEFFICIENT, min_size=X + 1, max_size=X + 3), label="coeffs")
+    limit = kernels.prefix_route_max(ell, X)
+    count = data.draw(st.sampled_from([0, 1, 2, limit, limit + 1, 2**64]), label="count")
+    sums = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernels, "accumulate", lambda seq: sums.append(seq) or accumulate(seq))
+        out = kernels.inverse_factor_multiply(coeffs, ell, count, X)
+    assert out == oracles.binomial_factor_multiply(coeffs, ell, count, X)
+    # one running sum per residue class and division, none on the binomial route
+    assert len(sums) == (count * ell if 1 <= count <= limit else 0)
+    with pytest.raises(ValueError):
+        kernels.inverse_factor_multiply(coeffs, ell, -1, X)
+
+
+def test_prefix_route_is_bounded():
+    # a short length with a small count takes the prefix sums; the limit is
+    # at most 4 X / ell, so a count of 2^64 never does
+    assert kernels.prefix_route_max(1, 48) >= 2
+    assert kernels.prefix_route_max(49, 48) == 0
+    assert all(kernels.prefix_route_max(ell, X) <= 4 * X // ell
+               for X in (0, 1, 48, 512, 10**6) for ell in (1, 2, 7, X + 1))

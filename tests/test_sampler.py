@@ -9,7 +9,7 @@ import sys
 import threading
 import weakref
 from fractions import Fraction
-from itertools import chain, zip_longest
+from itertools import accumulate, chain, zip_longest
 from math import sqrt
 
 import pytest
@@ -31,6 +31,7 @@ from orbitstat import (
     write_samples_csv,
 )
 
+from orbitstat import kernels
 from orbitstat import sampler as sampler_module
 
 import oracles
@@ -235,6 +236,21 @@ def test_sampler_tables_cross_check(ff2_census):
     # kept on the census: same object on repeat, separate per X
     assert sampler_for(ff2_census, 20) is sampler is ff2_census.samplers[20]
     assert sampler_for(ff2_census, 10) is not sampler
+
+
+@pytest.mark.parametrize("key, X, prefix", [("table", 60, True), ("FF(2^64)", 12, False)])
+def test_sampler_tables_on_both_routes(monkeypatch, key, X, prefix):
+    # a seeded table (P_ell < 12) divides its short factors out by running
+    # sums; every factor of FF(2^64) is past prefix_route_max
+    if key == "table":
+        source = table_source(oracles.random_sigma_table(random.Random(3), X)[0][1:])
+    else:
+        source = builtin_source("FF", q=2**64)
+    cen = build_census(source, X, crosscheck_to=0)
+    sums = []
+    monkeypatch.setattr(kernels, "accumulate", lambda seq: sums.append(seq) or accumulate(seq))
+    assert sampler_for(cen, X).grand_total == cen.count_orbits(X)
+    assert bool(sums) == prefix
 
 
 def test_a_sampled_census_is_freed(e32_source):
