@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from orbitstat import asymptotics, distribution, ldp, sampler, systems
+from orbitstat import asymptotics, distribution, kernels, ldp, sampler, systems
 from orbitstat.census import build_census
 
 SCHEMA = "orbitstat/1"
@@ -242,29 +242,13 @@ def _refuse_long_integers(config, squared=False):
     """Refuse, before the census is built, integers with more digits than
     Python writes out. Those printed are at most max(sigma_k, N(X)), or
     X^2 N(X)^2 when squared (a PMF variance's denominator divides N(X)^2);
-    as the N_n are the coefficients of exp(sum_k sigma_k z^k / k), log N(X)
-    <= sum_{k<=X} sigma_k z^k / k - X log z for every 0 < z <= 1, least
-    where sum_k sigma_k z^k = X."""
+    N(X) is bounded from sigma alone by kernels.log_count_bound."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
     sigma = systems.sigma_table(config.source, config.X) if limit and config.X else []
-    logs = [(k, math.log(s)) for k, s in enumerate(sigma) if s]
-    if not logs:
+    if not any(sigma):
         return
-
-    def log_sum(lz, per_k=False):
-        """log sum_k sigma_k e^(k lz), each term over k when per_k."""
-        terms = [ls + k * lz - (math.log(k) if per_k else 0) for k, ls in logs]
-        top = max(terms)
-        return top + math.log(sum(math.exp(t - top) for t in terms))
-
-    log_x = math.log(config.X)
-    lo, hi = -max(ls / k for k, ls in logs) - 1, 0.0  # sum_k sigma_k e^(k lo) < 1
-    if log_sum(hi) > log_x:
-        for _ in range(40):
-            mid = (lo + hi) / 2
-            lo, hi = (lo, mid) if log_sum(mid) > log_x else (mid, hi)
-    nats = max(math.exp(log_sum(hi, per_k=True)) - config.X * hi, max(ls for _, ls in logs))
-    digits = int((2 * (nats + log_x) if squared else nats) / math.log(10)) + 1
+    nats = max(kernels.log_count_bound(sigma, config.X), math.log(max(sigma)))
+    digits = int((2 * (nats + math.log(config.X)) if squared else nats) / math.log(10)) + 1
     if digits > limit:
         raise CliError(
             f"output integers could have up to {digits} decimal digits at --X {config.X}, more than "

@@ -14,20 +14,23 @@ For a count statistic (at most one nonzero weight, as for unit and subset
 weights) the product is expanded by Kronecker substitution along u: row n
 is one integer sum_d c_(n,d) 2^(S d), d the number of distinct primes, so
 a factor term costs one multiply, shift and add. The slot width S comes
-from the Dold bound N_n <= s^n, s = max_k sigma_k^(1/k), never from the
-counts the rows are checked against. Slots wider than the measured
-crossover, and statistics with several nonzero weights, keep one
-{key: count} dict per row.
+from sigma, never from the counts the rows are checked against: the
+smaller of the Dold bound N_n <= s^n, s = max_k sigma_k^(1/k), and the
+saddle-point bound on N(X). Slots wider than the measured crossover, and
+statistics with several nonzero weights, keep one {key: count} dict per
+row. Either way the classes are multiplied in one 2-adic level at a
+time, as the Euler product is (kernels.two_adic_product).
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from math import comb, floor, lcm, log2
+from math import comb, floor, lcm, log, log2
 
 import mpmath as mp
 from mpmath.libmp import fzero, mpf_add, mpf_e, mpf_exp, mpf_log, mpf_mul, round_nearest
 
+from orbitstat.kernels import log_count_bound, two_adic_product
 from orbitstat.polyops import to_mpf
 
 
@@ -225,10 +228,13 @@ def joint_census(g, X, census):
 
     Statistic values are kept as integer keys: every weight is scaled by D,
     the lcm of the weight denominators over the classes with count > 0, so
-    a key is D times its value. Each class updates one list of per-length
+    a key is D times its value. The classes go in by kernels.two_adic_product:
+    a class of length ell = 2^j * odd runs as one of length odd on the rows
+    of level j, lengths 0..X >> j in z^(2^j), since its factor terms
+    depend only on (ell, count, weight). Each class updates its level's
     rows in place, lengths descending (a row is read before any lower row
     writes into it), and stops at the first factor degree that overshoots
-    X. A count statistic, whose live classes carry at most one nonzero
+    the level. A count statistic, whose live classes carry at most one nonzero
     weight, packs each row into one integer (_packed_rows) when its slot
     width is at most _PACKED_SLOT_BITS; any other statistic keeps one dict
     per row (_keyed_rows). Both give the same rows. Each row's total over
@@ -279,37 +285,41 @@ def _factor_terms(ell, count, weight, X):
 
 def _keyed_rows(live, X, D):
     """The rows as {statistic key: count} dicts, for any weights."""
-    rows = [{} for _ in range(X + 1)]
-    rows[0][0] = 1
-    for ell, count, weight in live:
+
+    def multiply(rows, ell, count, weight, top):
         key = weight.numerator * (D // weight.denominator)
-        factor = [(deg, d * key, mult) for deg, d, mult in _factor_terms(ell, count, weight, X)]
-        for n in range(X - ell, -1, -1):
+        factor = [(deg, d * key, mult) for deg, d, mult in _factor_terms(ell, count, weight, top)]
+        for n in range(top - ell, -1, -1):
             row = rows[n]
             if not row:
                 continue
             for deg, step, mult in factor:
-                if n + deg > X:
+                if n + deg > top:
                     break
                 target = rows[n + deg]
                 get = target.get
                 for v, c in row.items():
                     target[v + step] = get(v + step, 0) + c * mult
-    return rows
+        return rows
+
+    return two_adic_product(X, live, {0: 1}, dict, multiply)
 
 
 def _slot_bits(sigma, X):
     """A slot width S with every count of length n <= X below 2^S.
 
     The product is exp(sum sigma_k z^k / k) with every sigma_k >= 0 (the
-    Dold check the census passed), so it is coefficientwise at most
-    1/(1 - s z) with s = max_{k <= X} sigma_k^(1/k), and a count of length
-    n is at most s^n <= s^X. The extra bit absorbs float rounding in log2.
-    S is taken from sigma, never from the totals the rows are checked
-    against: a wrong total cannot narrow the slots.
+    Dold check the census passed). It is coefficientwise at most
+    1/(1 - s z) with s = max_{k <= X} sigma_k^(1/k), so a count of length
+    n is at most s^n <= s^X (the Dold width; the extra bit absorbs float
+    rounding in log2). A count is also at most N(X), so at most
+    e^log_count_bound, whose float slack is part of the bound. S is the
+    smaller width: Dold is the tighter on FF(q), E(p,n) and GA, the
+    saddle bound on GM. Both come from sigma, never from the totals the
+    rows are checked against: a wrong total cannot narrow the slots.
     """
     top = max((log2(sigma[k]) / k for k in range(1, X + 1) if sigma[k]), default=0.0)
-    return floor(X * top) + 2
+    return min(floor(X * top) + 2, floor(log_count_bound(sigma, X) / log(2)) + 1)
 
 
 def _packed_rows(live, X, D, S):
@@ -319,21 +329,21 @@ def _packed_rows(live, X, D, S):
     (row * mult) << (d S), shift 0 for a zero-weight class. S from
     _slot_bits keeps every slot below 2^S, so no slot carries into the
     next; each row is then unpacked into {d * key: count}."""
-    rows = [0] * (X + 1)
-    rows[0] = 1
-    key = 0
-    for ell, count, weight in live:
-        if weight:
-            key = weight.numerator * (D // weight.denominator)
-        factor = [(deg, d * S, mult) for deg, d, mult in _factor_terms(ell, count, weight, X)]
-        for n in range(X - ell, -1, -1):
+
+    def multiply(rows, ell, count, weight, top):
+        factor = [(deg, d * S, mult) for deg, d, mult in _factor_terms(ell, count, weight, top)]
+        for n in range(top - ell, -1, -1):
             row = rows[n]
             if not row:
                 continue
             for deg, shift, mult in factor:
-                if n + deg > X:
+                if n + deg > top:
                     break
                 rows[n + deg] += (row * mult) << shift
+        return rows
+
+    rows = two_adic_product(X, live, 1, int, multiply)
+    key = next((weight.numerator * (D // weight.denominator) for _, _, weight in live if weight), 0)
     mask = (1 << S) - 1
     unpacked = []
     for row in rows:

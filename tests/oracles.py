@@ -9,7 +9,7 @@ the small sizes where it is feasible.
 
 from fractions import Fraction
 from itertools import permutations
-from math import comb
+from math import comb, lcm
 
 import mpmath as mp
 from numpy.random import Generator, Philox
@@ -357,6 +357,33 @@ def brute_weighted_census(weights, X):
 
     walk(0, 0, Fraction(0))
     return results
+
+
+def ascending_joint_rows(classes, X):
+    """(D, rows) of the joint census of a strongly additive statistic up to
+    length X: rows[n] maps D * value to the number of orbits of length n
+    with that value, D the lcm of the live weights' denominators.
+
+    classes[ell] lists the (count, weight) classes of length ell. The
+    factors (1 + u_w z^ell/(1 - z^ell))^count go in by ascending ell on
+    one dict per length, lengths descending; a term uses d distinct primes
+    of a class with total multiplicity k, C(count, d) C(k-1, d-1) ways, at
+    degree ell*k and value d*w. Zero-weight terms are not merged.
+    """
+    live = [(ell, count, w) for ell in range(1, X + 1) for count, w in classes[ell] if count]
+    D = lcm(*(w.denominator for _, _, w in live))
+    rows = [{} for _ in range(X + 1)]
+    rows[0][0] = 1
+    for ell, count, w in live:
+        key = w.numerator * (D // w.denominator)
+        terms = [(ell * k, d * key, comb(count, d) * comb(k - 1, d - 1))
+                 for k in range(1, X // ell + 1) for d in range(1, min(k, count) + 1)]
+        for n in range(X - ell, -1, -1):
+            for deg, step, mult in terms:
+                if n + deg <= X:
+                    for v, c in rows[n].items():
+                        rows[n + deg][v + step] = rows[n + deg].get(v + step, 0) + c * mult
+    return D, rows
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import copy
 import random
 from fractions import Fraction
+from math import floor, log2
 
 import mpmath as mp
 import pytest
@@ -16,6 +17,7 @@ from orbitstat import (
     build_census,
     builtin_source,
     expected_w,
+    fad_source,
     joint_census,
     rho_measure,
     subset_weights,
@@ -25,6 +27,7 @@ from orbitstat import (
 )
 
 import oracles
+from test_systems import diagonal_specs, padic_product_forms
 
 
 # -- DiscreteMeasure ------------------------------------------------------------
@@ -212,6 +215,34 @@ def test_joint_census_matches_labeled_oracle(case):
     assert dict(w_pmf(via_census).atoms) == {v: Fraction(c, total) for v, c in masses.items()}
 
 
+def three_statistics(cen):
+    """Unit weights and subset weights (5/2 on lengths divisible by 3), both
+    packed rows, and the two-weight statistic (1 on odd lengths, 2 on even
+    ones), which keeps the dict rows."""
+    P = tuple(cen.primes)
+    two = WeightedAdditive(P, ((),) + tuple(((P[ell], Fraction(2 - ell % 2)),) for ell in range(1, len(P))))
+    return unit_weights(cen), subset_weights(cen, lambda ell: ell % 3 == 0, Fraction(5, 2)), two
+
+
+@pytest.mark.parametrize("name,params", [("FF", {"q": 2}), ("E", {"p": 3, "n": 2}), ("GA", {}), ("GM", {})])
+def test_joint_census_matches_the_ascending_oracle_on_builtins(name, params):
+    cen = build_census(builtin_source(name, **params), 60, crosscheck_to=0)
+    for X in (1, 2, 7, 8, 40, 60):
+        for g in three_statistics(cen):
+            bc = joint_census(g, X, census=cen)
+            assert (bc.D, list(bc.rows)) == oracles.ascending_joint_rows(g.classes, X)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(diagonal_specs().map(lambda case: case[0]), padic_product_forms()), st.integers(1, 40))
+def test_joint_census_matches_the_ascending_oracle_on_generated_forms(spec, X):
+    # the realizable product forms test_systems generates for its censuses
+    cen = build_census(fad_source(spec), X, crosscheck_to=0)
+    for g in three_statistics(cen):
+        bc = joint_census(g, X, census=cen)
+        assert (bc.D, list(bc.rows)) == oracles.ascending_joint_rows(g.classes, X)
+
+
 def test_packed_rows_equal_keyed_rows_on_both_sides_of_the_bound(e32_source):
     for source, X, S in ((e32_source, 120, 242), (builtin_source("FF", q=1024), 70, 702)):
         cen = build_census(source, X, crosscheck_to=0)
@@ -221,6 +252,24 @@ def test_packed_rows_equal_keyed_rows_on_both_sides_of_the_bound(e32_source):
         assert distribution._packed_rows(live, X, 1, S) == rows
         assert [sum(row.values()) for row in rows] == cen.totals
     assert 242 <= distribution._PACKED_SLOT_BITS < 702
+
+
+@pytest.mark.parametrize("X", [60, 200])
+def test_slot_width_is_the_smaller_of_the_dold_and_saddle_bounds(X):
+    # the saddle-point bound on N(X) is the tighter on GM, within 1.15x its
+    # largest count; the Dold width s^X stays on FF(q), E(3,2) and GA
+    for name, params in (("GM", {}), ("FF", {"q": 2}), ("E", {"p": 3, "n": 2}), ("GA", {}), ("FF", {"q": 1024})):
+        cen = build_census(builtin_source(name, **params), X, crosscheck_to=0)
+        S = distribution._slot_bits(cen.sigma, X)
+        widest = max(n.bit_length() for n in cen.totals)
+        dold = floor(X * max(log2(s) / k for k, s in enumerate(cen.sigma) if s)) + 2
+        assert widest < S
+        if name != "GM":
+            assert S == dold
+            continue
+        assert S <= 1.15 * widest < dold
+        g = unit_weights(cen)
+        assert (1, list(joint_census(g, X, census=cen).rows)) == oracles.ascending_joint_rows(g.classes, X)
 
 
 def test_joint_census_scales_to_x120(e32_source):

@@ -1,6 +1,7 @@
 """The series kernels: known values, realizability errors, both expansions
-of an Euler factor against a math.comb oracle, and the exponential route
-against the Euler product on random realizable tables."""
+of an Euler factor against a math.comb oracle, the level-by-level Euler
+product against the factors multiplied in ascending length, and the
+exponential route against the Euler product on random realizable tables."""
 
 import random
 from itertools import accumulate
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitstat import kernels
+from orbitstat import build_census, builtin_source, kernels
 
 import oracles
 from oracles import random_sigma_table
@@ -75,3 +76,33 @@ def test_prefix_route_is_bounded():
     assert kernels.prefix_route_max(49, 48) == 0
     assert all(kernels.prefix_route_max(ell, X) <= 4 * X // ell
                for X in (0, 1, 48, 512, 10**6) for ell in (1, 2, 7, X + 1))
+
+
+@pytest.mark.parametrize("X", range(81))
+@settings(max_examples=2, deadline=None)
+@given(counts=st.lists(st.sampled_from([0, 1, 2, 7, 2**64]), min_size=83, max_size=83))
+def test_euler_product_matches_the_ascending_binomial_oracle(X, counts):
+    # every X to 80, so 0, 1, 2^k - 1 and 2^k are all met; P shorter than,
+    # as long as and longer than X + 1. Multiplying the factors in ascending
+    # length, the product after ell is that of P[:ell + 1]
+    P = [0, *counts]
+    short = X // 2
+    product = [1] + [0] * X
+    for ell in range(X + 1):
+        if ell:
+            product = oracles.binomial_factor_multiply(product, ell, P[ell], X)
+        if ell == max(short - 1, 0):
+            assert kernels.euler_product_series(P[:short], X) == product
+    assert kernels.euler_product_series(P[: X + 1], X) == product
+    assert kernels.euler_product_series(P, X) == product
+
+
+@pytest.mark.parametrize("X_max, crosscheck_to", [(40, 256), (40, 40), (40, 17), (40, 0)])
+def test_census_build_expands_the_euler_product_once(monkeypatch, X_max, crosscheck_to):
+    # one call to the full cross-check degree: no call per level or factor
+    calls = []
+    real = kernels.euler_product_series
+    monkeypatch.setattr(kernels, "euler_product_series", lambda P, X: calls.append((len(P), X)) or real(P, X))
+    build_census(builtin_source("E", p=3, n=2), X_max, crosscheck_to=crosscheck_to)
+    up_to = min(X_max, crosscheck_to)
+    assert calls == ([(up_to + 1, up_to)] if up_to else [])
