@@ -33,16 +33,13 @@ from orbitstat.census import (
 )
 from orbitstat.asymptotics import (
     AsymptoticConstants,
-    ca_cesaro,
     ca_log_weighted_sum,
     cesaro_empirical,
     cesaro_exact_fad,
     constants_for,
-    elliptic_constants,
     fad_class_mean,
-    ga_constants,
+    growth_law,
     lambda1_analysis,
-    predict_and_fit,
     qp_product,
 )
 from orbitstat.distribution import (
@@ -96,16 +93,13 @@ __all__ = [
     "build_census",
     "prime_counts",
     "AsymptoticConstants",
-    "ca_cesaro",
     "ca_log_weighted_sum",
     "cesaro_empirical",
     "cesaro_exact_fad",
     "constants_for",
-    "elliptic_constants",
     "fad_class_mean",
-    "ga_constants",
+    "growth_law",
     "lambda1_analysis",
-    "predict_and_fit",
     "qp_product",
     "BivariateCensus",
     "DiscreteMeasure",

@@ -1,12 +1,13 @@
-"""Cesaro means, asymptotic constants, and growth-law predictions.
+"""Cesaro means, the growth law's constants, and the Lambda = 1 branch.
 
 The normalized sequence b_k = sigma_k / Lambda^k has a Cesaro mean B, and
 the cumulative orbit count obeys N(X) = (C/Gamma(B)) Lambda^X X^(B-1)
-(1 + O(1/log X)) while the Mertens sum grows like B log X. This module
-computes B three ways (empirical partial sums, exact class sums for
-product-form sigma, closed forms for the worked examples), assembles C
-where a closed form exists, handles the rational-zeta Lambda = 1 branch,
-and fits census data against the growth law.
+(1 + O(1/log X)) while the Mertens sum grows like B log X. growth_law
+gives B and Lambda by one route per kind of source: empirical partial sums
+for raw tables, exact class sums for every product form (the rational-zeta
+Lambda = 1 branch aside). constants_for adds C: a closed form where a
+builtin name or growth rate 1 supplies one, a fit against the census
+otherwise.
 """
 
 import math
@@ -48,7 +49,7 @@ class TruncatedSum:
 
 @dataclass(frozen=True)
 class AsymptoticConstants:
-    """(B, C, Lambda) with provenance per field.
+    """(B, C, Lambda) with provenance per field; growth_law leaves C None.
 
     Provenance tags: exact-closed-form | series-truncation | empirical-fit.
     tail_bounds carries truncation bounds for series-truncation entries.
@@ -71,7 +72,8 @@ def cesaro_empirical(source, lam, X, precision=128):
     GrowthRate.inverse_power_sums.
 
     Rational lam accumulates exactly (one rounding at the end); otherwise
-    mpf accumulation at elevated working precision.
+    mpf accumulation at elevated working precision. A growth rate <= 0 is
+    refused.
     """
     if X < 1:
         raise ValueError("X >= 1 required")
@@ -79,6 +81,8 @@ def cesaro_empirical(source, lam, X, precision=128):
         if not isinstance(lam, systems.GrowthRate):
             exact = Fraction(lam) if isinstance(lam, (int, Fraction)) else None
             lam = systems.GrowthRate(value=to_mpf(lam), exact=exact)
+        if not lam.value > 0:
+            raise ValueError(f"growth rate must be positive, got {lam.value}")
         total = lam.inverse_power_sums(systems.sigma_table(source, X), precision)[X]
         if lam.exact is not None:
             return +to_mpf(Fraction(total, lam.exact.numerator**X * X))
@@ -144,25 +148,31 @@ def fad_class_mean(spec, precision=128):
         v = p_valuation(L0, fp.p)
         mps[fp.p] = v
         Lp //= fp.p**v
+    # residues with the same r_a and the same local factors make one term:
+    # count them, then evaluate each distinct term once
+    counts = {}
+    for a in range(L0):
+        k0 = a if a >= 1 else L0
+        factors = []
+        for fp in spec.primes:
+            m_p = mps[fp.p]
+            if m_p > 0 and a % (fp.p**m_p) != 0:
+                # the residue pins v_p(k) below m_p
+                w_forced = p_valuation(a, fp.p)
+            else:
+                w_forced = None
+            factors.append((fp.p, m_p, w_forced, int(fp.s.at(k0)), int(fp.t.at(k0))))
+        key = (spec.r.at(k0), tuple(factors))
+        counts[key] = counts.get(key, 0) + 1
     total = Fraction(0)
     tail_total = mp.mpf(0)
     with mp.workprec(precision + 32):
-        for a in range(L0):
-            k0 = a if a >= 1 else L0
-            r_a = spec.r.at(k0)
-            weight = Fraction(1, Lp) * r_a
+        for (r_a, factors), count in counts.items():
+            weight = Fraction(count, Lp) * r_a
             locals_val = Fraction(1)
             locals_tail = mp.mpf(0)
-            for fp in spec.primes:
-                m_p = mps[fp.p]
-                if m_p > 0 and a % (fp.p**m_p) != 0:
-                    # the residue pins v_p(k) below m_p
-                    w_forced = p_valuation(a, fp.p)
-                else:
-                    w_forced = None
-                g_val, g_tail = _local_factor(
-                    fp.p, m_p, w_forced, int(fp.s.at(k0)), int(fp.t.at(k0))
-                )
+            for factor in factors:
+                g_val, g_tail = _local_factor(*factor)
                 # product tail: every factor is <= 1, so dropped mass adds
                 locals_tail = locals_tail + g_tail
                 locals_val *= g_val
@@ -237,57 +247,10 @@ def qp_product(x, p, tol=None, precision=128):
         return +acc
 
 
-def elliptic_constants(p, n, precision=128):
-    """(B, C) for sigma_k = (n^k - 1)^2 |n^k - 1|_p at an odd prime p.
-
-    With d the order of n mod p and e = v_p(n^d - 1):
-      B = 1 - (1/d)(1 - p/(p^e (p+1)))
-    and C is the five-factor product involving Q_p(n^d). When p divides n
-    the p-adic factor is trivial and (B, C) = (1, n^2/(n+1)^2) exactly.
-    """
-    if p == 2:
-        raise ValueError("p = 2 unsupported (exponent lifting differs in characteristic 2)")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if n < 2:
-        raise ValueError("n >= 2 required")
-    lam = Fraction(n * n)
-    if n % p == 0:
-        return AsymptoticConstants(
-            B=Fraction(1),
-            C=Fraction(n * n, (n + 1) * (n + 1)),
-            lam=lam,
-            provenance={"B": "exact-closed-form", "C": "exact-closed-form", "lambda": "exact-closed-form"},
-        )
-    d, e = lte_params(n, p)
-    B = 1 - Fraction(1, d) * (1 - Fraction(p, p**e * (p + 1)))
-    with mp.workprec(precision + 32):
-        def powf(base, expo):
-            return to_mpf(base) ** to_mpf(expo)
-
-        qtol = mp.mpf(2) ** (-(precision + 8))
-        q_val = qp_product(Fraction(n**d), p, tol=qtol, precision=precision + 16)
-        f1 = powf(Fraction(d), Fraction(1, d) * (1 - Fraction(1, p ** (e - 1) * (p + 1))))
-        f2 = powf(Fraction(p), Fraction(p ** max(2 - e, 0), d * p ** max(e - 2, 0) * (p - 1) * (p + 1) ** 2))
-        f3 = powf(Fraction(n**d + 1, n**d - 1), Fraction(1, d) * (1 - Fraction(1, p ** (e - 1))))
-        f4 = Fraction(n, n + 1) ** 2
-        f5 = q_val ** (mp.mpf(p - 1) / (d * p**e))
-        C = +(f1 * f2 * f3 * to_mpf(f4) * f5)
-        cbound = +(C * qtol)  # relative Q tail propagates linearly in log C
-    return AsymptoticConstants(
-        B=B,
-        C=C,
-        lam=lam,
-        provenance={"B": "exact-closed-form", "C": "series-truncation", "lambda": "exact-closed-form"},
-        tail_bounds={"C": cbound},
-    )
-
-
-def _ca_double_sum(p, t, term_weight):
-    """((p-1)/period) sum_a sum_j term_weight(j) p^(-1-j-t_a p^j) exactly.
-
-    Weighted variant of the cellular-automaton Cesaro sum; term_weight maps
-    j to a non-negative rational. Terms beyond the exponent cap are dropped
+def ca_log_weighted_sum(p, t):
+    """((p-1)/period) sum_a sum_j j p^(-1-j-t_a p^j) exactly, up to a
+    bounded tail: the companion sum A entering the constant C = p^(1 + B - A)
+    of the automaton example. Terms beyond the exponent cap are dropped
     into the tail bound.
     """
     if not is_prime(p):
@@ -305,60 +268,43 @@ def _ca_double_sum(p, t, term_weight):
         if t_a < 0:
             raise ValueError("t must be non-negative")
         if t_a == 0:
-            if term_weight == "one":
-                total += Fraction(1, p - 1)  # sum_j p^(-1-j)
-            else:
-                total += Fraction(1, (p - 1) ** 2)  # sum_j j p^(-1-j)
+            total += Fraction(1, (p - 1) ** 2)  # sum_j j p^(-1-j)
             continue
         j = 0
         while True:
             exponent = 1 + j + t_a * p**j
             if exponent > _EXPONENT_CAP:
-                # dropped mass: sum_{j'>=j} w(j') p^(-1-j'-t_a p^j') with
-                # w(j') in {1, j'} is under p^(-j-t_a p^j) * 4 (j+1)
+                # dropped mass: sum_{j'>=j} j' p^(-1-j'-t_a p^j') is under
+                # p^(-j-t_a p^j) * 4 (j+1)
                 tail += mp.mpf(p) ** (-(j + t_a * p**j)) * (4 * (j + 1))
                 break
-            coef = Fraction(1) if term_weight == "one" else Fraction(j)
-            total += coef * Fraction(1, p**exponent)
+            total += Fraction(j, p**exponent)
             j += 1
     scale = Fraction(p - 1, w)
     return TruncatedSum(scale * total, +(tail * mp.mpf(p - 1) / w))
 
 
-def ca_cesaro(p, t):
-    """Cesaro mean B = ((p-1)/period) sum_a sum_j p^(-1-j-t_a p^j).
-
-    Exactly 1 when all t_a = 0 (the double sum telescopes); otherwise a
-    rational partial sum with a geometric tail bound.
-    """
-    return _ca_double_sum(p, t, "one")
-
-
-def ca_log_weighted_sum(p, t):
-    """((p-1)/period) sum_a sum_j j p^(-1-j-t_a p^j); the companion sum A
-    entering the constant C = p^(1 + B - A) of the automaton example."""
-    return _ca_double_sum(p, t, "j")
-
-
-def ga_constants(precision=128):
-    """Constants for the additive-automaton example sigma_k = 2^(k - |k|_2^(-1)).
-
-    B and the companion sum A are exponent-capped rational series; the
-    growth constant is C = 2^(1 + B - A).
-    """
-    B = ca_cesaro(2, (1,))
-    A = ca_log_weighted_sum(2, (1,))
+def _elliptic_c(p, n, precision):
+    """(C, its provenance, its tail bounds) for E(p, n): with d the order of
+    n mod p and e = v_p(n^d - 1), the five-factor product involving
+    Q_p(n^d); n^2/(n+1)^2 exactly when p divides n."""
+    if n % p == 0:
+        return Fraction(n * n, (n + 1) * (n + 1)), "exact-closed-form", {}
+    d, e = lte_params(n, p)
     with mp.workprec(precision + 32):
-        expo = B.value - A.value + 1
-        C = +(mp.mpf(2) ** to_mpf(expo))
-    return AsymptoticConstants(
-        B=B.value,
-        C=C,
-        lam=Fraction(2),
-        provenance={"B": "series-truncation", "C": "series-truncation", "lambda": "exact-closed-form"},
-        tail_bounds={"B": B.tail_bound, "A": A.tail_bound},
-        notes=("companion sum A = %s" % mp.nstr(A.as_mpf(precision), 12),),
-    )
+        def powf(base, expo):
+            return to_mpf(base) ** to_mpf(expo)
+
+        qtol = mp.mpf(2) ** (-(precision + 8))
+        q_val = qp_product(Fraction(n**d), p, tol=qtol, precision=precision + 16)
+        f1 = powf(Fraction(d), Fraction(1, d) * (1 - Fraction(1, p ** (e - 1) * (p + 1))))
+        f2 = powf(Fraction(p), Fraction(p ** max(2 - e, 0), d * p ** max(e - 2, 0) * (p - 1) * (p + 1) ** 2))
+        f3 = powf(Fraction(n**d + 1, n**d - 1), Fraction(1, d) * (1 - Fraction(1, p ** (e - 1))))
+        f4 = Fraction(n, n + 1) ** 2
+        f5 = q_val ** (mp.mpf(p - 1) / (d * p**e))
+        C = +(f1 * f2 * f3 * to_mpf(f4) * f5)
+        cbound = +(C * qtol)  # relative Q tail propagates linearly in log C
+    return C, "series-truncation", {"C": cbound}
 
 
 # ---------------------------------------------------------------------------
@@ -407,58 +353,12 @@ def lambda1_analysis(period):
 
 
 # ---------------------------------------------------------------------------
-# growth-law fitting
+# B and Lambda, then C
 
 
-@dataclass(frozen=True)
-class FitReport:
-    rows: tuple  # (X, predicted N(X) or None, ratio mpf)
-    fitted_C: object  # mpf: the ratio at the largest window point times Gamma(B)
-
-
-def predict_and_fit(cen, constants, window, precision=128):
-    """Compare census counts N(X) against (C/Gamma(B)) Lambda^X X^(B-1),
-    with B, C and Lambda read from constants.
-
-    ratio(X) = N(X) / (Lambda^X X^(B-1)); the fitted constant is the ratio
-    at the largest window point (least squares would just launder the
-    O(1/log X) error term into arbitrary weights; single-point fitting is
-    honest about being low-confidence).
-    """
-    B = constants.B
-    if B <= 0:
-        raise ValueError("B > 0 required by the growth law")
-    window = sorted(window)
-    if window[0] < 1 or window[-1] > cen.X_max:
-        raise ValueError("window outside census range")
-    with mp.workprec(precision + 32):
-        lam = to_mpf(constants.lam)
-        Bm = to_mpf(B)
-        gB = mp.gamma(Bm)
-        Cm = None if constants.C is None else to_mpf(constants.C)
-        rows = []
-        for X in window:
-            scale = lam**X * mp.mpf(X) ** (Bm - 1)
-            ratio = +(mp.mpf(cen.count_orbits(X)) / scale)
-            predicted = +(Cm / gB * scale) if Cm is not None else None
-            rows.append((X, predicted, ratio))
-        return FitReport(rows=tuple(rows), fitted_C=+(rows[-1][2] * gB))
-
-
-# ---------------------------------------------------------------------------
-# per-source constants dispatch
-
-
-def _fit_growth_law(cen, B, lam, precision):
-    """predict_and_fit with B and Lambda fixed and C unknown, at the top of
-    the census range, the one point the fitted C reads."""
-    interim = AsymptoticConstants(B=B, C=None, lam=lam, provenance={})
-    return predict_and_fit(cen, interim, (cen.X_max,), precision)
-
-
-def _growth_rate_one_constants(source, spec):
-    """Exact (B, C, Lambda = 1) of a product form whose spectrum gives
-    growth rate exactly 1, from lambda1_analysis on one period of r.
+def _growth_rate_one(source, spec):
+    """lambda1_analysis on one period of r, for a product form whose
+    spectrum gives growth rate exactly 1.
 
     Such a matrix factor is nilpotent (an integer matrix with no eigenvalue
     outside the unit circle and no root of unity has only the eigenvalue
@@ -471,62 +371,27 @@ def _growth_rate_one_constants(source, spec):
             "growth rate 1 with a nonzero p-adic exponent: sigma cannot stay "
             "integral as v_p(k) grows"
         )
-    report = lambda1_analysis(systems.sigma_table(source, spec.r.period)[1:])
-    exact = "exact-closed-form"
-    return AsymptoticConstants(
-        B=Fraction(report.B),
-        C=report.C,
-        lam=Fraction(1),
-        provenance={"B": exact, "C": exact, "lambda": exact},
-        notes=(
-            "growth rate 1: the growth law reads N(X) ~ (C/Gamma(B+1)) X^B "
-            "= leading * X^B with leading = %s" % report.leading,
-        ),
-    )
+    return lambda1_analysis(systems.sigma_table(source, spec.r.period)[1:])
 
 
-def constants_for(source, precision=128, cen=None):
-    """AsymptoticConstants for any source, with honest provenance.
+def growth_law(source, precision=128, cen=None):
+    """AsymptoticConstants with B and Lambda, their provenance and B's tail
+    bound, and C = None: all that the large-deviation speed B log X reads.
 
-    Closed forms where they exist (FF, E, GA, and every product form of
-    growth rate exactly 1, builtin periodic or not); exact class-sum B plus
-    empirically fitted C for the other product forms (GM among them); raw
-    tables get an empirical B and C fit against their census.
+    A raw table gets an empirical B against the growth rate estimated by its
+    census (cen, or one built to the table's length). Every product form,
+    named or not, gets Lambda from its spectrum, as an exact Fraction
+    whenever the spectrum's rate is exact, and B from cesaro_exact_fad, or
+    from one period of r when the growth rate is exactly 1.
     """
-    if source.kind == "builtin":
-        name = source.name
-        if name == "FF":
-            q = source.param("q")
-            return AsymptoticConstants(
-                B=Fraction(1),
-                C=Fraction(q, q - 1),
-                lam=Fraction(q),
-                provenance={
-                    "B": "exact-closed-form",
-                    "C": "exact-closed-form",
-                    "lambda": "exact-closed-form",
-                },
-                notes=(
-                    "C = q/(q-1) is the census truth: ratio(X) = (q^(X+1)-1)/q^X; "
-                    "the often-quoted C = 1 for this example disagrees with the "
-                    "exact census and is not reported",
-                ),
-            )
-        if name == "E":
-            return elliptic_constants(source.param("p"), source.param("n"), precision)
-        if name == "GA":
-            return ga_constants(precision)
-        # GM and periodic fall through to the generic product-form path
     if source.kind == "table":
         if cen is None:
             cen = build_census(source, len(source.table), precision=precision)
-        B = cesaro_empirical(source, cen.lam, cen.X_max, precision)
-        fit = _fit_growth_law(cen, B, cen.lam.value, precision)
         return AsymptoticConstants(
-            B=B,
-            C=fit.fitted_C,
+            B=cesaro_empirical(source, cen.lam, cen.X_max, precision),
+            C=None,
             lam=cen.lam.value,
-            provenance={"B": "empirical-fit", "C": "empirical-fit", "lambda": "empirical-fit"},
+            provenance={"B": "empirical-fit", "lambda": "empirical-fit"},
             notes=(
                 "raw-table constants are finite-window estimates against an "
                 "estimated growth rate; all fields are low-confidence",
@@ -538,21 +403,90 @@ def constants_for(source, precision=128, cen=None):
         spectrum = cen.spectrum
     else:
         spectrum = systems.spectrum_for(source, precision)
+    exact = "exact-closed-form"
     if spectrum.rate.exact == 1 and not spectrum.contains_root_of_unity:
-        return _growth_rate_one_constants(source, spec)
+        report = _growth_rate_one(source, spec)
+        return AsymptoticConstants(
+            B=Fraction(report.B), C=None, lam=Fraction(1), provenance={"B": exact, "lambda": exact}
+        )
     B = cesaro_exact_fad(spec, spectrum=spectrum, precision=precision)
-    if cen is None:
-        cen = build_census(source, 60, precision=precision)
-    fit = _fit_growth_law(cen, B.value, spectrum.lam, precision)
+    rate = spectrum.rate
     return AsymptoticConstants(
         B=B.value,
-        C=fit.fitted_C,
-        lam=spectrum.lam,
+        C=None,
+        lam=spectrum.lam if rate.exact is None else rate.exact,
         provenance={
-            "B": "exact-closed-form" if B.exact else "series-truncation",
-            "C": "empirical-fit",
-            "lambda": "exact-closed-form" if spectrum.rate.exact else "series-truncation",
+            "B": exact if B.exact else "series-truncation",
+            "lambda": "series-truncation" if rate.exact is None else exact,
         },
         tail_bounds={} if B.exact else {"B": B.tail_bound},
-        notes=("C fitted at X = %d; the growth law's 1/log X error makes this low-confidence" % fit.rows[-1][0],),
+    )
+
+
+def _fitted_c(cen, B, lam, precision):
+    """C read off the growth law N(X) ~ (C/Gamma(B)) Lambda^X X^(B-1) with B
+    and Lambda fixed: Gamma(B) times the ratio N(X) / (Lambda^X X^(B-1)) at
+    the top of the census range. One point, not least squares, which would
+    only launder the O(1/log X) error term into arbitrary weights; it is
+    honest about being low-confidence."""
+    if B <= 0:
+        raise ValueError("B > 0 required by the growth law")
+    X = cen.X_max
+    with mp.workprec(precision + 32):
+        lam = to_mpf(lam)
+        Bm = to_mpf(B)
+        gB = mp.gamma(Bm)
+        scale = lam**X * mp.mpf(X) ** (Bm - 1)
+        ratio = +(mp.mpf(cen.count_orbits(X)) / scale)
+        return +(ratio * gB)
+
+
+def constants_for(source, precision=128, cen=None):
+    """growth_law's B and Lambda, plus C with its provenance.
+
+    Builtin names choose only C: q/(q-1) for FF, the five-factor product
+    for E, 2^(1 + B - A) for GA. A product form of growth rate exactly 1
+    reads C from one period of r; every other source, GM, unnamed product
+    forms and raw tables among them, gets C fitted against its census.
+    """
+    if source.kind == "table" and cen is None:
+        cen = build_census(source, len(source.table), precision=precision)
+    law = growth_law(source, precision, cen)
+    how, bounds, notes = "exact-closed-form", {}, ()
+    if source.name == "FF":
+        q = source.param("q")
+        C = Fraction(q, q - 1)
+        notes = (
+            "C = q/(q-1) is the census truth: ratio(X) = (q^(X+1)-1)/q^X; "
+            "the often-quoted C = 1 for this example disagrees with the "
+            "exact census and is not reported",
+        )
+    elif source.name == "E":
+        C, how, bounds = _elliptic_c(source.param("p"), source.param("n"), precision)
+    elif source.name == "GA":
+        A = ca_log_weighted_sum(2, (1,))
+        with mp.workprec(precision + 32):
+            C = +(mp.mpf(2) ** to_mpf(law.B - A.value + 1))
+        how, bounds = "series-truncation", {"A": A.tail_bound}
+        notes = ("companion sum A = %s" % mp.nstr(A.as_mpf(precision), 12),)
+    elif law.lam == 1 and source.fad is not None:
+        report = _growth_rate_one(source, source.fad)
+        C = report.C
+        notes = (
+            "growth rate 1: the growth law reads N(X) ~ (C/Gamma(B+1)) X^B "
+            "= leading * X^B with leading = %s" % report.leading,
+        )
+    else:
+        if cen is None:
+            cen = build_census(source, 60, precision=precision)
+        C, how = _fitted_c(cen, law.B, law.lam, precision), "empirical-fit"
+        if source.fad is not None:
+            notes = ("C fitted at X = %d; the growth law's 1/log X error makes this low-confidence" % cen.X_max,)
+    return AsymptoticConstants(
+        B=law.B,
+        C=C,
+        lam=law.lam,
+        provenance={"B": law.provenance["B"], "C": how, "lambda": law.provenance["lambda"]},
+        tail_bounds={**law.tail_bounds, **bounds},
+        notes=law.notes + notes,
     )

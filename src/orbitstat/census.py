@@ -95,7 +95,7 @@ class OrbitCensus:
     @cached_property
     def spectrum(self):
         """The SpectrumReport of a product form's matrix part at the census
-        precision: one root split serves lam and constants_for."""
+        precision: one root split serves lam and growth_law."""
         return systems.spectrum_for(self.source, self.precision)
 
     @cached_property

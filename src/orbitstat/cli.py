@@ -314,7 +314,8 @@ def cmd_ldp(config):
     cen = config.census(crosscheck_to=0)
     g = distribution.unit_weights(cen)
     bc = distribution.joint_census(g, cen.X_max, census=cen)
-    constants = asymptotics.constants_for(config.source, config.precision, cen=cen)
+    # the report reads only B and Lambda, so no C is built
+    constants = asymptotics.growth_law(config.source, config.precision, cen=cen)
     report = ldp.tail_report(
         bc,
         constants,

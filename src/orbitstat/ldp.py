@@ -21,13 +21,15 @@ from orbitstat.polyops import to_mpf
 
 def poisson_rate(x, precision=128):
     """x log x - x + 1 on x > 0, with the continuity value 1 at x = 0 and
-    +inf for x < 0: the subset rate of weight 1 on the whole measure."""
+    +inf for x < 0 and x = +inf: the subset rate of weight 1 on the whole
+    measure."""
     return subset_rate(x, 1, 1, precision)
 
 
 def subset_rate(x, lam, r, precision=128):
     """(x/lam) log(x/(lam r)) - x/lam + r for a weight-lam subset holding an
-    r-fraction of the prime measure; trivial (+inf everywhere) when r = 0."""
+    r-fraction of the prime measure, +inf at x = +inf; trivial (+inf
+    everywhere) when r = 0. x = nan is refused."""
     lam = Fraction(lam)
     r = Fraction(r)
     if lam <= 0:
@@ -35,10 +37,10 @@ def subset_rate(x, lam, r, precision=128):
     if not 0 <= r <= 1:
         raise ValueError("r must lie in [0, 1]")
     with mp.workprec(precision + 16):
-        if r == 0:
-            return mp.inf
         x = to_mpf(x)
-        if x < 0:
+        if mp.isnan(x):
+            raise ValueError("x must be a number, got nan")
+        if r == 0 or x < 0 or mp.isinf(x):
             return mp.inf
         lam_m = to_mpf(lam)
         r_m = to_mpf(r)
@@ -72,12 +74,17 @@ def legendre_rate(rho, x, precision=128):
       x outside the slope range entirely -> +inf;
       x = 0 with one-signed support -> the mass strictly on that side
       (limit value, e.g. I(0) = 1 for the unit atom, r for a subset);
-      measure concentrated at 0 -> 0 at x = 0, +inf elsewhere.
+      measure concentrated at 0 -> 0 at x = 0, +inf elsewhere;
+      x = +-inf -> +inf. x = nan is refused.
     """
     _check_probability(rho)
     atoms = [(y, m) for y, m in rho.real_atoms(precision) if m != 0]
     with mp.workprec(precision + 16):
         x = to_mpf(x)
+        if mp.isnan(x):
+            raise ValueError("x must be a number, got nan")
+        if mp.isinf(x):
+            return mp.inf
         has_pos = any(y > 0 for y, _ in atoms)
         has_neg = any(y < 0 for y, _ in atoms)
         if x > 0 and not has_pos:
@@ -251,7 +258,7 @@ def tail_report(bc, constants, epsilons, rate, xs=None, precision=128):
     if any(eps < 0 for eps in epsilons):
         raise ValueError("epsilon must be at least 0")
     xs = sorted({max(1, bc.X // 3), max(1, (2 * bc.X) // 3), bc.X}) if xs is None else tuple(xs)
-    if any(X > bc.X for X in xs):
+    if any(not 1 <= X <= bc.X for X in xs):
         raise ValueError("window outside census")
     rows = []
     pmfs = [w_pmf(bc, X) for X in xs]

@@ -9,7 +9,7 @@ the small sizes where it is feasible.
 
 from fractions import Fraction
 from itertools import permutations
-from math import comb, lcm
+from math import comb, gcd, lcm
 
 import mpmath as mp
 from numpy.random import Generator, Philox
@@ -437,3 +437,47 @@ def naive_tail_rows(windows, B, epsilons, thetas, precision):
                 cheb = min(log_m - theta * threshold for theta, log_m in log_mgfs)
                 rows.append((X, eps, threshold, log_p, normalized, rate, cheb))
     return rows
+
+
+# ---------------------------------------------------------------------------
+# Cesaro means of the worked examples, from their closed forms
+
+
+def ca_cesaro(p, t):
+    """(B, tail) for the automaton sigma_k = p^k p^(-t_k p^(v_p(k))), with
+    the period w of t coprime to p, from the double sum
+    B = ((p-1)/w) sum_{a=1..w} sum_{j>=0} p^(-1-j-t_a p^j).
+
+    Each residue a meets v_p(k) = j with density (p-1) p^(-1-j),
+    independently of a. Terms with exponent above 2048 are dropped, as in
+    the package; the exponent grows by at least 2 per j, so the dropped
+    mass of a residue is under twice its first dropped term. Both are
+    Fractions; t_a = 0 sums to 1/(p-1) exactly.
+    """
+    w = len(t)
+    if gcd(w, p) != 1:
+        raise ValueError("period of t must be coprime to p")
+    total = Fraction(0)
+    tail = Fraction(0)
+    for t_a in t:
+        if t_a == 0:
+            total += Fraction(1, p - 1)
+            continue
+        j = 0
+        while 1 + j + t_a * p**j <= 2048:
+            total += Fraction(1, p ** (1 + j + t_a * p**j))
+            j += 1
+        tail += Fraction(2, p ** (1 + j + t_a * p**j))
+    scale = Fraction(p - 1, w)
+    return scale * total, scale * tail
+
+
+def elliptic_b(p, n):
+    """B = 1 - (1/d)(1 - p/(p^e (p+1))) for sigma_k = (n^k-1)^2 |n^k-1|_p
+    at an odd prime p, with d the order of n mod p and e = v_p(n^d - 1);
+    B = 1 when p divides n, where the p-adic factor is trivial."""
+    if n % p == 0:
+        return Fraction(1)
+    d = next(d for d in range(1, p) if pow(n, d, p) == 1)
+    e = valuation(n**d - 1, p)
+    return 1 - Fraction(1, d) * (1 - Fraction(p, p**e * (p + 1)))

@@ -40,11 +40,10 @@ ALL_BUILTINS = (
 def test_criterion_1_constant_regression():
     failures = []
     t0 = time.perf_counter()
-    ec = asy.elliptic_constants(3, 2)
+    ec = asy.constants_for(systems.builtin_source("E", p=3, n=2))
     gm_mean = asy.cesaro_exact_fad(systems.fad_spec_for(systems.builtin_source("GM")))
-    b_ga = asy.ca_cesaro(2, (1,))
     a_ga = asy.ca_log_weighted_sum(2, (1,))
-    ga = asy.ga_constants()
+    ga = asy.constants_for(systems.builtin_source("GA"))
     ga_ratio = ga.C / mp.gamma(to_mpf(ga.B))
     ec_ratio = ec.C / mp.gamma(to_mpf(ec.B))
     elapsed = time.perf_counter() - t0
@@ -52,8 +51,8 @@ def test_criterion_1_constant_regression():
     check(failures, ec.B == Fraction(5, 8), f"elliptic B = {ec.B}, want 5/8 exactly")
     check(failures, gm_mean.value == Fraction(1058, 781),
           f"GM Cesaro mean = {gm_mean.value}, want 1058/781 exactly")
-    check(failures, abs(float(b_ga.value) - 0.320556) < 1e-5,
-          f"automaton Cesaro mean {float(b_ga.value)} off 0.320556 by >= 1e-5")
+    check(failures, abs(float(ga.B) - 0.320556) < 1e-5,
+          f"automaton Cesaro mean {float(ga.B)} off 0.320556 by >= 1e-5")
     check(failures, abs(float(a_ga.value) - 0.078859) < 1e-5,
           f"automaton log-weighted sum {float(a_ga.value)} off 0.078859 by >= 1e-5")
     check(failures, abs(float(ga_ratio) - 0.847382) < 1e-4,
@@ -110,7 +109,7 @@ def test_criterion_4_orbit_count_asymptotics():
     failures = []
     t0 = time.perf_counter()
     cen = census.build_census(systems.builtin_source("E", p=3, n=2), 60)
-    ec = asy.elliptic_constants(3, 2)
+    ec = asy.constants_for(cen.source, cen=cen)
     with mp.workprec(160):
         target = ec.C / mp.gamma(to_mpf(ec.B))
         b_minus_1 = mp.mpf(ec.B.numerator) / ec.B.denominator - 1

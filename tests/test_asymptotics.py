@@ -2,6 +2,7 @@
 empirical partial means, with every frozen digit traceable to a second route."""
 
 from fractions import Fraction
+from math import gcd
 
 import mpmath as mp
 import pytest
@@ -12,6 +13,7 @@ from orbitstat.numtheory import PeriodicSequence
 from orbitstat.polyops import to_mpf
 from orbitstat.census import build_census
 from orbitstat.systems import builtin_source, fad_spec_for, table_source
+import oracles
 
 
 def mpf_close(a, b, tol):
@@ -66,6 +68,13 @@ def test_cesaro_empirical_accepts_growth_rate_and_mpf():
         asy.cesaro_empirical(src, rate, 0)
 
 
+def test_cesaro_empirical_refuses_nonpositive_growth_rates():
+    src = builtin_source("FF", q=2)
+    for lam in (0, -2, Fraction(-1, 2), mp.mpf(0), mp.mpf(-3)):
+        with pytest.raises(ValueError, match="growth rate must be positive"):
+            asy.cesaro_empirical(src, lam, 10)
+
+
 # -- exact class sums ----------------------------------------------------------
 
 
@@ -90,14 +99,31 @@ def test_fad_class_mean_elliptic_is_five_eighths():
         assert abs(asy.cesaro_empirical(systems.fad_source(spec), p, 4096) - to_mpf(B)) < 1e-3
 
 
+def automaton_mean(p, t):
+    """fad_class_mean of sigma_k = p^k p^(-t_k p^(v_p(k)))."""
+    zero = PeriodicSequence.constant(0)
+    return asy.fad_class_mean(systems.FadSpec(c=p, primes=(systems.FadPrime(p, zero, PeriodicSequence(t)),)))
+
+
 def test_fad_class_mean_matches_ca_route_for_ga():
     # Dual route: the automaton closed-form double sum and the generic
     # residue-class sum must produce the identical rational partial sum.
     spec = fad_spec_for(builtin_source("GA"))
     via_classes = asy.fad_class_mean(spec)
-    via_ca = asy.ca_cesaro(2, (1,))
-    assert via_classes.value == via_ca.value
+    via_ca, _ = oracles.ca_cesaro(2, (1,))
+    assert via_classes.value == via_ca
     assert not via_classes.exact
+
+
+# the automaton's double sum needs the period of t coprime to p, so p = 2
+# takes only the constant t
+@pytest.mark.parametrize(
+    "p, t", [(p, t) for p in (2, 3, 5) for t in ((1,), (0, 1), (2, 1)) if gcd(len(t), p) == 1]
+)
+def test_fad_class_mean_matches_ca_cesaro(p, t):
+    out = automaton_mean(p, t)
+    value, tail = oracles.ca_cesaro(p, t)
+    assert abs(to_mpf(out.value - value)) <= out.tail_bound + to_mpf(tail)
 
 
 def test_cesaro_exact_fad_gm():
@@ -154,7 +180,7 @@ def test_cesaro_exact_fad_tail_bound():
 
 
 def test_elliptic_constants_exact_b():
-    out = asy.elliptic_constants(3, 2)
+    out = asy.constants_for(builtin_source("E", p=3, n=2))
     assert out.B == Fraction(5, 8)
     assert out.lam == 4
     assert out.provenance["B"] == "exact-closed-form"
@@ -166,25 +192,23 @@ def test_elliptic_constants_exact_b():
 def test_elliptic_constants_more_parameters():
     # order d and valuation e enter B; spot-check a second parameter pair
     # against the closed form computed by hand: p=5, n=2 has d=4, e=1.
-    out = asy.elliptic_constants(5, 2)
+    out = asy.constants_for(builtin_source("E", p=5, n=2))
     assert out.B == 1 - Fraction(1, 4) * (1 - Fraction(5, 5 * 6))
     assert float(out.C) > 0
 
 
 def test_elliptic_constants_p_divides_n():
-    out = asy.elliptic_constants(3, 6)
+    out = asy.constants_for(builtin_source("E", p=3, n=6))
     assert out.B == 1
     assert out.C == Fraction(36, 49)
     assert out.provenance["C"] == "exact-closed-form"
 
 
-def test_elliptic_constants_rejections():
-    with pytest.raises(ValueError, match="p = 2"):
-        asy.elliptic_constants(2, 3)
-    with pytest.raises(ValueError, match="not prime"):
-        asy.elliptic_constants(9, 2)
-    with pytest.raises(ValueError):
-        asy.elliptic_constants(3, 1)
+@pytest.mark.parametrize("p, n", ((3, 2), (5, 2), (7, 2), (5, 3), (7, 10), (3, 6)))
+def test_elliptic_b_matches_closed_form(p, n):
+    out = asy.constants_for(builtin_source("E", p=p, n=n))
+    assert out.B == oracles.elliptic_b(p, n)
+    assert out.provenance["B"] == "exact-closed-form"
 
 
 def test_qp_product():
@@ -202,16 +226,16 @@ def test_ca_cesaro_against_direct_series():
     # Independent rederivation: B = sum_j 2^-(1+j+2^j), here to one term
     # beyond the implementation cap so the difference is the dropped tail.
     ref = sum(Fraction(1, 2 ** (1 + j + 2**j)) for j in range(12))
-    out = asy.ca_cesaro(2, (1,))
-    assert abs(out.value - ref) < Fraction(1, 2**2000)
-    assert out.tail_bound < mp.mpf(2) ** -600
-    assert mpf_close(out.as_mpf(), mp.mpf("0.32055711746579618193"), 1e-18)
+    out = asy.growth_law(builtin_source("GA"))
+    assert abs(out.B - ref) < Fraction(1, 2**2000)
+    assert out.tail_bounds["B"] < mp.mpf(2) ** -600
+    assert mpf_close(to_mpf(out.B), mp.mpf("0.32055711746579618193"), 1e-18)
 
 
 def test_ca_cesaro_telescopes_at_zero_t():
-    out = asy.ca_cesaro(5, (0,))
+    out = automaton_mean(5, (0,))
     assert out.exact and out.value == 1
-    out2 = asy.ca_cesaro(3, (0, 0))
+    out2 = automaton_mean(3, (0, 0))
     assert out2.exact and out2.value == 1
 
 
@@ -219,19 +243,19 @@ def test_ca_cesaro_periodic_t():
     # w = 2, p = 3: the a with t_a = 0 contributes 1/2 exactly, the other
     # the capped series sum_j 3^-(1+j+3^j).
     ref = Fraction(1, 2) + sum(Fraction(1, 3 ** (1 + j + 3**j)) for j in range(8))
-    out = asy.ca_cesaro(3, (0, 1))
+    out = automaton_mean(3, (0, 1))
     assert abs(out.value - ref) < Fraction(1, 3**1000)
 
 
 def test_ca_double_sum_rejections():
     with pytest.raises(ValueError, match="coprime"):
-        asy.ca_cesaro(3, (0, 1, 2))
+        asy.ca_log_weighted_sum(3, (0, 1, 2))
     with pytest.raises(ValueError, match="non-negative"):
-        asy.ca_cesaro(2, (-1,))
+        asy.ca_log_weighted_sum(2, (-1,))
     with pytest.raises(ValueError, match="integer"):
-        asy.ca_cesaro(2, (Fraction(1, 2),))
+        asy.ca_log_weighted_sum(2, (Fraction(1, 2),))
     with pytest.raises(ValueError, match="not prime"):
-        asy.ca_cesaro(4, (1,))
+        asy.ca_log_weighted_sum(4, (1,))
 
 
 def test_ca_log_weighted_sum():
@@ -244,8 +268,8 @@ def test_ca_log_weighted_sum():
 
 
 def test_ga_constants():
-    out = asy.ga_constants()
-    B = asy.ca_cesaro(2, (1,)).value
+    out = asy.constants_for(builtin_source("GA"))
+    B, _ = oracles.ca_cesaro(2, (1,))
     A = asy.ca_log_weighted_sum(2, (1,)).value
     assert out.B == B
     with mp.workprec(160):
@@ -313,27 +337,23 @@ def test_lambda1_analysis_refuses_prime_counts_off_the_period():
 
 
 def test_predict_and_fit_ff(ff2_census):
-    constants = asy.constants_for(ff2_census.source)
-    fit = asy.predict_and_fit(ff2_census, constants, (20, 40, 60))
-    # ratio(X) = (2^(X+1) - 1)/2^X marches to C = 2
-    fitted = fit.rows[-1][2]
+    # the unnamed FF(2) gets C fitted at the top of its census, where
+    # ratio(X) = (2^(X+1) - 1)/2^X marches to the closed form C = 2
+    predicted = asy.constants_for(ff2_census.source)
+    twin = systems.fad_source(systems.FadSpec(c=2))
+    fitted = asy.constants_for(twin, cen=build_census(twin, 60)).C
     assert mpf_close(fitted, 2, 1e-15)
-    assert mpf_close(fit.fitted_C, 2, 1e-15)
-    for X, predicted, ratio in fit.rows:
-        assert abs(predicted - ff2_census.count_orbits(X)) <= 1
+    for X in (20, 40, 60):
+        assert abs(predicted.C * 2**X - ff2_census.count_orbits(X)) <= 1
+        ratio = asy.constants_for(twin, cen=build_census(twin, X)).C
         assert 1.9 < ratio <= 2
         assert abs(ratio - fitted) < 1e-5
 
 
-def test_predict_and_fit_guards(ff2_census):
-    bad = asy.AsymptoticConstants(B=Fraction(0), C=None, lam=Fraction(2), provenance={})
+def test_predict_and_fit_guards():
+    # the growth law needs B > 0; a zero table has B = 0
     with pytest.raises(ValueError, match="B > 0"):
-        asy.predict_and_fit(ff2_census, bad, (10,))
-    good = asy.constants_for(ff2_census.source)
-    with pytest.raises(ValueError, match="window"):
-        asy.predict_and_fit(ff2_census, good, (0, 10))
-    with pytest.raises(ValueError, match="window"):
-        asy.predict_and_fit(ff2_census, good, (10, 1000))
+        asy.constants_for(table_source((0,) * 10))
 
 
 def test_constants_for_ff():
@@ -345,7 +365,36 @@ def test_constants_for_ff():
 
 def test_constants_for_elliptic_and_ga():
     assert asy.constants_for(builtin_source("E", p=3, n=2)).B == Fraction(5, 8)
-    assert asy.constants_for(builtin_source("GA")).B == asy.ca_cesaro(2, (1,)).value
+    assert asy.constants_for(builtin_source("GA")).B == oracles.ca_cesaro(2, (1,))[0]
+
+
+# builtins and their JSON product forms
+TWINS = (
+    ("FF", {"q": 2}, {"type": "fad", "c": 2}),
+    (
+        "E",
+        {"p": 3, "n": 2},
+        {
+            "type": "fad",
+            "matrix": [[2, 0], [0, 2]],
+            "r": {"values": [1, "1/3"]},
+            "primes": [{"p": 3, "s": {"values": [0, 1]}, "t": {"values": [0]}}],
+        },
+    ),
+    ("GA", {}, {"type": "fad", "c": 2, "primes": [{"p": 2, "s": {"values": [0]}, "t": {"values": [1]}}]}),
+)
+
+
+@pytest.mark.parametrize("name, params, twin", TWINS)
+def test_growth_law_reads_no_builtin_names(name, params, twin):
+    named = asy.growth_law(builtin_source(name, **params))
+    unnamed = asy.growth_law(systems.source_from_json(twin))
+    assert named.C is None and unnamed.C is None
+    assert type(named.B) is type(unnamed.B) is Fraction
+    assert type(named.lam) is type(unnamed.lam) is Fraction
+    assert (named.B, named.lam, named.provenance, named.tail_bounds) == (
+        unnamed.B, unnamed.lam, unnamed.provenance, unnamed.tail_bounds
+    )
 
 
 def test_constants_for_periodic():

@@ -6,9 +6,10 @@ import json
 import re
 import sys
 
+import mpmath
 import pytest
 
-from orbitstat import build_census, builtin_source, cli, distribution, kernels, systems, write_samples_csv
+from orbitstat import asymptotics, build_census, builtin_source, cli, distribution, kernels, systems, write_samples_csv
 from orbitstat.cli import main
 
 import oracles
@@ -148,6 +149,37 @@ def test_ldp_csv(capsys):
     assert lines[0] == "X,epsilon,threshold,log_p,normalized,rate_value,chebyshev"
     assert len(lines) == 1 + 3 * 2  # three window points, two epsilons
     assert lines[1].split(",")[0] == "4"
+
+
+# builtin:GM written as a JSON product form
+GM_JSON = {
+    "type": "fad",
+    "matrix": [[0, 0, 0, -1], [1, 0, 0, 3], [0, 1, 0, -3], [0, 0, 1, 3]],
+    "r": {"values": [1, 1, "1/25"]},
+    "primes": [{"p": 5, "s": {"values": [0, 0, 4]}, "t": {"values": [0]}}],
+}
+
+
+def test_ldp_never_builds_c(capsys, monkeypatch, tmp_path):
+    # the tail report reads only B and Lambda: with Gamma and every helper
+    # that builds C broken, ldp prints byte for byte what it prints unbroken
+    spec = tmp_path / "gm.json"
+    spec.write_text(json.dumps(GM_JSON))
+    specs = ("builtin:FF,q=2", "builtin:E,p=3,n=2", "builtin:GA", "builtin:GM", str(spec))
+    expected = [run(capsys, "ldp", "--system", system, "--X", "20") for system in specs]
+
+    def broken(*args, **kwargs):
+        raise AssertionError("C was built")
+
+    monkeypatch.setattr(mpmath, "gamma", broken)
+    for name in ("qp_product", "ca_log_weighted_sum", "_elliptic_c", "_fitted_c"):
+        monkeypatch.setattr(asymptotics, name, broken)
+    for system, want in zip(specs, expected):
+        assert want[0] == 0 and want[1]
+        assert run(capsys, "ldp", "--system", system, "--X", "20") == want
+        # constants does build C, so the patches bite wherever a helper does
+        if system != "builtin:FF,q=2":
+            assert run(capsys, "constants", "--system", system, "--X", "20")[0] == 1
 
 
 def test_ldp_json(capsys):

@@ -78,6 +78,21 @@ def test_subset_rate_validation():
         subset_rate(1, 1, 2)
 
 
+def test_poisson_rate_at_infinity_and_nan():
+    assert poisson_rate(mp.inf) == mp.inf
+    assert poisson_rate(float("inf")) == mp.inf
+    for nan in (mp.nan, float("nan")):
+        with pytest.raises(ValueError, match="nan"):
+            poisson_rate(nan)
+
+
+def test_subset_rate_at_infinity_and_nan():
+    for r in (Fraction(1, 4), 0):
+        assert subset_rate(mp.inf, 3, r) == mp.inf
+        with pytest.raises(ValueError, match="nan"):
+            subset_rate(mp.nan, 3, r)
+
+
 # -- the Legendre solver ---------------------------------------------------------
 
 
@@ -132,6 +147,16 @@ def test_legendre_vanishes_at_the_mean():
 def test_legendre_validation():
     with pytest.raises(ValueError, match="total mass"):
         legendre_rate(measure({1: Fraction(1, 2)}), 1)
+
+
+def test_legendre_at_infinity_and_nan():
+    # the supremum of theta x - L(theta) is +inf at x = +-inf whatever the
+    # atoms' signs; nan is refused, never bracketed
+    for rho in (measure({1: 1}), measure({-1: Fraction(1, 2), 2: Fraction(1, 2)}), measure({0: 1})):
+        assert legendre_rate(rho, mp.inf) == mp.inf
+        assert legendre_rate(rho, -mp.inf) == mp.inf
+        with pytest.raises(ValueError, match="nan"):
+            legendre_rate(rho, mp.nan)
 
 
 def test_rate_function_dispatch():
@@ -224,8 +249,9 @@ def test_tail_report_guards(ff2_census):
     with pytest.raises(ValueError, match="positive"):
         tail_report(bc, bad, (Fraction(1),), RateFunction.poisson())
     good = constants_for(ff2_census.source)
-    with pytest.raises(ValueError, match="outside census"):
-        tail_report(bc, good, (Fraction(1),), RateFunction.poisson(), xs=(40,))
+    for xs in ((40,), (0,), (5, -1)):
+        with pytest.raises(ValueError, match="outside census"):
+            tail_report(bc, good, (Fraction(1),), RateFunction.poisson(), xs=xs)
 
 
 def test_tail_report_refuses_negative_epsilon(ff2_census):
