@@ -4,8 +4,8 @@ The normalized sequence b_k = sigma_k / Lambda^k has a Cesaro mean B, and
 the cumulative orbit count obeys N(X) = (C/Gamma(B)) Lambda^X X^(B-1)
 (1 + O(1/log X)) while the Mertens sum grows like B log X. growth_law
 gives B and Lambda by one route per kind of source: empirical partial sums
-for raw tables, exact class sums for every product form (the rational-zeta
-Lambda = 1 branch aside). constants_for adds C: a closed form where a
+for raw tables, exact class sums for every product form, the rational-zeta
+Lambda = 1 case included. constants_for adds C: a closed form where a
 builtin name or growth rate 1 supplies one, a fit against the census
 otherwise.
 """
@@ -18,7 +18,7 @@ from math import gcd, lcm
 import mpmath as mp
 
 from orbitstat import systems
-from orbitstat.numtheory import PeriodicSequence, divisors, is_prime, lte_params, p_valuation
+from orbitstat.numtheory import MAX_PERIOD, PeriodicSequence, divisors, is_prime, lte_params, minimal_period, p_valuation
 from orbitstat.census import build_census, prime_counts
 from orbitstat.polyops import to_mpf
 
@@ -107,10 +107,16 @@ def _local_factor(p, m_p, w_forced, s_a, t_a):
     (sum over j >= m_p with conditional densities p^(-j)(1 - 1/p)).
     """
     if w_forced is not None:
-        val = Fraction(1, p**m_p) * Fraction(1, p ** (w_forced * s_a + t_a * p**w_forced))
-        return val, mp.mpf(0)
+        exponent = m_p + w_forced * s_a + t_a * p**w_forced
+        if exponent > _EXPONENT_CAP:
+            return Fraction(0), mp.mpf(p) ** -exponent
+        return Fraction(1, p**exponent), mp.mpf(0)
     if t_a == 0:
-        # geometric: (1 - 1/p) sum_{j>=m_p} p^(-j(1+s_a))
+        # geometric: (1 - 1/p) sum_{j>=m_p} p^(-j(1+s_a)); past the cap the
+        # terms j >= max(m_p, 1) drop, at most twice the first of them
+        first = max(m_p, 1) * (1 + s_a)
+        if first > _EXPONENT_CAP:
+            return Fraction(p - 1, p) if m_p == 0 else Fraction(0), 2 * mp.mpf(p) ** -first
         q = Fraction(1, p ** (1 + s_a))
         val = (1 - Fraction(1, p)) * q**m_p / (1 - q)
         return val, mp.mpf(0)
@@ -132,15 +138,20 @@ def _local_factor(p, m_p, w_forced, s_a, t_a):
 def fad_class_mean(spec, precision=128):
     """Density-weighted class sum L(0) of b_k = r_k prod p-local factors.
 
-    Classes are the residues a mod L (L = lcm of all periods) refined by
-    v_p(k) = j for each p, with exact CRT densities. The value is an exact
-    rational, plus a bounded tail when some t > 0.
+    Classes are the residues a mod L (L = lcm of every sequence's shortest
+    period) refined by v_p(k) = j for each p, with exact CRT densities. The
+    value is an exact rational, plus a bounded tail when some t > 0. The
+    walk over L is refused when L exceeds both MAX_PERIOD and the longest
+    of those periods, so its cost stays linear in the spec.
     """
-    periods = [spec.r.period]
-    for fp in spec.primes:
-        periods.append(fp.s.period)
-        periods.append(fp.t.period)
+    sequences = [spec.r] + [seq for fp in spec.primes for seq in (fp.s, fp.t)]
+    periods = [minimal_period(seq.values) for seq in sequences]
     L0 = lcm(*periods)
+    if L0 > max(MAX_PERIOD, *periods):
+        raise ValueError(
+            f"{L0} residue classes, the lcm of the shortest periods: more than the period "
+            f"limit 2^{MAX_PERIOD.bit_length() - 1} and more than the longest period"
+        )
     # coprime part of L0 relative to the prime set
     Lp = L0
     mps = {}
@@ -256,7 +267,7 @@ def ca_log_weighted_sum(p, t):
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     t = t if isinstance(t, PeriodicSequence) else PeriodicSequence(tuple(t))
-    if not t.is_integral(t.period):
+    if not t.is_integral():
         raise ValueError("t must be integer-valued")
     w = t.period
     if gcd(w, p) != 1:
@@ -336,7 +347,7 @@ def lambda1_analysis(period):
     X = len(sigma)
     if X < 1:
         raise ValueError("table too short")
-    varpi = next(d for d in divisors(X) if all(sigma[k] == sigma[k % d] for k in range(X)))
+    varpi = minimal_period(sigma)
     total = sum(sigma[:varpi])
     B, rem = divmod(total, varpi)
     if rem or B <= 0:
@@ -356,7 +367,7 @@ def lambda1_analysis(period):
 # B and Lambda, then C
 
 
-def _growth_rate_one(source, spec):
+def _growth_rate_one(source):
     """lambda1_analysis on one period of r, for a product form whose
     spectrum gives growth rate exactly 1.
 
@@ -366,6 +377,7 @@ def _growth_rate_one(source, spec):
     A nonzero p-adic exponent is refused: with c = 1 nothing offsets the
     denominator p^(v s + t p^v), which grows with v = v_p(k).
     """
+    spec = source.fad
     if any(v for fp in spec.primes for v in fp.s.values + fp.t.values):
         raise ValueError(
             "growth rate 1 with a nonzero p-adic exponent: sigma cannot stay "
@@ -381,8 +393,9 @@ def growth_law(source, precision=128, cen=None):
     A raw table gets an empirical B against the growth rate estimated by its
     census (cen, or one built to the table's length). Every product form,
     named or not, gets Lambda from its spectrum, as an exact Fraction
-    whenever the spectrum's rate is exact, and B from cesaro_exact_fad, or
-    from one period of r when the growth rate is exactly 1.
+    whenever the spectrum's rate is exact, and B from cesaro_exact_fad. At
+    growth rate 1 that B is the class mean of r, the period average of
+    sigma.
     """
     if source.kind == "table":
         if cen is None:
@@ -397,20 +410,14 @@ def growth_law(source, precision=128, cen=None):
                 "estimated growth rate; all fields are low-confidence",
             ),
         )
-    spec = systems.fad_spec_for(source)
     # a census of this source at this precision already holds its root split
     if cen is not None and cen.source is source and cen.precision == precision:
         spectrum = cen.spectrum
     else:
         spectrum = systems.spectrum_for(source, precision)
-    exact = "exact-closed-form"
-    if spectrum.rate.exact == 1 and not spectrum.contains_root_of_unity:
-        report = _growth_rate_one(source, spec)
-        return AsymptoticConstants(
-            B=Fraction(report.B), C=None, lam=Fraction(1), provenance={"B": exact, "lambda": exact}
-        )
-    B = cesaro_exact_fad(spec, spectrum=spectrum, precision=precision)
+    B = cesaro_exact_fad(source.fad, spectrum=spectrum, precision=precision)
     rate = spectrum.rate
+    exact = "exact-closed-form"
     return AsymptoticConstants(
         B=B.value,
         C=None,
@@ -470,7 +477,7 @@ def constants_for(source, precision=128, cen=None):
         how, bounds = "series-truncation", {"A": A.tail_bound}
         notes = ("companion sum A = %s" % mp.nstr(A.as_mpf(precision), 12),)
     elif law.lam == 1 and source.fad is not None:
-        report = _growth_rate_one(source, source.fad)
+        report = _growth_rate_one(source)
         C = report.C
         notes = (
             "growth rate 1: the growth law reads N(X) ~ (C/Gamma(B+1)) X^B "

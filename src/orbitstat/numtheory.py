@@ -9,6 +9,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+# The longest period a product form may carry: E(p, n) builds r and s with
+# the order of n mod p as their period, and the residue-class walk of the
+# Cesaro mean visits the lcm of every sequence's shortest period.
+MAX_PERIOD = 2**17
+
 # Deterministic Miller-Rabin witness set, valid for all n < 3.3 * 10^24
 # (covers every 64-bit input with a wide margin).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -76,16 +81,20 @@ def p_valuation(k, p):
 
 
 def multiplicative_order(n, p):
-    """Least d >= 1 with n^d = 1 mod p, for prime p not dividing n."""
+    """Least d >= 1 with n^d = 1 mod p, for prime p not dividing n.
+
+    d divides p - 1, so the candidates d <= MAX_PERIOD that divide p - 1
+    are tried in increasing order: at most MAX_PERIOD trial divisions,
+    however large p is. An order above MAX_PERIOD is refused.
+    """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if n % p == 0:
         raise ValueError("order undefined: p divides n")
-    # d divides p-1; scan divisors in increasing order.
-    for d in divisors(p - 1):
-        if pow(n, d, p) == 1:
+    for d in range(1, min(p - 1, MAX_PERIOD) + 1):
+        if (p - 1) % d == 0 and pow(n, d, p) == 1:
             return d
-    raise AssertionError("unreachable: Fermat guarantees an order")
+    raise ValueError(f"the order of n mod p exceeds the period limit 2^{MAX_PERIOD.bit_length() - 1}")
 
 
 def lte_params(n, p):
@@ -103,8 +112,14 @@ def lte_params(n, p):
     if n < 2:
         raise ValueError("lte_params requires n >= 2")
     d = multiplicative_order(n, p)
-    e = p_valuation(n**d - 1, p)
-    return d, e
+    # n^d - 1 mod p^j for j = 2, 4, 8, ... until it is nonzero there; its
+    # valuation is then below j, so n^d itself is never formed
+    j = 1
+    rest = 0
+    while not rest:
+        j *= 2
+        rest = pow(n, d, p**j) - 1
+    return d, p_valuation(rest, p)
 
 
 @dataclass(frozen=True)
@@ -138,10 +153,18 @@ class PeriodicSequence:
             raise ValueError("defined for k >= 1")
         return self.values[(k - 1) % self.period]
 
-    def is_integral(self, window=None):
-        """True if every value over the window (default: one period) is an integer."""
-        n = self.period if window is None else window
-        return all(self.at(k).denominator == 1 for k in range(1, n + 1))
+    def is_integral(self):
+        """True if every value is an integer: one period holds them all."""
+        return all(v.denominator == 1 for v in self.values)
+
+
+def minimal_period(values):
+    """The least d dividing len(values) >= 1 with values[k] = values[k mod d]
+    for every k: the shortest period that the given one repeats. Values are
+    read once, as (numerator, denominator) pairs, which compare without a
+    call into Fraction."""
+    pairs = [(v.numerator, v.denominator) for v in values]
+    return next(d for d in divisors(len(pairs)) if pairs[d:] == pairs[:-d])
 
 
 def is_gcd_sequence(seq, window):

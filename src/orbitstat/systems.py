@@ -80,9 +80,8 @@ class FadSpec:
         # r is checked as a gcd-sequence only where the property is defined
         # (integer values); fractional r (legitimate, e.g. 1/25 entries
         # cancelling a determinant valuation) is exempt.
-        window = 2 * self.r.period
-        if self.r.is_integral(window):
-            if not is_gcd_sequence(self.r, window):
+        if self.r.is_integral():
+            if not is_gcd_sequence(self.r, 2 * self.r.period):
                 raise ValueError("r is not a gcd-sequence")
         seen = set()
         for fp in self.primes:
@@ -92,14 +91,17 @@ class FadSpec:
                 raise ValueError(f"duplicate prime {fp.p}")
             seen.add(fp.p)
             for name, seq in (("s", fp.s), ("t", fp.t)):
-                if not seq.is_integral(seq.period):
+                if not seq.is_integral():
                     raise ValueError(f"{name} values must be integers")
                 if seq.period % fp.p == 0:
                     raise ValueError(f"period of {name} must be coprime to p={fp.p}")
                 # s and t enter through p^s, p^t; the gcd-sequence property
                 # for exponent sequences is the min property, i.e. the gcd
-                # property of the prime-power values.
-                powers = PeriodicSequence(tuple(Fraction(fp.p) ** int(v) for v in seq.values))
+                # property of the prime-power values. Any increasing map of
+                # the exponents keeps it, so 2^(rank of the exponent) stands
+                # in for p^s: no power of a huge exponent is formed.
+                ranks = {v: i for i, v in enumerate(sorted(set(seq.values)))}
+                powers = PeriodicSequence(tuple(2 ** ranks[v] for v in seq.values))
                 if not is_gcd_sequence(powers, 2 * seq.period):
                     raise ValueError(f"p^{name} is not a gcd-sequence")
         return self
@@ -248,17 +250,19 @@ def _fad_sigma_from_det(spec, k, ck, det_value):
     """Assemble sigma_k from c^k and a precomputed det(A^k - 1) (None if no
     matrix) in integers: the r and p-adic denominators are collected and
     divided out once."""
-    if det_value == 0:
-        return 0
     r = spec.r.at(k)
     num = ck.numerator * r.numerator
-    den = ck.denominator * r.denominator
     if det_value is not None:
         num *= abs(det_value)
+    if num == 0:
+        return 0
+    den = ck.denominator * r.denominator
     for fp in spec.primes:
         # |k|_p^s p^(-t |k|_p^(-1)) = p^(-(v s + t p^v)) with v = v_p(k)
         v = p_valuation(k, fp.p)
         e = v * int(fp.s.at(k)) + int(fp.t.at(k)) * fp.p**v
+        if e >= num.bit_length():  # p^e > num, and a huge e is never raised to
+            raise ValueError(f"non-realizable parameters at k={k}")
         den *= fp.p**e  # e >= 0, since PeriodicSequence refuses negative s and t
     value, rem = divmod(num, den)
     if rem:

@@ -386,6 +386,73 @@ def ascending_joint_rows(classes, X):
     return D, rows
 
 
+def evaluated_joint_rows(classes, X):
+    """ascending_joint_rows' (D, rows) by a second route: the log-derivative
+    recurrence of the product, evaluated at u = 2^S.
+
+    With u_w = u^(D w), the factor (1 + u_w z^ell/(1 - z^ell))^count has
+    z d/dz log = sum_m ell count (1 - (1 - u_w)^m) z^(ell m), so F = the
+    product obeys n F_n = sum_k a_k F_(n-k), a_k collecting those terms at
+    ell m = k (ell count for a zero weight). F_n(u) = sum_v c_(n,v) u^v with
+    every c_(n,v) <= N_n < 2^S and v <= D w_max W(n), W(n) the most
+    nonzero-weight primes whose lengths fit in n (taken greedily, shortest
+    first). So n F_n(2^S) is below 2^width(n), width(n) = S (D w_max W(n)
+    + 1) + bits(n), the recurrence runs mod 2^width(n), and each division
+    by n must be exact: that is the integrality check. Slot v of F_n(2^S)
+    is c_(n,v).
+    """
+    live = [(ell, count, w) for ell in range(1, X + 1) for count, w in classes[ell] if count]
+    D = lcm(*(w.denominator for _, _, w in live))
+    keyed = [(ell, count, w.numerator * (D // w.denominator)) for ell, count, w in live]
+    if any(key < 0 for _, _, key in keyed):
+        raise ValueError("a negative weight has no evaluation at u = 2^S")
+
+    def recurrence(a, width=None):
+        F = [1] + [0] * X
+        for n in range(1, X + 1):
+            total = sum(a[k] * F[n - k] for k in range(1, n + 1))
+            if width:
+                total &= (1 << width(n)) - 1
+            F[n], rem = divmod(total, n)
+            if rem:
+                raise AssertionError(f"n F_n not divisible by n at n={n}")
+        return F
+
+    # at u = 1, a_k = sigma_k and F_n = N_n, which sizes the slots
+    sigma = [0] * (X + 1)
+    for ell, count, _ in keyed:
+        for k in range(ell, X + 1, ell):
+            sigma[k] += ell * count
+    S = max(recurrence(sigma)).bit_length()
+    top = max((key for _, _, key in keyed), default=0)
+
+    def width(n):
+        room, most = n, 0
+        for ell, count, key in keyed:  # ascending ell
+            if key:
+                take = min(count, room // ell)
+                room -= take * ell
+                most += take
+        return S * (top * most + 1) + n.bit_length()
+
+    modulus = 1 << width(X)
+    a = [0] * (X + 1)
+    for ell, count, key in keyed:
+        for m in range(1, X // ell + 1):
+            a[ell * m] += ell * count * (1 - pow(1 - (1 << (S * key)), m, modulus))
+    rows = []
+    for value in recurrence(a, width):
+        row = {}
+        v = 0
+        while value:
+            if value & ((1 << S) - 1):
+                row[v] = value & ((1 << S) - 1)
+            value >>= S
+            v += 1
+        rows.append(row)
+    return D, rows
+
+
 # ---------------------------------------------------------------------------
 # tail reports by the definitions
 

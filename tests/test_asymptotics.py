@@ -9,7 +9,7 @@ import pytest
 
 from orbitstat import asymptotics as asy
 from orbitstat import polyops, systems
-from orbitstat.numtheory import PeriodicSequence
+from orbitstat.numtheory import MAX_PERIOD, PeriodicSequence
 from orbitstat.polyops import to_mpf
 from orbitstat.census import build_census
 from orbitstat.systems import builtin_source, fad_spec_for, table_source
@@ -124,6 +124,48 @@ def test_fad_class_mean_matches_ca_cesaro(p, t):
     out = automaton_mean(p, t)
     value, tail = oracles.ca_cesaro(p, t)
     assert abs(to_mpf(out.value - value)) <= out.tail_bound + to_mpf(tail)
+
+
+def test_fad_class_mean_reads_the_shortest_periods():
+    # each sequence repeats one value, so the residues walked are those of
+    # the period-1 twin: same B, same tail bound, and no 10^7-class walk
+    def spec(a, b, c):
+        return systems.FadSpec(c=2, primes=(
+            systems.FadPrime(2, PeriodicSequence((0,) * a), PeriodicSequence((1,) * b)),
+            systems.FadPrime(3, PeriodicSequence((0,) * c), PeriodicSequence((0,) * c)),
+        ))
+
+    padded, twin = asy.fad_class_mean(spec(101, 103, 1009)), asy.fad_class_mean(spec(1, 1, 1))
+    assert (padded.value, padded.tail_bound) == (twin.value, twin.tail_bound)
+    assert twin.value == asy.fad_class_mean(fad_spec_for(builtin_source("GA"))).value
+
+
+def test_fad_class_mean_refuses_long_walks():
+    # shortest periods 367 and 373, coprime: 136891 classes, above 2^17 and
+    # above either period
+    r = PeriodicSequence((1,) * 366 + (367,))
+    s = PeriodicSequence((0,) * 372 + (1,))
+    spec = systems.FadSpec(c=2, r=r, primes=(systems.FadPrime(2, s, PeriodicSequence.constant(0)),))
+    with pytest.raises(ValueError, match="^136891 residue classes, the lcm of the shortest periods"):
+        asy.fad_class_mean(spec)
+    # one long period alone is walked: the walk stays linear in the spec
+    long = PeriodicSequence((1,) * (MAX_PERIOD + 6) + (2,))
+    assert asy.fad_class_mean(systems.FadSpec(r=long)).value == 1 + Fraction(1, MAX_PERIOD + 7)
+
+
+def test_fad_class_mean_caps_huge_exponents():
+    # every term past the exponent cap goes to the tail, whichever path of
+    # the local factor it takes: the geometric one (t = 0), the forced
+    # valuation (r's period even) and the truncated series
+    huge, zero = PeriodicSequence.constant(2**64), PeriodicSequence.constant(0)
+    geometric = asy.fad_class_mean(systems.FadSpec(c=2, primes=(systems.FadPrime(2, huge, zero),)))
+    assert geometric.value == Fraction(1, 2) and 0 < geometric.tail_bound < mp.mpf(2) ** -2048
+    for r in (PeriodicSequence((1, 2)), PeriodicSequence.constant(1)):
+        tiny = asy.fad_class_mean(systems.FadSpec(c=2, r=r, primes=(systems.FadPrime(2, zero, huge),)))
+        assert tiny.value == 0 and 0 < tiny.tail_bound < mp.mpf(2) ** -2048
+    # growth rate 1 still refuses the exponent, after the walk
+    with pytest.raises(ValueError, match="nonzero p-adic exponent"):
+        asy.constants_for(systems.fad_source(systems.FadSpec(primes=(systems.FadPrime(3, huge, zero),))))
 
 
 def test_cesaro_exact_fad_gm():
@@ -417,6 +459,26 @@ def test_growth_rate_one_comes_from_the_product_form():
     # one period of r is read: (2, 2, 2, 6) has period 4 and B = 3
     out = asy.constants_for(systems.fad_source(systems.FadSpec(r=PeriodicSequence((2, 2, 2, 6)))))
     assert out.B == 3 and out.C == Fraction(1, 4)
+
+
+def test_growth_rate_one_is_analysed_once_per_constants_for(monkeypatch):
+    calls = []
+    analysis = asy.lambda1_analysis
+
+    def counting(period):
+        calls.append(tuple(period))
+        return analysis(period)
+
+    monkeypatch.setattr(asy, "lambda1_analysis", counting)
+    nilpotent_twin = {"type": "fad", "matrix": [[0, 1], [0, 0]], "r": {"values": [1, 3]}}
+    for src in (builtin_source("periodic", values=(1, 3)), systems.source_from_json(nilpotent_twin)):
+        calls.clear()
+        out = asy.constants_for(src)
+        assert calls == [(1, 3)]
+        assert (out.B, out.C, out.lam) == (2, Fraction(1, 2), 1)
+        # growth_law alone never analyses the period: B is r's class mean
+        calls.clear()
+        assert asy.growth_law(src).B == 2 and calls == []
 
 
 def test_growth_rate_one_refuses_padic_exponents():

@@ -5,9 +5,13 @@ import io
 import json
 import re
 import sys
+import time
+from contextlib import redirect_stderr, redirect_stdout
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitstat import asymptotics, build_census, builtin_source, cli, distribution, kernels, systems, write_samples_csv
 from orbitstat.cli import main
@@ -470,6 +474,38 @@ def test_spec_failures_exit_2(capsys, argv, needle):
     assert needle in err
 
 
+@pytest.mark.parametrize("p", [3000029, 1000000000039, 1000000000000000003])
+def test_elliptic_orders_above_the_period_limit_exit_2(capsys, p):
+    # the order of 2 mod p sets the period of r and s: refused before r is built
+    for sub in ("validate", "constants"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, sub, "--system", f"builtin:E,p={p},n=2", "--X", "5")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == f"error: builtin:E,p={p},n=2:1: the order of n mod p exceeds the period limit 2^17\n"
+
+
+def test_elliptic_order_within_the_period_limit(capsys):
+    # the order of 2 mod 100003 is 100002
+    code, out, err = run(capsys, "validate", "--system", "builtin:E,p=100003,n=2", "--X", "5")
+    assert (code, out, err) == (0, "Dold congruences: ok for all ell <= 5\n", "")
+
+
+def test_class_walk_above_the_period_limit_exits_2(capsys, tmp_path):
+    # coprime shortest periods 367 and 373 make 136891 residue classes
+    spec = tmp_path / "walk.json"
+    spec.write_text(json.dumps({
+        "type": "fad",
+        "c": 2,
+        "r": {"values": [1] * 366 + [367]},
+        "primes": [{"p": 2, "s": {"values": [0] * 372 + [1]}, "t": {"values": [0]}}],
+    }))
+    for sub in ("constants", "ldp"):
+        code, out, err = run(capsys, sub, "--system", str(spec), "--X", "5")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {spec}:1: 136891 residue classes, the lcm of the shortest periods: ")
+
+
 def test_malformed_json_is_line_anchored(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{\n  "type": "table",\n  "sigma": [1, 1,\n}\n')
@@ -612,3 +648,131 @@ def test_growth_rate_beyond_float_range_exits_cleanly(capsys, sub):
     assert "internal error" not in err
     if sub == "ldp":
         assert code == 0 and out.startswith("X,epsilon,threshold")
+
+
+# -- every input exits 0 or 2: a property test over the input grammar -------------
+
+# boundary values where an integer belongs, and values of the wrong type there
+BOUNDARY_INTS = (0, 1, -1, 2, 3, 5, 2**64, 2**4000)
+NOT_INTS = (2.5, 2.0, True, "2", None, [], [2])
+PRIMES = (1, 2, 3, 4, 5, 7, 2**61 - 1, 100003, 3000029, 1000000000039, 1000000000000000003)
+MATRICES = (
+    [[0, -1], [1, 0]],  # rotation: a root of unity
+    [[0, 1], [0, 0]],  # nilpotent
+    [list(row) for row in systems.gm_matrix()],  # Salem
+    [[2, 1], [0, 2]],  # repeated root
+    [[2, 1], [1, 1]],
+    [[2**64]],
+    [],
+    [[1, 2]],  # not square
+    [[1], [2, 3]],  # ragged
+    [[[1]]],  # nested
+)
+# coprime shortest periods 367 and 373: a class walk beyond the period limit
+LONG_WALK = {
+    "type": "fad",
+    "c": 2,
+    "r": {"values": [1] * 366 + [367]},
+    "primes": [{"p": 2, "s": {"values": [0] * 372 + [1]}, "t": {"values": [0]}}],
+}
+
+ints = st.sampled_from(BOUNDARY_INTS)
+anything = st.one_of(ints, st.sampled_from(NOT_INTS))
+value_lists = st.one_of(
+    st.lists(st.sampled_from((0, 1, 2, 3, 6, 2**64)), max_size=4),
+    st.lists(st.one_of(ints, st.sampled_from(("1/3", "1/25", 2.5, True, [1]))), max_size=3),
+)
+# systems that every subcommand but ldp on growth rate 1 accepts
+VALID = (
+    "builtin:FF,q=2", "builtin:E,p=3,n=2", "builtin:E,p=5,n=3", "builtin:E,p=100003,n=2", "builtin:GA",
+    "builtin:GM", "builtin:periodic,values=[1,3]", "builtin:periodic,values=[2,2,2,6]",
+    "table:[1,3,1,7,1,3,1,15,1,33]",
+    json.dumps({"type": "fad", "c": 2, "primes": [{"p": 2, "s": {"values": [0]}, "t": {"values": [1]}}]}),
+    json.dumps({"type": "fad", "matrix": [[0, 1], [0, 0]], "r": {"values": [1, 3]}}),
+    json.dumps({"type": "fad", "matrix": [list(row) for row in systems.gm_matrix()], "r": {"values": [1, 1, "1/25"]},
+                "primes": [{"p": 5, "s": {"values": [0, 0, 4]}, "t": {"values": [0]}}]}),
+)
+shorthand = st.one_of(
+    ints.map(lambda q: f"builtin:FF,q={q}"),
+    st.sampled_from(("2.5", "[2]", "", "x")).map(lambda q: f"builtin:FF,q={q}"),
+    st.tuples(st.sampled_from(PRIMES), ints).map(lambda pn: f"builtin:E,p={pn[0]},n={pn[1]}"),
+    st.sampled_from(("builtin:GA", "builtin:GM", "builtin:GA,x=1", "builtin:ZZ", "builtin:")),
+    st.lists(st.sampled_from((0, 1, 2, 3, 6, -1, 2**64)), max_size=4).map(
+        lambda v: f"builtin:periodic,values=[{','.join(map(str, v))}]"
+    ),
+    st.sampled_from(("builtin:periodic,values=[[1]]", "builtin:periodic,values=[1,,2]", "builtin:periodic,values=5")),
+    st.lists(st.sampled_from((0, 1, 2, 4, 2**64, -1)), max_size=12).map(lambda v: f"table:[{','.join(map(str, v))}]"),
+)
+prime_factors = st.fixed_dictionaries({
+    "p": st.one_of(st.sampled_from(PRIMES), st.sampled_from(NOT_INTS)),
+    "s": st.fixed_dictionaries({"values": value_lists}),
+    "t": st.fixed_dictionaries({"values": value_lists}),
+})
+json_specs = st.one_of(
+    st.fixed_dictionaries({"type": st.just("builtin"), "name": st.sampled_from(("FF", "GA", "periodic", "E"))},
+                          optional={"q": anything, "p": anything, "n": anything, "values": value_lists}),
+    st.fixed_dictionaries({"type": st.just("fad")}, optional={
+        "c": anything,
+        "matrix": st.sampled_from(MATRICES),
+        "r": st.fixed_dictionaries({"values": value_lists}),
+        "primes": st.lists(prime_factors, max_size=2),
+    }),
+    st.fixed_dictionaries({"type": st.just("table"), "sigma": value_lists}),
+    st.sampled_from(([1, 2], {"type": "magic"}, {"type": "fad", "primes": [[]]}, LONG_WALK)),
+)
+RAW_JSON = ('{"type": "fad", "c": 2, "c": 3}', '{"type": "builtin", "name": "FF", "q": 2', "[" * 5000)
+# valid flag values, then at most one boundary value that RunConfig refuses
+flags = st.fixed_dictionaries({
+    "--X": st.sampled_from((None, 1, 2, 3, 5, 8, 12)),
+    "--precision": st.sampled_from((None, 64, 128, 256)),
+    "--epsilon": st.sampled_from((None, "0", "0.5", "2", "1e308")),
+    "--seed": st.sampled_from((None, 0, 7, 2**64 - 1)),
+    "--samples": st.sampled_from((1, 3)),
+    "--format": st.sampled_from((None, "csv", "json")),
+})
+bad_flags = st.sampled_from((None,) * 33 + (
+    ("--X", 0), ("--X", -1), ("--X", 1025), ("--X", 2**64), ("--precision", 32), ("--precision", 65537),
+    ("--epsilon", "nan"), ("--epsilon", "-1"), ("--seed", -1), ("--seed", 2**64), ("--samples", 0),
+))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from(tuple(cli.COMMANDS)),
+    st.one_of(st.sampled_from(VALID), shorthand, json_specs.map(json.dumps), st.sampled_from(RAW_JSON)),
+    flags,
+    bad_flags,
+    st.sampled_from((False,) * 9 + (True,)),
+)
+def test_every_input_exits_0_or_2(tmp_path_factory, command, system, flag_values, bad, stray):
+    if not system.startswith(("builtin:", "table:")):
+        path = tmp_path_factory.getbasetemp() / "grammar-spec.json"
+        path.write_text(system)
+        system = str(path)
+    argv = [command, "--system", system]
+    options = cli.SUBCOMMANDS[command][1]
+    taken = {"--X"} | {"--" + flag.replace("_", "-") for flag in options}
+    for flag, value in {**flag_values, **dict([bad] if bad else [])}.items():
+        # validate reads 200 terms without --X: every run stays at X <= 12
+        if value is None and flag == "--X" and command == "validate":
+            value = 12
+        # a flag the subcommand does not take is refused by the parser
+        if value is not None and (flag in taken or stray):
+            argv += [flag, str(value)]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's refusal
+            code = exc.code
+    assert code in (0, 2), (argv, err.getvalue())
+    assert "internal error" not in err.getvalue()
+    fmt = "--format" in taken and flag_values["--format"] or options.get("format", {}).get("default")
+    if code == 0 and (command == "constants" or fmt == "json"):
+        doc = json.loads(out.getvalue())
+        source = cli.parse_system(system)
+        if source.kind == "builtin":
+            assert cli.parse_system(doc["system"]) == source
+        else:
+            # "fad" and "table[n]" name no system that --system reads
+            assert doc["system"] == source.describe()

@@ -243,6 +243,23 @@ def test_joint_census_matches_the_ascending_oracle_on_generated_forms(spec, X):
         assert (bc.D, list(bc.rows)) == oracles.ascending_joint_rows(g.classes, X)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(diagonal_specs().map(lambda case: case[0]), padic_product_forms()), st.integers(1, 40))
+def test_joint_census_matches_the_evaluated_log_derivative_on_generated_forms(spec, X):
+    cen = build_census(fad_source(spec), X, crosscheck_to=0)
+    for g in three_statistics(cen):
+        bc = joint_census(g, X, census=cen)
+        assert (bc.D, list(bc.rows)) == oracles.evaluated_joint_rows(g.classes, X)
+
+
+@pytest.mark.parametrize("name,params", [("FF", {"q": 2}), ("E", {"p": 3, "n": 2}), ("GM", {})])
+def test_joint_census_matches_the_evaluated_log_derivative_at_x120(name, params):
+    cen = build_census(builtin_source(name, **params), 120, crosscheck_to=0)
+    for g in three_statistics(cen):
+        bc = joint_census(g, 120, census=cen)
+        assert (bc.D, list(bc.rows)) == oracles.evaluated_joint_rows(g.classes, 120)
+
+
 def test_packed_rows_equal_keyed_rows_on_both_sides_of_the_bound(e32_source):
     for source, X, S in ((e32_source, 120, 242), (builtin_source("FF", q=1024), 70, 702)):
         cen = build_census(source, X, crosscheck_to=0)

@@ -1,5 +1,6 @@
 """Arithmetic helpers against brute-force oracles."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -44,6 +45,16 @@ def test_multiplicative_order():
             assert all(pow(n, k, p) != 1 for k in range(1, d))
 
 
+def test_multiplicative_order_is_bounded():
+    # at most MAX_PERIOD trial divisions, however large p is
+    for p in (3000029, 1000000000039, 1000000000000000003):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"^the order of n mod p exceeds the period limit 2\^17$"):
+            nt.multiplicative_order(2, p)
+        assert time.perf_counter() - start < 1
+    assert nt.multiplicative_order(2, 100003) == 100002 <= nt.MAX_PERIOD
+
+
 def test_lte_params_and_lifted_valuation():
     # For every k the closed form must equal trial valuation of n^k - 1.
     for p, n in ((3, 2), (5, 2), (7, 3), (11, 4)):
@@ -51,6 +62,9 @@ def test_lte_params_and_lifted_valuation():
         for k in range(1, 40):
             lifted = e + oracles.valuation(k // d, p) if k % d == 0 else 0
             assert lifted == oracles.valuation(n**k - 1, p)
+    # a huge n, or one close to 1 p-adically, never forms n^d
+    assert nt.lte_params(2**4000, 100003) == (50001, 1)
+    assert nt.lte_params(1 + 7**300, 7) == (1, 300)
     with pytest.raises(ValueError):
         nt.lte_params(3, 2)
     with pytest.raises(ValueError):
@@ -62,7 +76,8 @@ def test_periodic_sequence_basics():
     assert seq.period == 3
     assert seq.at(1) == 1 and seq.at(2) == Fraction(1, 2) and seq.at(5) == Fraction(1, 2)
     assert not seq.is_integral()
-    assert nt.PeriodicSequence.constant(4).is_integral(window=10)
+    assert nt.PeriodicSequence.constant(4).is_integral()
+    assert [nt.minimal_period(v) for v in ((5,), (1, 3, 1, 3), (1, 3, 1), (2, 2, 2, 2, 2, 2))] == [1, 2, 3, 1]
     with pytest.raises(ValueError):
         nt.PeriodicSequence(())
     with pytest.raises(ValueError):

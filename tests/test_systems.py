@@ -142,6 +142,19 @@ def test_fad_sigma_realizability_errors():
         sigma_table(src2, 3)
 
 
+def test_huge_padic_exponents_are_never_raised_to():
+    # p^(2^64) has no room in memory: validate reads the exponents' order,
+    # sigma_table refuses a denominator wider than its numerator
+    huge, zero = PeriodicSequence.constant(2**64), PeriodicSequence.constant(0)
+    for s, t, k in ((huge, zero, 2), (zero, huge, 1)):
+        src = fad_source(FadSpec(c=2, primes=(FadPrime(2, s, t),)))
+        with pytest.raises(ValueError, match=f"^non-realizable parameters at k={k}$"):
+            sigma_table(src, 4)
+    assert FadSpec(primes=(FadPrime(3, PeriodicSequence((0, 2**64)), zero),)).validate()
+    with pytest.raises(ValueError, match=r"^p\^s is not a gcd-sequence$"):
+        FadSpec(primes=(FadPrime(3, PeriodicSequence((2**64, 0)), zero),)).validate()
+
+
 # -- growth rates -------------------------------------------------------------
 
 
