@@ -133,10 +133,11 @@ class PeriodicSequence:
     values: tuple
 
     def __post_init__(self):
-        vals = tuple(Fraction(v) for v in self.values)
+        # a Fraction is kept as it is: Fraction(v) would check its type again
+        vals = tuple(v if type(v) is Fraction else Fraction(v) for v in self.values)
         if not vals:
             raise ValueError("period must be >= 1")
-        if any(v < 0 for v in vals):
+        if any(v.numerator < 0 for v in vals):
             raise ValueError("values must be non-negative")
         object.__setattr__(self, "values", vals)
 
@@ -167,22 +168,28 @@ def minimal_period(values):
     return next(d for d in divisors(len(pairs)) if pairs[d:] == pairs[:-d])
 
 
-def is_gcd_sequence(seq, window):
-    """Check gcd(a_m, a_n) = a_{gcd(m,n)} for all 1 <= m, n <= window.
+def is_gcd_sequence(seq, meet=gcd):
+    """Check gcd(a_m, a_n) = a_{gcd(m,n)} for all m, n >= 1 on a periodic
+    sequence, in O(L + tau(L)^2) gcds for its period L.
 
-    Requires integer values throughout the window; a non-integral value is
-    an error, not a False (the property has no meaning there).
+    The property gives a_n = gcd(a_n, a_{n+L}) = a_{gcd(n,L)}, so a is a
+    function g of gcd(n, L), and it holds exactly when a_n = a_{gcd(n,L)}
+    for n <= L and g(gcd(d, e)) = gcd(g(d), g(e)) for all divisors d <= e
+    of L. The pair d = e fails on a negative value, as m = n does.
+
+    meet=min checks min(a_m, a_n) = a_{gcd(m,n)} instead: the gcd property
+    of p^a for an exponent sequence a, by the same two checks.
+
+    Requires integer values; a non-integral value is an error, not a False
+    (the property has no meaning there).
     """
-    if window < 1:
-        raise ValueError("window must be >= 1")
     vals = []
-    for k in range(1, window + 1):
-        v = seq.at(k)
+    for k, v in enumerate(seq.values, 1):
         if v.denominator != 1:
             raise ValueError(f"non-integral value {v} at k={k}")
         vals.append(int(v))
-    for m in range(1, window + 1):
-        for n in range(m, window + 1):
-            if gcd(vals[m - 1], vals[n - 1]) != vals[gcd(m, n) - 1]:
-                return False
-    return True
+    L = len(vals)
+    if any(vals[n - 1] != vals[gcd(n, L) - 1] for n in range(1, L + 1)):
+        return False
+    divs = divisors(L)
+    return all(meet(vals[d - 1], vals[e - 1]) == vals[gcd(d, e) - 1] for i, d in enumerate(divs) for e in divs[i:])

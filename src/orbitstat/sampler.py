@@ -17,9 +17,18 @@ Philox, built once; a stream keeps only its seed's key and its own
 counter, and positions that shared generator at the counter, under a
 lock, for each 4 KB chunk it fetches. Philox output depends only on
 (key, counter), so sharing the generator changes no byte.
+
+The descent inlines RandomStream.randbelow: it reads exactly the bytes and
+makes exactly the accept decisions that one randbelow per cell would.
+Beside the completion counts, the sampler keeps each cell's byte width
+bit_length // 8 + 1 in one compact unsigned-int array per length, and the
+span 2^(8 width) of each width in use, so a step computes neither. The
+descent holds the stream's byte window (buffer, position, block end) in
+local variables and writes the position back before every call that
+draws from the stream (a refill, distinct_parts), re-reading the window
+afterwards.
 """
 
-import json
 import threading
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -150,6 +159,9 @@ def distinct_parts(P, k, rng):
     P[d] = C(P,d) C(k-1,d-1) / C(P+k-1,k), drawn with exact thresholds."""
     if P < 1 or k < 1:
         raise ValueError("P >= 1 and k >= 1 required")
+    if k == 1:
+        rng.randbelow(P)  # one copy is one type; the draw keeps the stream's bytes
+        return 1
     total = comb(P + k - 1, k)
     r = rng.randbelow(total)
     acc = 0
@@ -162,8 +174,9 @@ def distinct_parts(P, k, rng):
 
 class OrbitSampler:
     """Per-(census, X) sampling tables: cumulative orbit counts for the
-    length draw and suffix completion counts R_{<ell}[j] (orbits using only
-    lengths below ell with total length j) for the profile draws."""
+    length draw, suffix completion counts R_{<ell}[j] (orbits using only
+    lengths below ell with total length j) for the profile draws, and the
+    byte width of each completion count for the inlined randbelow."""
 
     def __init__(self, census, X):
         if X < 0 or X > census.X_max:
@@ -180,25 +193,48 @@ class OrbitSampler:
         if suffix[X] != totals:
             raise AssertionError("completion tables disagree with the census (internal error)")
         self.suffix = suffix
+        # loaded with the first sampler, so commands that never draw do not map it
+        from array import array
+
+        # randbelow's byte count per cell; "I" holds widths up to 2^32 - 1
+        # bytes and raises OverflowError past them
+        self.widths = [array("I", [v.bit_length() // 8 + 1 for v in row]) for row in suffix]
+        self.spans = {w: 1 << (8 * w) for w in set().union(*self.widths)}
+        # steps[ell] = (ell, P_ell, suffix[ell], suffix[ell - 1], widths[ell]),
+        # one tuple per descent step; steps[0] is never read
+        self.steps = list(zip(range(X + 1), self.primes, suffix, [None] + suffix, self.widths))
         self.cumulative = list(accumulate(totals))
         self.grand_total = self.cumulative[-1]
 
     def sample(self, rng):
-        randbelow = rng.randbelow
-        primes = self.primes
-        suffix = self.suffix
-        n = bisect_right(self.cumulative, randbelow(self.grand_total))
+        spans = self.spans
+        from_bytes = int.from_bytes  # a local: int.from_bytes is a lookup per call
+        n = bisect_right(self.cumulative, rng.randbelow(self.grand_total))
+        buf, pos, end = rng._buf, rng._pos, rng._end
         rem = n
         profile = []
         # lengths above n cannot occur, and each draw lowers rem
-        for ell in range(n, 0, -1):
-            if rem == 0:
-                break
-            P = primes[ell]
+        for ell, P, row, prev, wrow in self.steps[n:0:-1]:
             if rem < ell or P == 0:
                 continue
-            prev = suffix[ell - 1]
-            r = randbelow(suffix[ell][rem])
+            # r = rng.randbelow(bound), inlined: randbelow(1) reads no byte
+            bound = row[rem]
+            r = 0
+            if bound > 1:
+                w = wrow[rem]
+                span = spans[w]
+                while True:
+                    stop = pos + w
+                    if stop > end:
+                        rng._pos = pos
+                        rng._refill(w)
+                        buf, pos, end = rng._buf, rng._pos, rng._end
+                        stop = pos + w
+                    r = from_bytes(buf[pos:stop], "big")
+                    pos = stop
+                    if r < span - bound or r < span - span % bound:
+                        r %= bound
+                        break
             acc = prev[rem]
             if r < acc:  # k = 0: no copies at this length
                 continue
@@ -212,8 +248,12 @@ class OrbitSampler:
                 k += 1
                 m += ell
                 binom = binom * (P + k - 1) // k
+            rng._pos = pos
             profile.append((ell, k, distinct_parts(P, k, rng)))
+            buf, pos, end = rng._buf, rng._pos, rng._end
             rem -= m
+            if rem == 0:  # distinct_parts made the last read, so rng is current
+                break
         return OrbitSample(n=n, profile=tuple(reversed(profile)))
 
 
@@ -236,5 +276,5 @@ def write_samples_csv(fileobj, census, X, samples, seed):
     fileobj.write("index,n,W,profile\n")
     for i in range(samples):
         s = sampler.sample(RandomStream(seed, i))
-        prof = json.dumps([list(entry) for entry in s.profile], separators=(",", ":"))
+        prof = "[" + ",".join("[%d,%d,%d]" % entry for entry in s.profile) + "]"
         fileobj.write('%d,%d,%d,"%s"\n' % (i, s.n, s.W, prof))

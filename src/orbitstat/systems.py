@@ -75,13 +75,13 @@ class FadSpec:
                     "matrix has a root-of-unity eigenvalue; fold the "
                     "resulting periodic factor into r instead"
                 )
-        if any(v <= 0 for v in self.r.values):
+        if any(v.numerator <= 0 for v in self.r.values):
             raise ValueError("r must be strictly positive")
         # r is checked as a gcd-sequence only where the property is defined
         # (integer values); fractional r (legitimate, e.g. 1/25 entries
         # cancelling a determinant valuation) is exempt.
         if self.r.is_integral():
-            if not is_gcd_sequence(self.r, 2 * self.r.period):
+            if not is_gcd_sequence(self.r):
                 raise ValueError("r is not a gcd-sequence")
         seen = set()
         for fp in self.primes:
@@ -95,14 +95,9 @@ class FadSpec:
                     raise ValueError(f"{name} values must be integers")
                 if seq.period % fp.p == 0:
                     raise ValueError(f"period of {name} must be coprime to p={fp.p}")
-                # s and t enter through p^s, p^t; the gcd-sequence property
-                # for exponent sequences is the min property, i.e. the gcd
-                # property of the prime-power values. Any increasing map of
-                # the exponents keeps it, so 2^(rank of the exponent) stands
-                # in for p^s: no power of a huge exponent is formed.
-                ranks = {v: i for i, v in enumerate(sorted(set(seq.values)))}
-                powers = PeriodicSequence(tuple(2 ** ranks[v] for v in seq.values))
-                if not is_gcd_sequence(powers, 2 * seq.period):
+                # s and t enter through p^s, p^t, whose gcd property is the
+                # min property of the exponents: no power of p is formed
+                if not is_gcd_sequence(seq, meet=min):
                     raise ValueError(f"p^{name} is not a gcd-sequence")
         return self
 
@@ -491,7 +486,8 @@ def _field(obj, name, kind, prefix="", optional=False):
 
 
 def _periodic_from_json(obj, name):
-    values = tuple(Fraction(str(v)) for v in _field(obj, "values", list, f"{name}."))
+    # an int takes Fraction's fast path; str() reads the rest ("1/25", 0.5)
+    values = tuple(Fraction(v if type(v) is int else str(v)) for v in _field(obj, "values", list, f"{name}."))
     seq = PeriodicSequence(values)
     period = obj.get("period", seq.period)
     if period != seq.period:

@@ -236,6 +236,60 @@ def oracle_stream(seed, index, bounds):
     return out
 
 
+def pairwise_gcd_sequence(values, meet=gcd):
+    """meet(a_m, a_n) = a_gcd(m,n), gcd by default, for every pair
+    m <= n <= 2L of the sequence repeating values (period L), checked pair
+    by pair."""
+    window = 2 * len(values)
+    vals = [values[(k - 1) % len(values)] for k in range(1, window + 1)]
+    for m in range(1, window + 1):
+        for n in range(m, window + 1):
+            if meet(vals[m - 1], vals[n - 1]) != vals[gcd(m, n) - 1]:
+                return False
+    return True
+
+
+def reference_distinct_parts(P, k, rng):
+    """d for k copies over P types, by exact thresholds on one randbelow."""
+    r = rng.randbelow(comb(P + k - 1, k))
+    acc = 0
+    for d in range(1, min(P, k) + 1):
+        acc += comb(P, d) * comb(k - 1, d - 1)
+        if r < acc:
+            return d
+    raise AssertionError("distinct-part weights failed to cover the range")
+
+
+def reference_sample(sampler, rng):
+    """(n, profile) of one draw by the sampler's tables (primes, suffix,
+    cumulative, grand_total), with one rng.randbelow per step: the length,
+    each length ell with room and primes (its k), and each d_ell."""
+    primes, suffix = sampler.primes, sampler.suffix
+    r = rng.randbelow(sampler.grand_total)
+    n = next(j for j, c in enumerate(sampler.cumulative) if r < c)
+    rem = n
+    profile = []
+    for ell in range(n, 0, -1):
+        if rem == 0:
+            break
+        P = primes[ell]
+        if rem < ell or P == 0:
+            continue
+        prev = suffix[ell - 1]
+        r = rng.randbelow(suffix[ell][rem])
+        acc = prev[rem]
+        if r < acc:
+            continue
+        k = 1
+        acc += P * prev[rem - ell]
+        while r >= acc:
+            k += 1
+            acc += comb(P + k - 1, k) * prev[rem - k * ell]
+        profile.append((ell, k, reference_distinct_parts(P, k, rng)))
+        rem -= k * ell
+    return n, tuple(reversed(profile))
+
+
 def partition_orbit_count(n):
     """N_n for sigma = (1,3,1,3,...): closed form floor(n/2) + 1."""
     return n // 2 + 1

@@ -7,6 +7,7 @@ import re
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from math import gcd
 
 import mpmath
 import pytest
@@ -489,6 +490,32 @@ def test_elliptic_order_within_the_period_limit(capsys):
     # the order of 2 mod 100003 is 100002
     code, out, err = run(capsys, "validate", "--system", "builtin:E,p=100003,n=2", "--X", "5")
     assert (code, out, err) == (0, "Dold congruences: ok for all ell <= 5\n", "")
+
+
+def test_validate_reads_a_period_at_the_limit_in_linear_time(capsys, tmp_path):
+    # r_n = gcd(n, 2^17), then with r at the divisor 2^16 changed to 3, which
+    # passes a_n = a_gcd(n,L) and fails on the divisor pairs; 2-adic s of the
+    # odd period L = 127575: v_3(gcd(n, L)), then 0, 1, ..., L - 1, whose
+    # powers 2^s alone would take L^2 / 2 bits
+    L = 2**17
+    r = [gcd(n, L) for n in range(1, L + 1)]
+    L = 3**6 * 5**2 * 7
+    s = [next(v for v in range(7) if gcd(n, L) % 3 ** (v + 1)) for n in range(1, L + 1)]
+    ok = "product-form invariants: ok (validated at construction)\nDold congruences: ok for all ell <= 5\n"
+    spec = tmp_path / "spec.json"
+    cases = (
+        ({"c": 2, "r": {"values": r}}, (0, ok, "")),
+        ({"c": 2, "r": {"values": r[: 2**16 - 1] + [3] + r[2**16:]}}, (2, "", f"error: {spec}:1: r is not a gcd-sequence\n")),
+        ({"c": 3, "primes": [{"p": 2, "s": {"values": s}, "t": {"values": [0]}}]}, (0, ok, "")),
+        ({"c": 3, "primes": [{"p": 2, "s": {"values": list(range(L))}, "t": {"values": [0]}}]},
+         (2, "", f"error: {spec}:1: p^s is not a gcd-sequence\n")),
+    )
+    for fields, want in cases:
+        spec.write_text(json.dumps({"type": "fad", **fields}))
+        start = time.perf_counter()
+        got = run(capsys, "validate", "--system", str(spec), "--X", "5")
+        assert time.perf_counter() - start < 1
+        assert got == want
 
 
 def test_class_walk_above_the_period_limit_exits_2(capsys, tmp_path):

@@ -1,7 +1,10 @@
 """Arithmetic helpers against brute-force oracles."""
 
+import random
 import time
 from fractions import Fraction
+from math import gcd
+from types import SimpleNamespace
 
 import pytest
 
@@ -88,12 +91,38 @@ def test_periodic_sequence_basics():
 
 def test_is_gcd_sequence():
     # a_k = gcd(k, 12) is a gcd sequence with period 12.
-    from math import gcd
-
     seq = nt.PeriodicSequence(tuple(gcd(k, 12) for k in range(1, 13)))
-    assert nt.is_gcd_sequence(seq, 36)
+    assert nt.is_gcd_sequence(seq)
     # a_k = k mod 5 is not (and contains zeros, which is fine for the check).
     bad = nt.PeriodicSequence((1, 2, 3, 4, 5))
-    assert not nt.is_gcd_sequence(bad, 10)
-    with pytest.raises(ValueError):
-        nt.is_gcd_sequence(nt.PeriodicSequence((Fraction(1, 2),)), 2)
+    assert not nt.is_gcd_sequence(bad)
+    with pytest.raises(ValueError, match="non-integral value 1/2 at k=2"):
+        nt.is_gcd_sequence(nt.PeriodicSequence((1, Fraction(1, 2))))
+
+
+def _values(vals):
+    # a stand-in for PeriodicSequence that admits negative values
+    return SimpleNamespace(values=tuple(Fraction(v) for v in vals))
+
+
+def test_is_gcd_sequence_matches_the_pairwise_check():
+    # half the sequences are functions of gcd(n, L), which pass the first
+    # check and leave the divisor pairs to decide
+    rng = random.Random(26)
+    verdicts = []
+    for _ in range(3000):
+        L = rng.randint(1, 24)
+        if rng.random() < 0.5:
+            vals = [rng.randint(-2, 6) for _ in range(L)]
+        else:
+            g = {d: rng.choice((-1, 0, 1, 2, 2, 4, 6, 12)) for d in range(1, L + 1) if L % d == 0}
+            vals = [g[gcd(n, L)] for n in range(1, L + 1)]
+        for meet in (gcd, min):
+            verdict = nt.is_gcd_sequence(_values(vals), meet)
+            assert verdict == oracles.pairwise_gcd_sequence(vals, meet), (vals, meet)
+            verdicts.append(verdict)
+    assert all(200 < sum(verdicts[i::2]) < 2800 for i in (0, 1))
+    # a negative value fails through the pair m = n alone
+    assert not nt.is_gcd_sequence(_values([-1]))
+    assert not nt.is_gcd_sequence(_values([1, -2]))
+    assert nt.is_gcd_sequence(_values([0]))

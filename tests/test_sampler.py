@@ -4,9 +4,11 @@ against the DFS enumerator's class probabilities."""
 import gc
 import hashlib
 import io
+import json
 import random
 import sys
 import threading
+import tracemalloc
 import weakref
 from fractions import Fraction
 from itertools import accumulate, chain, zip_longest
@@ -196,6 +198,138 @@ def test_draws_are_pinned(name, params, X):
     assert hashlib.sha256(rows.encode()).hexdigest() == DRAW_DIGESTS[(name, params, X)]
 
 
+# -- the inlined descent against one randbelow per step ----------------------------
+
+
+def _same_draw(sampler, a, b):
+    """sample on stream a, the reference descent on stream b (same bytes):
+    equal draws, and both streams left at the same byte and counter."""
+    s = sampler.sample(a)
+    assert (s.n, s.profile) == oracles.reference_sample(sampler, b)
+    assert (a._pos, a._end, a._next, a._counter) == (b._pos, b._end, b._next, b._counter)
+
+
+def _fed(data, cut, seed=0):
+    """A stream whose current block is data[:cut], followed by 256-byte blocks
+    of data[cut:] and then by the seed's own Philox bytes."""
+    rng = RandomStream(seed)
+    rng._buf, rng._pos, rng._end, rng._next = data, 0, cut, cut
+    return rng
+
+
+BUILTINS = [("FF", {"q": 2}, 120), ("E", {"p": 3, "n": 2}, 60), ("GA", {}, 60), ("GM", {}, 40),
+            ("periodic", {"values": (1, 3)}, 30)]
+
+
+@pytest.mark.parametrize("name, params, X", BUILTINS)
+def test_sample_matches_the_reference_descent(name, params, X):
+    sampler = sampler_for(build_census(builtin_source(name, **params), X), X)
+    for i in range(200):
+        _same_draw(sampler, RandomStream(1, i), RandomStream(1, i))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), X=st.integers(1, 40))
+def test_sample_matches_the_reference_descent_on_generated_tables(seed, X):
+    # random P_ell in [0, 12): zero counts skip lengths, P_1 = 1 makes
+    # one-value cells
+    sigma, _ = oracles.random_sigma_table(random.Random(seed), X)
+    sampler = sampler_for(build_census(table_source(sigma[1:]), X), X)
+    for i in range(30):
+        _same_draw(sampler, RandomStream(seed, i), RandomStream(seed, i))
+
+
+def test_sample_accept_boundary():
+    # the first step of a full-length draw on E(3,2) at X=10 reads the cell
+    # (10, 10): feed it span - 1 and the exact limit (both rejected), then
+    # span - bound (only the exact test accepts it), then arbitrary bytes
+    sampler = sampler_for(build_census(builtin_source("E", p=3, n=2), 10), 10)
+    total = sampler.grand_total
+    bound = sampler.suffix[10][10]
+    w = sampler.widths[10][10]
+    span = 1 << (8 * w)
+    limit = span - span % bound
+    assert w == bound.bit_length() // 8 + 1 and span - bound < limit < span
+    first = sampler.cumulative[9]  # the least r that draws n = 10
+    head = first.to_bytes(total.bit_length() // 8 + 1, "big")
+    head += b"".join(x.to_bytes(w, "big") for x in (span - 1, limit, span - bound))
+    for seed in range(20):
+        data = head + random.Random(seed).randbytes(2048)
+        a, b = _fed(data, len(data)), _fed(data, len(data))
+        _same_draw(sampler, a, b)
+        assert a._pos > len(head)
+
+
+@pytest.mark.parametrize("name, params, X", [("FF", {"q": 2}, 60), ("E", {"p": 3, "n": 2}, 40)])
+def test_sample_refills_at_every_byte(monkeypatch, name, params, X):
+    # the current block ends at each byte a draw reads, so a refill comes in
+    # every place one can: the length draw, mid-descent and distinct_parts
+    sampler = sampler_for(build_census(builtin_source(name, **params), X), X)
+    where = []
+    inside = []
+    refill, randbelow, parts = RandomStream._refill, RandomStream.randbelow, sampler_module.distinct_parts
+
+    def counted_refill(self, nbytes):
+        where.append("parts" if "parts" in inside else inside[-1] if inside else "step")
+        refill(self, nbytes)
+
+    def flagged(name, call):
+        def run(*args):
+            inside.append(name)
+            try:
+                return call(*args)
+            finally:
+                inside.pop()
+        return run
+
+    for seed in range(4):
+        data = random.Random(seed).randbytes(4096)
+        whole = _fed(data, len(data))
+        sampler.sample(whole)
+        monkeypatch.setattr(RandomStream, "_refill", counted_refill)
+        monkeypatch.setattr(RandomStream, "randbelow", flagged("randbelow", randbelow))
+        monkeypatch.setattr(sampler_module, "distinct_parts", flagged("parts", parts))
+        for cut in range(1, whole._pos + 1):
+            _same_draw(sampler, _fed(data, cut), _fed(data, cut))
+        monkeypatch.undo()
+    # the reference refills only inside randbelow; "step" and "parts" are
+    # the sampler's own refills, in its inlined steps and in distinct_parts
+    assert where.count("parts") >= 40 and where.count("step") >= 400
+
+
+def test_sample_reads_no_byte_for_one_value_cells(per13_census):
+    # P_1 = P_2 = 1: every cell at ell = 1 holds 1, randbelow(1) reads nothing
+    sampler = sampler_for(per13_census, 16)
+    assert set(sampler.suffix[1]) == {1}
+    data = random.Random(5).randbytes(1024)
+    for cut in range(1, 40):
+        _same_draw(sampler, _fed(data, cut), _fed(data, cut))
+    for i in range(200):
+        _same_draw(sampler, RandomStream(3, i), RandomStream(3, i))
+
+
+def test_sample_reads_cells_wider_than_255_bytes():
+    # FF(2^2100) at X=3: N_3 has 6300 bits, a 788-byte cell
+    sampler = sampler_for(build_census(builtin_source("FF", q=2**2100), 3, crosscheck_to=0), 3)
+    assert max(max(row) for row in sampler.widths) == 788
+    for i in range(100):
+        _same_draw(sampler, RandomStream(1, i), RandomStream(1, i))
+
+
+def test_width_table_stays_small(ff2_source):
+    # FF(2) at X=200: 40401 cells, about 160 KB as 4-byte widths
+    cen = build_census(ff2_source, 200)
+    tracemalloc.start()
+    try:
+        sampler = sampler_module.OrbitSampler(cen, 200)
+        held = tracemalloc.get_traced_memory()[0]
+        del sampler.widths, sampler.steps, sampler.spans
+        freed = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert 0 < freed < 0.5 * 2**20
+
+
 # -- profile pieces --------------------------------------------------------------
 
 
@@ -356,6 +490,19 @@ def test_csv_export_is_byte_identical(ff2_census):
     assert lines[0] == "index,n,W,profile"
     assert len(lines) == 51
     assert lines[1].startswith("0,")
+
+
+def test_csv_profiles_are_compact_json(ff2_census):
+    buf = io.StringIO()
+    write_samples_csv(buf, ff2_census, 30, 100, seed=4)
+    sampler = sampler_for(ff2_census, 30)
+    rows = ["index,n,W,profile"]
+    for i in range(100):
+        s = sampler.sample(RandomStream(4, i))
+        prof = json.dumps([list(entry) for entry in s.profile], separators=(",", ":"))
+        rows.append('%d,%d,%d,"%s"' % (i, s.n, s.W, prof))
+    assert buf.getvalue() == "\n".join(rows) + "\n"
+    assert sum(s.count("],[") >= 2 for s in rows) >= 20
 
 
 def test_streams_insensitive_to_call_batching():
