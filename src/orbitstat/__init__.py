@@ -17,7 +17,6 @@ from orbitstat.systems import (
     SigmaSource,
     builtin_source,
     fad_source,
-    fluctuation_spectrum,
     gm_matrix,
     growth_rate,
     sigma_table,
@@ -81,7 +80,6 @@ __all__ = [
     "SigmaSource",
     "builtin_source",
     "fad_source",
-    "fluctuation_spectrum",
     "gm_matrix",
     "growth_rate",
     "sigma_table",

@@ -209,7 +209,7 @@ def cesaro_exact_fad(spec, spectrum=None, precision=128):
     into the periodic factor r first.
     """
     if spectrum is None:
-        spectrum = systems.fluctuation_spectrum(spec.matrix, precision, c=spec.c)
+        spectrum = systems.spectrum_for(systems.SigmaSource(kind="fad", fad=spec), precision)
     if spectrum.contains_root_of_unity:
         raise ValueError(
             "an eigenvalue angle lies in pi*Q (root of unity): fold the "

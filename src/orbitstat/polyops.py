@@ -1,22 +1,25 @@
 """Exact polynomial and integer-matrix helpers.
 
-Polynomials are coefficient lists in ascending degree order (coeffs[i] is
-the z^i coefficient), over int or Fraction. Matrices are lists of rows of
-ints. Everything is exact except the numeric root finding at the bottom,
-which runs in mpmath at a caller-chosen precision.
+Polynomials are integer coefficient lists in ascending degree order
+(coeffs[i] is the z^i coefficient). Matrices are lists of rows of ints.
+Every division is by a monic polynomial, and every gcd has a monic
+argument and is monic, so all of it stays in the integers (Gauss's lemma).
+Only the root finding at the bottom is numeric: mpmath at a caller-chosen
+precision, with the side of the unit circle of every root certified.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from operator import mul
 
 import mpmath as mp
 
-from orbitstat.numtheory import divisors, is_prime
+from orbitstat.numtheory import is_prime
 
 
 # ---------------------------------------------------------------------------
-# polynomial arithmetic
+# polynomial arithmetic over the integers
 
 
 def poly_trim(f):
@@ -24,13 +27,6 @@ def poly_trim(f):
     while i > 0 and f[i] == 0:
         i -= 1
     return f[: i + 1]
-
-
-def poly_degree(f):
-    f = poly_trim(list(f))
-    if len(f) == 1 and f[0] == 0:
-        return -1
-    return len(f) - 1
 
 
 def poly_eval(f, x):
@@ -41,83 +37,62 @@ def poly_eval(f, x):
 
 
 def poly_deriv(f):
-    if len(f) <= 1:
-        return [0]
-    return [i * c for i, c in enumerate(f)][1:]
+    return [i * c for i, c in enumerate(f)][1:] or [0]
 
 
-def poly_divmod(f, g):
-    """Quotient and remainder of f by g over the rationals (g nonzero)."""
-    f = [Fraction(c) for c in poly_trim(list(f))]
-    g = [Fraction(c) for c in poly_trim(list(g))]
-    if poly_degree(g) < 0:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(1, len(f) - len(g) + 1)
-    r = f[:]
+def monic_divmod(f, g):
+    """Quotient and remainder of f by a monic g, both trimmed lists."""
     dg = len(g) - 1
-    lg = g[-1]
-    while poly_degree(r) >= dg and poly_degree(r) >= 0:
-        dr = len(poly_trim(r)) - 1
-        coef = r[dr] / lg
-        q[dr - dg] = coef
-        for i in range(len(g)):
-            r[dr - dg + i] -= coef * g[i]
-        r = poly_trim(r)
-        if poly_degree(r) < 0:
-            break
-    return poly_trim(q), poly_trim(r)
+    r = list(f)
+    q = [0] * max(1, len(r) - dg)
+    for k in range(len(r) - 1 - dg, -1, -1):
+        c = q[k] = r[k + dg]
+        if c:
+            r[k : k + dg] = [a - c * b for a, b in zip(r[k : k + dg], g)]
+    return q, poly_trim(r[:dg] or [0])
 
 
-def poly_monic(f):
-    f = poly_trim([Fraction(c) for c in f])
-    lead = f[-1]
-    if lead == 0:
-        return f
-    return [c / lead for c in f]
+def _gcd_mod(f, g, p):
+    """The monic gcd of a monic f and any g over the integers mod p."""
+    a, b = [c % p for c in f], [c % p for c in g]
+    while any(b):
+        while not b[-1]:
+            b.pop()
+        inverse, db = pow(b[-1], -1, p), len(b) - 1
+        for k in range(len(a) - 1 - db, -1, -1):
+            c = a[k + db] * inverse % p
+            if c:
+                a[k : k + db] = [(x - c * y) % p for x, y in zip(a[k : k + db], b)]
+        a, b = b, a[:db]
+    inverse = pow(a[-1], -1, p)
+    return [c * inverse % p for c in a]
 
 
-def poly_gcd(f, g):
-    """Monic gcd over the rationals by the Euclidean algorithm."""
-    a = poly_trim([Fraction(c) for c in f])
-    b = poly_trim([Fraction(c) for c in g])
-    while poly_degree(b) >= 0:
-        _, r = poly_divmod(a, b)
-        a, b = b, r
-    if poly_degree(a) < 0:
-        return [Fraction(0)]
-    return poly_monic(a)
-
-
-def poly_reversal(f):
-    """x^deg(f) * f(1/x): the coefficient list reversed."""
-    return poly_trim(list(reversed(poly_trim(list(f)))))
-
-
-def poly_divides(g, f):
-    """True if g divides f exactly over the rationals."""
-    _, r = poly_divmod(f, g)
-    return poly_degree(r) < 0
-
-
-def poly_int(f):
-    """Cast rational coefficients known to be integral back to ints."""
-    out = []
-    for c in f:
-        c = Fraction(c)
-        if c.denominator != 1:
-            raise ValueError("non-integral coefficient")
-        out.append(int(c))
-    return out
-
-
-def _divide_linear(f, r):
-    """Quotient and remainder of f by (x - r), by synthetic division."""
-    q = [0] * (len(f) - 1)
-    acc = 0
-    for i in range(len(f) - 1, 0, -1):
-        acc = acc * r + f[i]
-        q[i - 1] = acc
-    return q, acc * r + f[0]
+def monic_gcd(f, g):
+    """The monic gcd h of a monic f and any g, by Brown's modular algorithm
+    (J. ACM 18, 1971). h mod p divides the gcd mod p, so the primes below
+    2^61 whose gcd has the least degree seen give h mod p (the finitely many
+    others are skipped); their CRT lift is h once one more prime leaves it
+    unchanged and it divides f and g. Degree 0 mod p proves h = 1.
+    """
+    residues = lift = None
+    for p in range(2**61 - 1, 2, -2):
+        if not is_prime(p):
+            continue
+        h = _gcd_mod(f, g, p)
+        if len(h) == 1:
+            return [1]
+        if residues is None or len(h) < len(residues):
+            residues, modulus = h, p
+        elif len(h) > len(residues):
+            continue
+        else:
+            step = pow(modulus, -1, p)
+            residues = [r + modulus * ((a - r) * step % p) for r, a in zip(residues, h)]
+            modulus *= p
+        previous, lift = lift, [r - modulus if 2 * r > modulus else r for r in residues]
+        if lift == previous and monic_divmod(f, lift)[1] == monic_divmod(g, lift)[1] == [0]:
+            return lift
 
 
 def squarefree_factors(f):
@@ -125,119 +100,121 @@ def squarefree_factors(f):
     (s, i) with f = prod s^i, each s monic, square-free, of degree >= 1 and
     coprime to the others."""
     out = []
-    a = poly_gcd(f, poly_deriv(f))  # prod s^(i-1)
-    b = poly_divmod(f, a)[0]  # prod s
+    a = monic_gcd(f, poly_deriv(f))  # prod s^(i-1)
+    b = monic_divmod(f, a)[0]  # prod s
     i = 1
-    while poly_degree(b) >= 1:
-        y = poly_gcd(a, b)  # prod of the s with multiplicity > i
-        if poly_degree(b) > poly_degree(y):
-            out.append((poly_divmod(b, y)[0], i))
-        a = poly_divmod(a, y)[0]
+    while len(b) > 1:
+        y = monic_gcd(b, a)  # prod of the s with multiplicity > i
+        if len(b) > len(y):
+            out.append((monic_divmod(b, y)[0], i))
+        a = monic_divmod(a, y)[0]
         b = y
         i += 1
     return out
 
 
 # ---------------------------------------------------------------------------
-# cyclotomic polynomials
-
-_cyclo_cache = {}
+# cyclotomic polynomials and the exact split
 
 
+def _stretch(f, k):
+    """f(x^k)."""
+    out = [0] * ((len(f) - 1) * k + 1)
+    out[::k] = f
+    return out
+
+
+@cache
 def cyclotomic(n):
-    """Cyclotomic polynomial Phi_n as an integer coefficient list.
-
-    Phi_n = (x^n - 1) / prod_{d | n, d < n} Phi_d, computed by exact division.
-    """
-    if n in _cyclo_cache:
-        return _cyclo_cache[n]
-    if n < 1:
-        raise ValueError("n >= 1 required")
-    f = [-1] + [0] * (n - 1) + [1]  # x^n - 1
-    for d in range(1, n):
-        if n % d == 0:
-            q, r = poly_divmod(f, cyclotomic(d))
-            assert poly_degree(r) < 0
-            f = q
-    f = poly_int(f)
-    _cyclo_cache[n] = f
-    return f
+    """Phi_n as a tuple of ints: Phi_1 = x - 1, Phi_(mp) = Phi_m(x^p) / Phi_m
+    for each prime p | n not dividing m up to the radical r of n, and
+    Phi_n = Phi_r(x^(n/r))."""
+    f, radical, rest, p = [-1, 1], 1, n, 2
+    while rest > 1:
+        if rest % p == 0:
+            while rest % p == 0:
+                rest //= p
+            f = monic_divmod(_stretch(f, p), f)[0]
+            radical *= p
+        p += 1
+    return tuple(_stretch(f, n // radical))
 
 
-def cyclotomic_divisors(f):
-    """All n with Phi_n dividing f, searched up to phi(n) <= deg f.
-
-    phi(n) >= sqrt(n/2) bounds the search at n <= 2*(deg f)^2; Phi_n is
-    built only for the n whose degree phi(n) passes.
-    """
-    d = poly_degree(f)
-    if d < 1:
-        return []
+def cyclotomic_divisors(g):
+    """The n with Phi_n | g, ascending, for a monic square-free g, and g
+    with those Phi_n divided out. phi(n) >= sqrt(n/2) bounds n by
+    2 (deg g)^2, and a totient sieve picks the n with phi(n) at most the
+    degree of what is left of g."""
+    bound = 2 * (len(g) - 1) ** 2
+    phi = list(range(bound + 1))
+    for p in range(2, bound + 1):
+        if phi[p] == p:  # p is prime
+            phi[p::p] = [v - v // p for v in phi[p::p]]
     hits = []
-    for n in range(1, 2 * d * d + 2):
-        phi = n
-        for p in divisors(n):
-            if is_prime(p):
-                phi = phi // p * (p - 1)
-        if phi <= d and poly_divides(cyclotomic(n), f):
-            hits.append(n)
-    return hits
+    for n in range(1, bound + 1):
+        if phi[n] < len(g):
+            q, r = monic_divmod(g, cyclotomic(n))
+            if r == [0]:
+                hits.append(n)
+                g = q
+    return hits, g
+
+
+@dataclass(frozen=True)
+class SquarefreePart:
+    """A square-free factor s of a polynomial, of the given multiplicity:
+    cyclotomic, each n with Phi_n | s; reciprocal, gcd(s, reversal s) with
+    those Phi_n divided out; rest, s / gcd(s, reversal s), with no root on
+    the unit circle (a root r there has 1/r = conj(r) as a root too)."""
+
+    multiplicity: int
+    cyclotomic: tuple
+    reciprocal: tuple
+    rest: tuple
+
+
+def exact_split(f):
+    """The exact, precision-free split of a monic integer polynomial that
+    every root question reads: one SquarefreePart per square-free factor,
+    zero roots dropped."""
+    f = f[next(i for i, c in enumerate(f) if c) :]
+    parts = []
+    for s, i in squarefree_factors(f):
+        g = monic_gcd(s, s[::-1])
+        cyclo, reciprocal = cyclotomic_divisors(g)
+        parts.append(SquarefreePart(i, tuple(cyclo), tuple(reciprocal), tuple(monic_divmod(s, g)[0])))
+    return tuple(parts)
 
 
 # ---------------------------------------------------------------------------
 # integer matrices
 
 
-def mat_mul(A, B):
-    d = len(A)
-    m = len(B[0])
-    inner = len(B)
-    out = [[0] * m for _ in range(d)]
-    for i in range(d):
-        Ai = A[i]
-        row = out[i]
-        for k in range(inner):
-            a = Ai[k]
-            if a == 0:
-                continue
-            Bk = B[k]
-            for j in range(m):
-                b = Bk[j]
-                if b:
-                    row[j] += a * b
-    return out
-
-
-def mat_trace(A):
-    return sum(A[i][i] for i in range(len(A)))
-
-
 def charpoly(A):
-    """Monic characteristic polynomial det(xI - A), ascending int coefficients
-    (1 for the empty matrix).
-
-    Faddeev-LeVerrier: M_0 = 0, c_0 = 1, M_k = A(M_(k-1) + c_(k-1) I),
-    c_k = -tr(M_k)/k; all c_k are integers for integer A.
-    """
+    """Monic det(xI - A), ascending int coefficients (1 for the empty matrix),
+    by Berkowitz's division-free algorithm: with the trailing submatrix from
+    row k split as [[a, R], [C, B]], its descending coefficients are the
+    lower-triangular Toeplitz matrix with first column 1, -a, -R C, -R B C,
+    -R B^2 C, ... times B's, so O(d^3) dot products in all."""
     d = len(A)
     if any(len(row) != d for row in A):
         raise ValueError("matrix must be square")
-    coeffs = [0] * d + [1]
-    M = [[0] * d for _ in range(d)]
-    c = 1
-    for k in range(1, d + 1):
-        for i in range(d):
-            M[i][i] += c
-        M = mat_mul(A, M)
-        c, r = divmod(-mat_trace(M), k)
-        assert r == 0, "Faddeev-LeVerrier trace not divisible"
-        coeffs[d - k] = c
-    return coeffs
+    coeffs = [1]  # descending, of the empty trailing block
+    for k in range(d - 1, -1, -1):
+        block = [row[k + 1 :] for row in A[k + 1 :]]
+        R = A[k][k + 1 :]
+        column = [row[k] for row in A[k + 1 :]]
+        toeplitz = [1, -A[k][k]]
+        for i in range(d - 1 - k):
+            if i:
+                column = [sum(map(mul, row, column)) for row in block]
+            toeplitz.append(-sum(map(mul, R, column)))
+        coeffs = [sum(map(mul, toeplitz[i::-1], coeffs)) for i in range(len(toeplitz))]
+    return coeffs[::-1]
 
 
 def companion_matrix(f):
     """Companion matrix of a monic integer polynomial (ascending coeffs)."""
-    f = poly_int(poly_trim(list(f)))
     if f[-1] != 1:
         raise ValueError("monic polynomial required")
     d = len(f) - 1
@@ -313,15 +290,21 @@ def to_mpf(x):
 def poly_roots(f, precision):
     """All complex roots of f at the requested binary precision.
 
-    mpmath's simultaneous iteration finds the roots; each is then polished
-    by a few Newton steps on the exact coefficients at elevated precision.
+    mpmath's Durand-Kerner iteration finds the roots, from its spiral of
+    starting points scaled to radius |f(0)|^(1/deg f), the geometric mean of
+    |root| (half the steps of the unit spiral at degree 30); each root is
+    then polished by Newton steps on the exact coefficients.
     """
     f = poly_trim(list(f))
-    if poly_degree(f) < 1:
+    if len(f) < 2:
         return []
     with mp.workprec(precision + 48):
         desc = [to_mpf(c) for c in reversed(f)]
-        roots = mp.polyroots(desc, maxsteps=200, extraprec=precision)
+        n = len(f) - 1
+        radius = mp.mpf(abs(f[0])) ** (mp.mpf(1) / n) or 1
+        turn = mp.mpc(0.4, 0.9) / abs(mp.mpc(0.4, 0.9))
+        start = [radius * turn**k for k in range(n)]
+        roots = mp.polyroots(desc, maxsteps=200, extraprec=precision, roots_init=start)
         fp = poly_deriv(f)
         polished = []
         for r in roots:
@@ -350,51 +333,75 @@ class RootSplit:
     unit_roots: tuple
 
 
-def root_split(f, precision):
-    """Split the roots of a monic integer polynomial f, exact parts first.
+def _sides(f, roots, reciprocal):
+    """The side of the unit circle of each root of a square-free integer f
+    (1 outside, -1 inside, 0 on it), or None if the precision settles less.
 
-    Zero roots are dropped; the rest is split into square-free factors s^i,
-    and every Phi_n dividing s is divided out exactly. What is left of s is
-    rooted once, as g = gcd(s, reversal s), which holds every remaining
-    unit-circle root, and s/g. A part is rooted at max(precision + 48,
-    coefficient bits + 16) bits, so its integer roots round correctly; its
-    roots are simple, so root finding converges. Roots within
-    2^(-precision/2) of the unit circle count as on it.
+    The disk about x of radius deg(f) |f(x)/f'(x)|, widened by a bound on
+    the rounding, holds a root of f; pairwise disjoint disks hold one each.
+    The roots of a self-reciprocal f come in pairs r, 1/conj(r), so its disk
+    that meets the circle holds a root on it if the disk's mirror image
+    under z -> 1/conj(z) meets no other disk."""
+    n = len(f) - 1
+    df = poly_deriv(f)
+    rounding = 8 * (n + 1) * mp.eps
+    disks = []
+    for x in roots:
+        slope = abs(poly_eval(df, x)) - rounding * poly_eval([abs(c) for c in df], abs(x))
+        value = abs(poly_eval(f, x)) + rounding * poly_eval([abs(c) for c in f], abs(x))
+        disks.append((x, n * value / slope + rounding * abs(x) if slope > 0 else mp.inf))
+    sides = []
+    for j, (x, radius) in enumerate(disks):
+        others = disks[:j] + disks[j + 1 :]
+        scale = abs(x) ** 2 - radius**2
+        if any(abs(x - y) <= radius + r for y, r in others):
+            return None
+        if abs(abs(x) - 1) > radius:
+            sides.append(1 if abs(x) > 1 else -1)
+        elif reciprocal and scale > 0 and not any(abs(x / scale - y) <= radius / scale + r for y, r in others):
+            sides.append(0)
+        else:
+            return None
+    return sides
+
+
+def root_split(split, precision):
+    """Sort the roots of an exact_split by the unit circle, at a precision.
+
+    Each reciprocal and rest part has simple roots and is rooted at
+    max(precision + 48, coefficient bits + 16) bits, so its integer roots
+    round correctly, and again at twice the bits until _sides certifies
+    every root's side; only a reciprocal part may have roots on the circle.
     """
-    f = poly_int(poly_trim(list(f)))
-    while len(f) > 1 and f[0] == 0:
-        f = f[1:]
-    eps = mp.mpf(2) ** (-(precision // 2))
-    outside = mp.mpf(1)
-    exact = 1
-    cyclo = []
-    unit = []
-    for s, i in squarefree_factors(f):
-        for n in cyclotomic_divisors(s):
-            s = poly_divmod(s, cyclotomic(n))[0]
-            cyclo += [n] * i
-        g = poly_gcd(s, poly_reversal(s))
-        for part, reciprocal in ((g, True), (poly_divmod(s, g)[0], False)):
-            part = poly_int(part)
-            if len(part) == 1:
+    outside, exact, cyclo, unit = mp.mpf(1), 1, [], []
+    for part in split:
+        i = part.multiplicity
+        cyclo += [n for n in part.cyclotomic for _ in range(i)]
+        for poly, reciprocal in ((part.reciprocal, True), (part.rest, False)):
+            if len(poly) == 1:
                 continue
-            bits = max(precision + 48, max(abs(c) for c in part).bit_length() + 16)
+            bits = max(precision + 48, max(map(abs, poly)).bit_length() + 16)
+            while True:
+                with mp.workprec(bits):
+                    roots = poly_roots(poly, bits)
+                    sides = _sides(poly, roots, reciprocal)
+                if sides is not None:
+                    break
+                bits *= 2
             with mp.workprec(bits):
-                roots = poly_roots(part, bits)
-                for r in roots:
-                    m = abs(r)
-                    if m > 1 + eps:
-                        outside *= m**i
-                    elif reciprocal and abs(m - 1) < eps and mp.im(r) > eps:
+                for r, side in zip(roots, sides):
+                    if side > 0:
+                        outside *= abs(r) ** i
+                    elif side == 0 and mp.im(r) > 0:
                         unit += [r] * i
                 candidates = {int(mp.nint(mp.re(r))) for r in roots}
             if exact is None:
                 continue
             for r in candidates:
-                q, rem = _divide_linear(part, r)
-                if rem == 0:
-                    part = q
+                q, rem = monic_divmod(poly, (-r, 1))
+                if rem == [0]:
+                    poly = q
                     exact *= abs(r) ** i
-            if len(part) > 1:
+            if len(poly) > 1:
                 exact = None
     return RootSplit(outside, exact, tuple(cyclo), tuple(unit))

@@ -19,6 +19,7 @@ integrality check that any realizable sigma must satisfy.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import mpmath as mp
 
@@ -48,6 +49,8 @@ class FadSpec:
     """Parameters (c, A, r, {(p, s_p, t_p)}) of a product-form sigma.
 
     The matrix factor |det(A^k - 1)| is present iff matrix is not None.
+    Everything else reads the matrix through charpoly and split, each
+    computed once, on first use.
     """
 
     c: int = 1
@@ -62,19 +65,23 @@ class FadSpec:
             object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "primes", tuple(self.primes))
 
+    @cached_property
+    def charpoly(self):
+        """det(xI - A) as ascending ints; 1 when there is no matrix."""
+        return polyops.charpoly(self.matrix or ())
+
+    @cached_property
+    def split(self):
+        """polyops.exact_split of charpoly, which spectrum_for and validate read."""
+        return polyops.exact_split(self.charpoly)
+
     def validate(self):
         """Check realizability constraints; raises ValueError on violation."""
         if self.c < 1:
             raise ValueError("c must be a positive integer")
-        if self.matrix is not None:
-            d = len(self.matrix)
-            if any(len(row) != d for row in self.matrix):
-                raise ValueError("matrix must be square")
-            if polyops.cyclotomic_divisors(polyops.charpoly(self.matrix)):
-                raise ValueError(
-                    "matrix has a root-of-unity eigenvalue; fold the "
-                    "resulting periodic factor into r instead"
-                )
+        if any(part.cyclotomic for part in self.split):
+            raise ValueError("matrix has a root-of-unity eigenvalue; fold the resulting "
+                             "periodic factor into r instead")
         if any(v.numerator <= 0 for v in self.r.values):
             raise ValueError("r must be strictly positive")
         # r is checked as a gcd-sequence only where the property is defined
@@ -242,16 +249,14 @@ def fad_spec_for(source):
 
 
 def _fad_sigma_from_det(spec, k, ck, det_value):
-    """Assemble sigma_k from c^k and a precomputed det(A^k - 1) (None if no
+    """Assemble sigma_k from c^k and a precomputed det(A^k - 1) (1 without a
     matrix) in integers: the r and p-adic denominators are collected and
     divided out once."""
     r = spec.r.at(k)
-    num = ck.numerator * r.numerator
-    if det_value is not None:
-        num *= abs(det_value)
+    num = ck * r.numerator * abs(det_value)
     if num == 0:
         return 0
-    den = ck.denominator * r.denominator
+    den = r.denominator
     for fp in spec.primes:
         # |k|_p^s p^(-t |k|_p^(-1)) = p^(-(v s + t p^v)) with v = v_p(k)
         v = p_valuation(k, fp.p)
@@ -285,13 +290,11 @@ def sigma_table(source, X):
         out[1 : X + 1] = source.table[:X]
         return out
     spec = source.fad
-    dets = None
-    if spec.matrix is not None:
-        dets = polyops.det_iterate_minus_identity(polyops.charpoly(spec.matrix), X)
+    dets = polyops.det_iterate_minus_identity(spec.charpoly, X)
     ck = 1
     for k in range(1, X + 1):
         ck *= spec.c
-        out[k] = _fad_sigma_from_det(spec, k, ck, dets[k] if dets is not None else None)
+        out[k] = _fad_sigma_from_det(spec, k, ck, dets[k])
     return out
 
 
@@ -370,8 +373,9 @@ class SpectrumReport:
 
     contains_root_of_unity flags a root of unity among the eigenvalues,
     certified by exact cyclotomic divisibility (never by numerics). The
-    other unit-circle eigenvalues come in m conjugate pairs e^(+-i
-    theta_j), 0 < theta_j < pi, with unit_angles the theta_j ascending.
+    other unit-circle eigenvalues, each certified on the circle, come in m
+    conjugate pairs e^(+-i theta_j), 0 < theta_j < pi, with unit_angles the
+    theta_j ascending.
     cesaro_exact_fad refuses a root of unity, certifies m <= 1 and refuses
     m >= 2.
     """
@@ -389,32 +393,21 @@ class SpectrumReport:
         return self.rate.value
 
 
-def fluctuation_spectrum(A, precision=128, c=1):
-    """Unit-circle eigenvalues and growth rate of an integer matrix (None
-    for none), both from one exact-first root split of its characteristic
-    polynomial.
-
-    Cyclotomic factors are divided out exactly and flagged; the other
-    unit-circle eigenvalues come from the numerically rooted gcd of the
-    remaining polynomial with its reversal (they come in
-    reciprocal-conjugate pairs). rate is c times the product of |root| > 1,
-    the GrowthRate growth_rate returns for a product form; lam is its value.
-    """
-    split = polyops.root_split(polyops.charpoly(A or ()), precision)
+def spectrum_for(source, precision=128):
+    """SpectrumReport for a source's matrix part (m = 0 when there is none)
+    from one numeric pass, polyops.root_split, over its FadSpec's split.
+    rate is c times the product of |root| > 1, the GrowthRate growth_rate
+    returns for a product form."""
+    spec = fad_spec_for(source)
+    split = polyops.root_split(spec.split, precision)
     with mp.workprec(precision + 16):
         if split.exact is None:
-            rate = GrowthRate(value=+(c * split.outside))
+            rate = GrowthRate(value=+(spec.c * split.outside))
         else:
-            rate = GrowthRate(value=mp.mpf(c * split.exact), exact=Fraction(c * split.exact))
+            rate = GrowthRate(value=mp.mpf(spec.c * split.exact), exact=Fraction(spec.c * split.exact))
     with mp.workprec(precision + 48):
         angles = tuple(sorted(+mp.arg(root) for root in split.unit_roots))
     return SpectrumReport(rate=rate, unit_angles=angles, contains_root_of_unity=bool(split.cyclotomic))
-
-
-def spectrum_for(source, precision=128):
-    """SpectrumReport for a source's matrix part (m = 0 when there is none)."""
-    spec = fad_spec_for(source)
-    return fluctuation_spectrum(spec.matrix, precision=precision, c=spec.c)
 
 
 # ---------------------------------------------------------------------------

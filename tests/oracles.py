@@ -8,6 +8,7 @@ the small sizes where it is feasible.
 """
 
 from fractions import Fraction
+from functools import cache
 from itertools import permutations
 from math import comb, gcd, lcm
 
@@ -602,3 +603,150 @@ def elliptic_b(p, n):
     d = next(d for d in range(1, p) if pow(n, d, p) == 1)
     e = valuation(n**d - 1, p)
     return 1 - Fraction(1, d) * (1 - Fraction(p, p**e * (p + 1)))
+
+
+# ---------------------------------------------------------------------------
+# the Fraction route to a polynomial's exact split: Euclid over the
+# rationals, trial division by every Phi_n with n <= 2 d^2, a
+# Faddeev-LeVerrier characteristic polynomial, and the root split that
+# counts roots within 2^(-precision/2) of the unit circle as on it
+
+
+def faddeev_charpoly(A):
+    """det(xI - A), ascending: M_0 = 0, c_0 = 1, M_k = A(M_(k-1) + c_(k-1) I),
+    c_k = -tr(M_k)/k."""
+    d = len(A)
+    coeffs = [0] * d + [1]
+    M = [[0] * d for _ in range(d)]
+    c = 1
+    for k in range(1, d + 1):
+        for i in range(d):
+            M[i][i] += c
+        M = mat_mul_int(A, M)
+        c, r = divmod(-sum(M[i][i] for i in range(d)), k)
+        assert r == 0
+        coeffs[d - k] = c
+    return coeffs
+
+
+def poly_trim(f):
+    f = list(f)
+    while len(f) > 1 and f[-1] == 0:
+        f.pop()
+    return f
+
+
+def poly_divmod(f, g):
+    """Quotient and remainder of f by a nonzero g over the rationals."""
+    r = [Fraction(c) for c in poly_trim(f)]
+    g = [Fraction(c) for c in poly_trim(g)]
+    q = [Fraction(0)] * max(1, len(r) - len(g) + 1)
+    while len(r) >= len(g) and any(r):
+        coef = r[-1] / g[-1]
+        q[len(r) - len(g)] = coef
+        for i, b in enumerate(g):
+            r[len(r) - len(g) + i] -= coef * b
+        r = poly_trim(r[:-1]) if len(r) > 1 else [Fraction(0)]
+    return poly_trim(q), poly_trim(r)
+
+
+def poly_gcd(f, g):
+    """Monic gcd over the rationals by Euclid's algorithm."""
+    a, b = poly_trim(f), poly_trim(g)
+    while any(b):
+        a, b = b, poly_divmod(a, b)[1]
+    return [Fraction(c) / a[-1] for c in a]
+
+
+def poly_int(f):
+    assert all(Fraction(c).denominator == 1 for c in f)
+    return [int(c) for c in f]
+
+
+def squarefree_factors(f):
+    """Musser's square-free decomposition over the rationals: (s, i) pairs."""
+    out = []
+    a = poly_gcd(f, [i * c for i, c in enumerate(f)][1:] or [0])
+    b = poly_divmod(f, a)[0]
+    i = 1
+    while len(b) > 1:
+        y = poly_gcd(a, b)
+        if len(b) > len(y):
+            out.append((poly_int(poly_divmod(b, y)[0]), i))
+        a = poly_divmod(a, y)[0]
+        b = y
+        i += 1
+    return out
+
+
+@cache
+def cyclotomic(n):
+    """Phi_n = (x^n - 1) / prod_{d | n, d < n} Phi_d."""
+    f = [-1] + [0] * (n - 1) + [1]
+    for d in trial_divisors(n)[:-1]:
+        f, r = poly_divmod(f, cyclotomic(d))
+        assert not any(r)
+    return poly_int(f)
+
+
+def cyclotomic_divisors(f):
+    """Every n <= 2 (deg f)^2 with phi(n) <= deg f and Phi_n | f."""
+    d = len(f) - 1
+    hits = []
+    for n in range(1, 2 * d * d + 2):
+        phi = sum(trial_mobius(n // e) * e for e in trial_divisors(n))
+        if phi <= d and not any(poly_divmod(f, cyclotomic(n))[1]):
+            hits.append(n)
+    return hits
+
+
+def fraction_split(f):
+    """(multiplicity, cyclotomic n, g, s / g) for each square-free factor s
+    of f with its zero roots dropped, where g = gcd(s', reversal s') for s'
+    = s with its cyclotomic factors divided out."""
+    f = poly_trim(f)
+    while len(f) > 1 and f[0] == 0:
+        f = f[1:]
+    out = []
+    for s, i in squarefree_factors(f):
+        cyclo = cyclotomic_divisors(s)
+        for n in cyclo:
+            s = poly_int(poly_divmod(s, cyclotomic(n))[0])
+        g = poly_int(poly_gcd(s, s[::-1]))
+        out.append((i, tuple(cyclo), tuple(g), tuple(poly_int(poly_divmod(s, g)[0]))))
+    return out
+
+
+def threshold_root_split(f, precision, poly_roots):
+    """(outside, exact, cyclotomic, unit_roots) of a monic integer f, as
+    the package sorted them before its disks were certified: every part of
+    fraction_split is rooted once by poly_roots at max(precision + 48,
+    coefficient bits + 16) bits, and a root within 2^(-precision/2) of the
+    unit circle counts as on it."""
+    eps = mp.mpf(2) ** (-(precision // 2))
+    outside, exact, cyclo, unit = mp.mpf(1), 1, [], []
+    for i, ns, g, rest in fraction_split(f):
+        cyclo += [n for n in ns for _ in range(i)]
+        for part, reciprocal in ((list(g), True), (list(rest), False)):
+            if len(part) == 1:
+                continue
+            bits = max(precision + 48, max(abs(c) for c in part).bit_length() + 16)
+            with mp.workprec(bits):
+                roots = poly_roots(part, bits)
+                for r in roots:
+                    m = abs(r)
+                    if m > 1 + eps:
+                        outside *= m**i
+                    elif reciprocal and abs(m - 1) < eps and mp.im(r) > eps:
+                        unit += [r] * i
+                candidates = {int(mp.nint(mp.re(r))) for r in roots}
+            if exact is None:
+                continue
+            for r in candidates:
+                q, rem = poly_divmod(part, [-r, 1])
+                if not any(rem):
+                    part = poly_int(q)
+                    exact *= abs(r) ** i
+            if len(part) > 1:
+                exact = None
+    return outside, exact, tuple(cyclo), tuple(unit)

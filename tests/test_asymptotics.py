@@ -193,7 +193,7 @@ def test_cesaro_exact_fad_rejects_dependent_angles():
     # 2 theta. Adding k = 3 (angle 2 pi - 3 theta) makes the Cesaro mean of
     # the oscillatory factor 6, not 2^3, so m >= 2 is refused.
     gm = systems.gm_matrix()
-    blocks = [polyops.companion_matrix(polyops.charpoly(power)) for power in (gm, polyops.mat_mul(gm, gm))]
+    blocks = [polyops.companion_matrix(polyops.charpoly(power)) for power in (gm, oracles.mat_mul_int(gm, gm))]
     matrix = [row + [0] * 4 for row in blocks[0]] + [[0] * 4 + row for row in blocks[1]]
     spec = systems.FadSpec(matrix=matrix).validate()
     assert systems.spectrum_for(systems.fad_source(spec)).m == 2

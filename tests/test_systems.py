@@ -19,7 +19,6 @@ from orbitstat.systems import (
     builtin_source,
     fad_source,
     fad_spec_for,
-    fluctuation_spectrum,
     growth_rate,
     sigma_table,
     source_from_json,
@@ -233,13 +232,13 @@ def test_spectrum_of_repeated_integer_eigenvalues():
     rep = spectrum_for(builtin_source("E", p=7, n=10))
     assert rep.m == 0
     assert rep.lam == 100
-    assert fluctuation_spectrum(((3, 0), (0, 2)), c=2).lam == 12
+    assert spectrum_for(SigmaSource(kind="fad", fad=FadSpec(c=2, matrix=((3, 0), (0, 2))))).lam == 12
 
 
 def test_rotation_matrix_has_rational_angle():
     # the eigenvalues +-i are 4th roots of unity: the angle pi/2 is flagged,
     # not listed, since cesaro_exact_fad refuses such a spectrum outright
-    rep = fluctuation_spectrum(((0, -1), (1, 0)))
+    rep = spectrum_for(SigmaSource(kind="fad", fad=FadSpec(matrix=((0, -1), (1, 0)))))
     assert rep.contains_root_of_unity
     assert rep.m == 0
     assert abs(float(rep.lam) - 1.0) < 1e-20
@@ -253,7 +252,7 @@ def test_spectrum_without_matrix_is_trivial():
 
 
 def test_hyperbolic_matrix_has_empty_unit_spectrum():
-    rep = fluctuation_spectrum(((2, 1), (1, 1)))
+    rep = spectrum_for(SigmaSource(kind="fad", fad=FadSpec(matrix=((2, 1), (1, 1)))))
     assert rep.m == 0
     assert not rep.contains_root_of_unity
     with mp.workprec(80):
@@ -290,15 +289,50 @@ def poly_product(*factors):
 def test_root_split_parts():
     # x^2 (x - 1)^2 (x + 1) (x^2 + x + 1) (x - 3)^2 (x^4 - 3x^3 + 3x^2 - 3x + 1)
     f = poly_product([0, 1], [0, 1], [-1, 1], [-1, 1], [1, 1], [1, 1, 1], [-3, 1], [-3, 1])
-    split = polyops.root_split(f, 128)
+    split = polyops.root_split(polyops.exact_split(f), 128)
     assert split.exact == 9
     assert abs(split.outside - 9) < mp.mpf(2) ** -100
     assert sorted(split.cyclotomic) == [1, 1, 2, 3]
     assert split.unit_roots == ()
-    gm = polyops.root_split(poly_product(f, systems.GM_POLY), 128)
+    gm = polyops.root_split(polyops.exact_split(poly_product(f, systems.GM_POLY)), 128)
     assert gm.exact is None and sorted(gm.cyclotomic) == [1, 1, 2, 3]
     assert len(gm.unit_roots) == 1
-    assert polyops.root_split([0, 0, 1], 128) == polyops.RootSplit(1, 1, (), ())
+    assert polyops.root_split(polyops.exact_split([0, 0, 1]), 128) == polyops.RootSplit(1, 1, (), ())
+
+
+def test_an_uncertified_rooting_is_repeated_at_twice_the_bits(monkeypatch):
+    # a first pass that returns one root twice leaves two disks that meet,
+    # so GM's quartic is rooted again at twice its 128 + 48 bits
+    split = polyops.exact_split(systems.GM_POLY)
+    expected = polyops.root_split(split, 128)
+    real = polyops.poly_roots
+    calls = []
+
+    def doubling_a_root_once(poly, bits):
+        calls.append(bits)
+        roots = real(poly, bits)
+        return roots[:1] * 2 + roots[2:] if len(calls) == 1 else roots
+
+    monkeypatch.setattr(polyops, "poly_roots", doubling_a_root_once)
+    got = polyops.root_split(split, 128)
+    assert calls == [176, 352]
+    assert got.exact is None and got.cyclotomic == () and len(got.unit_roots) == 1
+    assert abs(got.outside - expected.outside) < mp.mpf(2) ** -160
+    assert abs(got.unit_roots[0] - expected.unit_roots[0]) < mp.mpf(2) ** -160
+
+
+@pytest.mark.parametrize("precision", (64, 128, 256))
+@pytest.mark.parametrize("e", (40, 70, 100, 200))
+def test_root_just_outside_the_circle_counts_toward_lambda(e, precision):
+    # x^2 - S x + S has roots near S - 1 and S / (S - 1) = 1 + 1/S + ...,
+    # so Lambda = S; the second root is 2^-e off the circle, so a test of
+    # |root| against 1 + 2^(-precision/2) drops it when e >= precision / 2
+    S = 2**e
+    src = fad_source(FadSpec(matrix=((0, -S), (1, S))))
+    rate = growth_rate(src, precision)
+    assert rate.exact is None and spectrum_for(src, precision).m == 0
+    with mp.workprec(precision + 64):
+        assert abs(rate.value / S - 1) <= mp.mpf(2) ** (8 - precision)
 
 
 def test_spectrum_and_growth_rate_share_lambda():
@@ -341,9 +375,9 @@ def test_gm_census_is_split_once_for_its_ldp_sequence(monkeypatch):
     calls = []
     real = polyops.root_split
 
-    def counting(f, precision):
+    def counting(split, precision):
         calls.append(precision)
-        return real(f, precision)
+        return real(split, precision)
 
     monkeypatch.setattr(polyops, "root_split", counting)
     cen = census.build_census(gm, 20)
@@ -537,6 +571,41 @@ def test_random_block_matrix_spectra(case, precision):
     assert spectrum.m == sum(z.imag > 1e-6 for z in on_circle if z not in roots_of_unity)
     if all(len(b) == 1 for b in blocks):
         assert rate.exact == prod(abs(b[0][0]) for b in blocks if abs(b[0][0]) > 1)
+
+
+def assert_split_matches_the_fraction_route(matrix, precision):
+    f = polyops.charpoly(matrix)
+    assert f == oracles.faddeev_charpoly([list(row) for row in matrix])
+    split = polyops.exact_split(f)
+    expected = oracles.fraction_split(f)
+    assert [(p.multiplicity, p.cyclotomic, p.reciprocal, p.rest) for p in split] == expected
+    # the parts multiply back to the square-free factors
+    factors = [(poly_product(*map(polyops.cyclotomic, p.cyclotomic), p.reciprocal, p.rest), p.multiplicity)
+               for p in split]
+    zeros = next(i for i, c in enumerate(f) if c)
+    assert factors == oracles.squarefree_factors(f[zeros:])
+    got = polyops.root_split(split, precision)
+    assert (got.outside, got.exact, got.cyclotomic, got.unit_roots) == oracles.threshold_root_split(
+        f, precision, polyops.poly_roots
+    )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(block_matrices(), st.sampled_from((64, 128, 256)))
+def test_block_matrix_split_matches_the_fraction_route(case, precision):
+    assert_split_matches_the_fraction_route(case[0], precision)
+
+
+@st.composite
+def integer_matrices(draw):
+    d = draw(st.integers(1, 12))
+    return [draw(st.lists(st.integers(-4, 4), min_size=d, max_size=d)) for _ in range(d)]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(integer_matrices(), st.sampled_from((64, 128, 256)))
+def test_integer_matrix_split_matches_the_fraction_route(matrix, precision):
+    assert_split_matches_the_fraction_route(matrix, precision)
 
 
 @settings(max_examples=40, deadline=None)
