@@ -16,10 +16,12 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 
-import mpmath as mp
-
 from orbitstat import kernels, systems
 from orbitstat.polyops import to_mpf
+
+# the degree of the Euler-product cross-check at build time, unless a
+# caller asks for another
+CROSSCHECK_TO = 256
 
 
 def prime_counts(sigma):
@@ -57,8 +59,17 @@ class OrbitCensus:
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def build(cls, source, X_max, precision=128, crosscheck_to=256):
-        """Compute a census from any SigmaSource.
+    def build(cls, source, X_max, precision=128, crosscheck_to=CROSSCHECK_TO):
+        """Compute a census from any SigmaSource: from_sigma on its
+        sigma table up to X_max."""
+        if X_max < 1:
+            raise ValueError("X_max >= 1 required")
+        return cls.from_sigma(source, systems.sigma_table(source, X_max), precision, crosscheck_to)
+
+    @classmethod
+    def from_sigma(cls, source, sigma, precision, crosscheck_to):
+        """The census of a source up to X_max = len(sigma) - 1 >= 1 from
+        its sigma table, as systems.sigma_table gives it.
 
         The Dold check on the sigma prefix yields the prime counts, so a
         table no dynamical system realizes fails here, naming the first
@@ -66,9 +77,7 @@ class OrbitCensus:
         min(X_max, crosscheck_to) at build time; verify_euler() reruns it
         to any degree on demand.
         """
-        if X_max < 1:
-            raise ValueError("X_max >= 1 required")
-        sigma = systems.sigma_table(source, X_max)
+        X_max = len(sigma) - 1
         primes = prime_counts(sigma)
         totals = kernels.exp_logderiv_series(sigma, X_max)
         census = cls(source, X_max, sigma, primes, totals, precision)
@@ -159,6 +168,8 @@ class OrbitCensus:
         if exact is None:
             self._check_range(X)
             return self._mertens_prefix[X]
+        import mpmath as mp
+
         with mp.workprec(self.precision + 16):
             return to_mpf(exact)
 
@@ -172,6 +183,8 @@ class OrbitCensus:
         P are blank there); with include_empty=False it is dropped and cumN
         excludes the empty orbit.
         """
+        import mpmath as mp
+
         digits = max(8, int(self.precision * 0.3010) + 2)
         writer = csv.writer(fileobj, lineterminator="\n")
         writer.writerow(["n", "sigma", "P", "N", "cumN", "cumP", "M"])
@@ -190,6 +203,6 @@ class OrbitCensus:
             )
 
 
-def build_census(source, X_max, precision=128, crosscheck_to=256):
+def build_census(source, X_max, precision=128, crosscheck_to=CROSSCHECK_TO):
     """Convenience wrapper over OrbitCensus.build."""
     return OrbitCensus.build(source, X_max, precision=precision, crosscheck_to=crosscheck_to)

@@ -9,6 +9,9 @@ place that decides: a CliError (a bad flag, a missing spec file, malformed
 JSON) and any ValueError the library raises on the system or its parameters
 exit 2, the latter anchored as "spec:1:"; every other exception, failed
 internal-consistency checks (AssertionError) included, exits 1.
+
+Each command imports the library modules it runs when it runs, so a
+command that prints no real (validate, wdist, sample) never loads mpmath.
 """
 
 import argparse
@@ -20,11 +23,10 @@ import re
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import cached_property
 
-import mpmath as mp
-
-from orbitstat import asymptotics, distribution, kernels, ldp, sampler, systems
-from orbitstat.census import build_census
+from orbitstat import kernels, systems
+from orbitstat.census import CROSSCHECK_TO, OrbitCensus
 
 SCHEMA = "orbitstat/1"
 # --precision ceiling in bits: mpmath works at the given width, so the flag
@@ -129,6 +131,8 @@ def fmt_number(value, precision=128):
         return f"{value.numerator}/{value.denominator}"
     if value is None:
         return None
+    import mpmath as mp
+
     with mp.workprec(precision + 16):
         m = mp.mpf(value)
         if mp.isinf(m):
@@ -228,10 +232,17 @@ class RunConfig:
         self.include_empty = _value(args, "include_empty_orbit")
         self.source = parse_system(args.system)
 
-    def census(self, **options):
+    @cached_property
+    def sigma(self):
+        """The sigma table up to --X, built once per run: the checks that
+        refuse a run before its census read the table the census is built
+        from."""
+        return systems.sigma_table(self.source, self.X)
+
+    def census(self, crosscheck_to=CROSSCHECK_TO):
         if self.X is None:
             raise CliError("--X is required for this command")
-        return build_census(self.source, self.X, precision=self.precision, **options)
+        return OrbitCensus.from_sigma(self.source, self.sigma, self.precision, crosscheck_to)
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +255,7 @@ def _refuse_long_integers(config, squared=False):
     X^2 N(X)^2 when squared (a PMF variance's denominator divides N(X)^2);
     N(X) is bounded from sigma alone by kernels.log_count_bound."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
-    sigma = systems.sigma_table(config.source, config.X) if limit and config.X else []
+    sigma = config.sigma if limit and config.X else []
     if not any(sigma):
         return
     nats = max(kernels.log_count_bound(sigma, config.X), math.log(max(sigma)))
@@ -264,6 +275,8 @@ def cmd_census(config):
 
 
 def cmd_constants(config):
+    from orbitstat import asymptotics
+
     cen = None
     if config.X is not None:
         cen = config.census()
@@ -283,6 +296,8 @@ def cmd_constants(config):
 
 
 def cmd_wdist(config):
+    from orbitstat import distribution
+
     # only the JSON form prints the variance
     _refuse_long_integers(config, squared=config.format == "json")
     # the joint census's row sums, sum_d C(P,d) C(k-1,d-1) = C(P+k-1,k) per
@@ -310,6 +325,8 @@ def cmd_wdist(config):
 
 
 def cmd_ldp(config):
+    from orbitstat import asymptotics, distribution, ldp
+
     # the joint census's row sums are the full-degree cross-check, as in wdist
     cen = config.census(crosscheck_to=0)
     g = distribution.unit_weights(cen)
@@ -332,8 +349,10 @@ def cmd_ldp(config):
 
 
 def cmd_sample(config):
+    from orbitstat import sampler
+
     if config.X is not None:
-        bits = config.X**2 * max(systems.sigma_table(config.source, config.X)).bit_length() // 2
+        bits = config.X**2 * max(config.sigma).bit_length() // 2
         if bits > MAX_SAMPLE_BITS:
             raise CliError(
                 f"sample tables would take about {bits} bits at --X {config.X}, "

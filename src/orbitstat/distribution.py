@@ -24,11 +24,7 @@ time, as the Euler product is (kernels.two_adic_product).
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
 from math import comb, floor, lcm, log, log2
-
-import mpmath as mp
-from mpmath.libmp import fzero, mpf_add, mpf_e, mpf_exp, mpf_log, mpf_mul, round_nearest
 
 from orbitstat.kernels import log_count_bound, two_adic_product
 from orbitstat.polyops import to_mpf
@@ -85,48 +81,11 @@ class DiscreteMeasure:
         """The atoms as (value, mass) mpf pairs at precision + 16 bits,
         converted once per precision and shared by every transform."""
         if precision not in self._real:
+            import mpmath as mp
+
             with mp.workprec(precision + 16):
                 self._real[precision] = tuple((to_mpf(v), to_mpf(m)) for v, m in self.atoms)
         return self._real[precision]
-
-
-@cache
-def _log_e(prec):
-    """log e at prec + 10 bits, as mpmath takes it for a power of e at prec."""
-    return mpf_log(mpf_e(prec, round_nearest), prec + 10, round_nearest)
-
-
-def _e_powers(exponents):
-    """mp.e ** t for each mpf t at the working precision, bit for bit.
-
-    For a t that is neither an integer nor a half-integer, mpmath computes
-    e ** t as exp(t * log e), the product exact and log e taken afresh at
-    10 extra bits; here log e is taken once per precision. An integer or
-    half-integer t (mpf exponent >= -1, zero included) keeps mpmath's own
-    branches.
-    """
-    prec = mp.mp.prec
-    log_e = _log_e(prec)
-    powers = []
-    for t in exponents:
-        tv = t._mpf_
-        if tv[2] >= -1:
-            powers.append(mp.e ** t)
-        else:
-            powers.append(mp.make_mpf(mpf_exp(mpf_mul(tv, log_e), prec, round_nearest)))
-    return powers
-
-
-def _mass_sum(atoms, powers):
-    """Sum of mass * power over real atoms at the working precision, in
-    atom order, each step rounded as acc += m * power would: with powers
-    from _e_powers, a transform is bit-identical to the plain mpf sum of
-    mass * mp.e ** (theta * value)."""
-    prec = mp.mp.prec
-    acc = fzero
-    for (_, m), power in zip(atoms, powers):
-        acc = mpf_add(acc, mpf_mul(m._mpf_, power._mpf_, prec, round_nearest), prec, round_nearest)
-    return mp.make_mpf(acc)
 
 
 @dataclass(frozen=True, eq=False)
@@ -407,6 +366,8 @@ def rho_measure(g, census, X, precision=128):
     if g.X < X:
         raise ValueError("weight classes do not cover the requested range")
     exact = census.lam.exact
+    import mpmath as mp
+
     with mp.workprec(precision + 16):
         M = census.mertens(X) if exact is None else census.mertens_exact(X)
         if M == 0:

@@ -12,10 +12,12 @@ which the tail reports place alongside exact census tails.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 import mpmath as mp
+from mpmath.libmp import fzero, mpf_add, mpf_e, mpf_exp, mpf_log, mpf_mul, round_nearest
 
-from orbitstat.distribution import _e_powers, _mass_sum, w_pmf
+from orbitstat.distribution import w_pmf
 from orbitstat.polyops import to_mpf
 
 
@@ -56,6 +58,45 @@ def _check_probability(rho):
             raise ValueError(f"measure has total mass {total}, not a probability")
     elif abs(total - 1) > mp.mpf("1e-9"):
         raise ValueError("measure has total mass %s, not a probability" % mp.nstr(mp.mpf(total), 12))
+
+
+@cache
+def _log_e(prec):
+    """log e at prec + 10 bits, as mpmath takes it for a power of e at prec."""
+    return mpf_log(mpf_e(prec, round_nearest), prec + 10, round_nearest)
+
+
+def _e_powers(exponents):
+    """mp.e ** t for each mpf t at the working precision, bit for bit.
+
+    For a t that is neither an integer nor a half-integer, mpmath computes
+    e ** t as exp(t * log e), the product exact and log e taken afresh at
+    10 extra bits; here log e is taken once per precision. An integer or
+    half-integer t (mpf exponent >= -1, zero included) keeps mpmath's own
+    branches.
+    """
+    prec = mp.mp.prec
+    log_e = _log_e(prec)
+    powers = []
+    for t in exponents:
+        tv = t._mpf_
+        if tv[2] >= -1:
+            powers.append(mp.e ** t)
+        else:
+            powers.append(mp.make_mpf(mpf_exp(mpf_mul(tv, log_e), prec, round_nearest)))
+    return powers
+
+
+def _mass_sum(atoms, powers):
+    """Sum of mass * power over real atoms at the working precision, in
+    atom order, each step rounded as acc += m * power would: with powers
+    from _e_powers, a transform is bit-identical to the plain mpf sum of
+    mass * mp.e ** (theta * value)."""
+    prec = mp.mp.prec
+    acc = fzero
+    for (_, m), power in zip(atoms, powers):
+        acc = mpf_add(acc, mpf_mul(m._mpf_, power._mpf_, prec, round_nearest), prec, round_nearest)
+    return mp.make_mpf(acc)
 
 
 # Newton stops once |L'(theta) - x| <= _NEWTON_TOL * max(1, |x|)

@@ -13,8 +13,6 @@ from fractions import Fraction
 from functools import cache
 from operator import mul
 
-import mpmath as mp
-
 from orbitstat.numtheory import is_prime
 
 
@@ -282,6 +280,8 @@ def to_mpf(x):
     again; every real column in the package depends on these two
     roundings, so all exact-to-real conversions go through here.
     """
+    import mpmath as mp
+
     if isinstance(x, Fraction):
         return mp.mpf(x.numerator) / x.denominator
     return mp.mpf(x)
@@ -298,6 +298,8 @@ def poly_roots(f, precision):
     f = poly_trim(list(f))
     if len(f) < 2:
         return []
+    import mpmath as mp
+
     with mp.workprec(precision + 48):
         desc = [to_mpf(c) for c in reversed(f)]
         n = len(f) - 1
@@ -342,6 +344,8 @@ def _sides(f, roots, reciprocal):
     The roots of a self-reciprocal f come in pairs r, 1/conj(r), so its disk
     that meets the circle holds a root on it if the disk's mirror image
     under z -> 1/conj(z) meets no other disk."""
+    import mpmath as mp
+
     n = len(f) - 1
     df = poly_deriv(f)
     rounding = 8 * (n + 1) * mp.eps
@@ -373,6 +377,8 @@ def root_split(split, precision):
     round correctly, and again at twice the bits until _sides certifies
     every root's side; only a reciprocal part may have roots on the circle.
     """
+    import mpmath as mp
+
     outside, exact, cyclo, unit = mp.mpf(1), 1, [], []
     for part in split:
         i = part.multiplicity

@@ -10,9 +10,10 @@ uniform-multiset distinct-part distribution. All thresholds are exact big
 integers against a counter-based RNG, so identical seeds reproduce
 identical streams regardless of batching.
 
-The RNG is numpy's Philox, imported when the first stream is built: the
-rest of the package (censuses, constants, distributions, rate functions,
-the CLI commands that never draw) does not load numpy. Each seed has one
+The RNG is numpy's Philox, imported when the first stream is built:
+`import orbitstat`, importing this module, and everything else the
+package does (censuses, constants, distributions, rate functions, the CLI
+commands that never draw) do not load numpy. Each seed has one
 Philox, built once; a stream keeps only its seed's key and its own
 counter, and positions that shared generator at the counter, under a
 lock, for each 4 KB chunk it fetches. Philox output depends only on

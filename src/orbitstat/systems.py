@@ -21,8 +21,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-import mpmath as mp
-
 from orbitstat.numtheory import PeriodicSequence, is_gcd_sequence, is_prime, lte_params, p_valuation
 from orbitstat import polyops
 
@@ -328,6 +326,8 @@ class GrowthRate:
                 acc = acc * num + terms[k] * dpow
                 out[k] = acc
             return out
+        import mpmath as mp
+
         with mp.workprec(precision + 16):
             acc = out[0] = mp.mpf(0)
             for k in range(1, len(terms)):
@@ -353,6 +353,8 @@ def growth_rate(source, precision=128):
     table = source.table
     if len(table) < 8:
         raise ValueError("table too short for a growth estimate (need >= 8)")
+    import mpmath as mp
+
     with mp.workprec(precision + 16):
         best = mp.mpf(1)
         for k in range(len(table) // 2, len(table)):
@@ -398,6 +400,8 @@ def spectrum_for(source, precision=128):
     from one numeric pass, polyops.root_split, over its FadSpec's split.
     rate is c times the product of |root| > 1, the GrowthRate growth_rate
     returns for a product form."""
+    import mpmath as mp
+
     spec = fad_spec_for(source)
     split = polyops.root_split(spec.split, precision)
     with mp.workprec(precision + 16):

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitstat import asymptotics, build_census, builtin_source, cli, distribution, kernels, polyops, systems, write_samples_csv
+from orbitstat import OrbitCensus, asymptotics, build_census, builtin_source, cli, distribution, kernels, polyops, systems, write_samples_csv
 from orbitstat.cli import main
 
 import oracles
@@ -277,7 +277,7 @@ def test_a_failed_cross_check_on_long_counts_exits_1(capsys, monkeypatch):
 def test_sample_bit_budget_refuses_before_the_census(capsys, monkeypatch):
     # X = 1024 passes --X, but q = 2^20 makes every table entry 20 times wider
     calls = []
-    monkeypatch.setattr(cli, "build_census", lambda *args, **kwargs: calls.append(args))
+    monkeypatch.setattr(OrbitCensus, "from_sigma", lambda *args, **kwargs: calls.append(args))
     code, out, err = run(capsys, "sample", "--system", "builtin:FF,q=1048576", "--X", "1024")
     assert code == 2 and out == ""
     assert err.startswith("error: sample tables would take about ")
@@ -301,7 +301,7 @@ def test_digit_limit_refuses_before_the_census(capsys, monkeypatch, int_digits):
     # with, so nothing is built
     int_digits(4300)
     calls = []
-    monkeypatch.setattr(cli, "build_census", lambda *args, **kwargs: calls.append(args))
+    monkeypatch.setattr(OrbitCensus, "from_sigma", lambda *args, **kwargs: calls.append(args))
     code, out, err = run(capsys, "census", "--system", "builtin:FF,q=16384", "--X", "1024")
     assert code == 2 and out == "" and calls == []
     assert err == ("error: output integers could have up to 4319 decimal digits at --X 1024, more than "
@@ -446,6 +446,24 @@ def test_each_run_reads_its_matrix_once(capsys, monkeypatch, tmp_path, command, 
     # so it is split only by a run that reads its spectrum
     split = not builtin or command in ("census", "constants", "ldp")
     assert calls == {"charpoly": 1, "exact_split": int(split)}
+
+
+@pytest.mark.parametrize("builtin", [True, False])
+@pytest.mark.parametrize("command", ["census", "wdist", "sample"])
+def test_each_run_builds_its_sigma_table_once(capsys, monkeypatch, tmp_path, command, builtin):
+    # the digit limit and the sample budget read the table the census is
+    # then built from
+    system = "builtin:GM"
+    if not builtin:
+        system = str(tmp_path / "gm3.json")
+        (tmp_path / "gm3.json").write_text(json.dumps({"type": "fad", "matrix": gm_blocks(3)}))
+    calls = []
+    real = systems.sigma_table
+    monkeypatch.setattr(systems, "sigma_table", lambda *args: calls.append(args) or real(*args))
+    samples = ("--samples", "2") if command == "sample" else ()
+    code, _, err = run(capsys, command, "--system", system, "--X", "8", *samples)
+    assert code == 0, err
+    assert [X for _, X in calls] == [8]
 
 
 def seeded_matrix(d):

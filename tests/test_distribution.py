@@ -1,7 +1,6 @@
 """Bivariate censuses and exact W distributions against the DFS enumerator."""
 
 import copy
-import random
 from fractions import Fraction
 from math import floor, log2
 
@@ -42,41 +41,6 @@ def test_measure_basics():
     assert m.mean() == Fraction(1, 2)
     assert m.variance() == Fraction(2) ** 2 * Fraction(1, 4) - Fraction(1, 4)
     assert m.real_atoms(64) == ((0, 0.75), (2, 0.25))
-
-
-def test_e_powers_is_bit_identical_to_mp_e_power():
-    rng = random.Random(14)
-    # integers and half-integers up to 200 take mpmath's own branches, whose
-    # bits differ from exp(t log e) on many of them
-    fixed = [k / 4 for k in range(-40, 41)] + [k / 2 for k in range(-400, 401)]
-    fixed += [0, 1e-30, 2.0**-200, 1000.3]
-    for precision in (53, 69, 144, 216, 300):
-        with mp.workprec(precision):
-            # random t in (-50, 50) carrying every bit of the precision
-            drawn = [mp.mpf(rng.getrandbits(precision)) / 2**precision * 100 - 50 for _ in range(100)]
-            exponents = drawn + [mp.mpf(t) for t in fixed]
-            expected = [(mp.e ** t)._mpf_ for t in exponents]
-            assert [p._mpf_ for p in distribution._e_powers(exponents)] == expected
-
-
-def test_mass_sum_is_bit_identical_to_the_mpf_loop():
-    rng = random.Random(14)
-
-    def draw(precision):
-        """A signed mpf with every bit of the precision, of size 2^-60..2^60."""
-        man = rng.getrandbits(precision) | 1 << (precision - 1)
-        return mp.mpf((rng.choice((-1, 1)) * man, rng.randint(-60, 60) - precision))
-
-    for precision in (53, 128, 200):
-        with mp.workprec(precision):
-            # masses and powers of both signs and mixed sizes, so that sums cancel
-            atoms = [(None, draw(precision)) for _ in range(200)]
-            powers = [draw(precision) for _ in range(200)]
-            acc = mp.mpf(0)
-            for (_, m), p in zip(atoms, powers):
-                acc += m * p
-            assert distribution._mass_sum(atoms, powers)._mpf_ == acc._mpf_
-            assert distribution._mass_sum([], [])._mpf_ == mp.mpf(0)._mpf_
 
 
 def test_measure_validation():

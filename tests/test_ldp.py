@@ -1,6 +1,7 @@
 """Rate functions: closed forms vs the numeric Legendre transform, plus
 Chebyshev bounds that must dominate every exact census tail."""
 
+import random
 from fractions import Fraction
 from functools import partial
 
@@ -91,6 +92,44 @@ def test_subset_rate_at_infinity_and_nan():
         assert subset_rate(mp.inf, 3, r) == mp.inf
         with pytest.raises(ValueError, match="nan"):
             subset_rate(mp.nan, 3, r)
+
+
+# -- powers of e and transforms at mpmath's word level ----------------------------
+
+
+def test_e_powers_is_bit_identical_to_mp_e_power():
+    rng = random.Random(14)
+    # integers and half-integers up to 200 take mpmath's own branches, whose
+    # bits differ from exp(t log e) on many of them
+    fixed = [k / 4 for k in range(-40, 41)] + [k / 2 for k in range(-400, 401)]
+    fixed += [0, 1e-30, 2.0**-200, 1000.3]
+    for precision in (53, 69, 144, 216, 300):
+        with mp.workprec(precision):
+            # random t in (-50, 50) carrying every bit of the precision
+            drawn = [mp.mpf(rng.getrandbits(precision)) / 2**precision * 100 - 50 for _ in range(100)]
+            exponents = drawn + [mp.mpf(t) for t in fixed]
+            expected = [(mp.e ** t)._mpf_ for t in exponents]
+            assert [p._mpf_ for p in ldp._e_powers(exponents)] == expected
+
+
+def test_mass_sum_is_bit_identical_to_the_mpf_loop():
+    rng = random.Random(14)
+
+    def draw(precision):
+        """A signed mpf with every bit of the precision, of size 2^-60..2^60."""
+        man = rng.getrandbits(precision) | 1 << (precision - 1)
+        return mp.mpf((rng.choice((-1, 1)) * man, rng.randint(-60, 60) - precision))
+
+    for precision in (53, 128, 200):
+        with mp.workprec(precision):
+            # masses and powers of both signs and mixed sizes, so that sums cancel
+            atoms = [(None, draw(precision)) for _ in range(200)]
+            powers = [draw(precision) for _ in range(200)]
+            acc = mp.mpf(0)
+            for (_, m), p in zip(atoms, powers):
+                acc += m * p
+            assert ldp._mass_sum(atoms, powers)._mpf_ == acc._mpf_
+            assert ldp._mass_sum([], [])._mpf_ == mp.mpf(0)._mpf_
 
 
 # -- the Legendre solver ---------------------------------------------------------
@@ -284,7 +323,7 @@ def counting_transforms(monkeypatch, bc, xs, precision=128):
                 keys.setdefault(tuple(theta * y for y, _ in real), (X, i))
     assert len(keys) == len(xs) * len(thetas)
     transformed = []
-    e_powers = distribution._e_powers
+    e_powers = ldp._e_powers
 
     def counting_e_powers(exponents):
         exponents = list(exponents)

@@ -3,9 +3,10 @@ what it imports, every top-level function and class and every method,
 property and dataclass field has a reader (in the package or the
 benchmark, save top-level names of the public API, which tests may read
 alone), exact-to-real conversion and powers of e each have one home, the
-CLI turns a ValueError into exit 2 in one place, numpy is loaded only by
-the sampler's random streams, and the benchmark's tracer still finds the
-names it reads."""
+CLI turns a ValueError into exit 2 in one place, the package's names load
+on first read, mpmath only where a real is computed and numpy only with the
+sampler's random streams, and the benchmark's tracer still finds the names
+it reads."""
 
 import ast
 import importlib.util
@@ -71,6 +72,8 @@ def scan(path):
     the enclosing class; and 'fields' for the class C of each fields(C)
     call, which reads every field of C. owner is the key of the innermost
     enclosing definition, or None at module level. Imports are not reads.
+    Dunders, module-level ones (such as a package's __getattr__) as well as
+    those of a class, are read by the interpreter and are not definitions.
     """
     tree = ast.parse(path.read_text(encoding="utf-8"))
     definitions = {}
@@ -89,8 +92,11 @@ def scan(path):
         for child in ast.iter_child_nodes(node):
             visit(child, owner)
 
+    def dunder(name):
+        return name.startswith("__") and name.endswith("__")
+
     for top in tree.body:
-        if not isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        if not isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) or dunder(top.name):
             visit(top, None)
             continue
         definitions[top.name] = "top"
@@ -107,7 +113,7 @@ def scan(path):
                 name, kind = node.target.id, "field"
             else:
                 name = kind = None
-            if name is None or name.startswith("__") and name.endswith("__"):
+            if name is None or dunder(name):
                 visit(node, top.name)
             else:
                 definitions[f"{top.name}.{name}"] = kind
@@ -257,7 +263,7 @@ def test_e_power_has_one_home():
         path.name: spellings(path, is_e_power)
         for path in sorted((ROOT / "src" / "orbitstat").glob("*.py"))
     }
-    assert [function for function, _ in found.pop("distribution.py")] == ["_e_powers"]
+    assert [function for function, _ in found.pop("ldp.py")] == ["_e_powers"]
     assert {name: hits for name, hits in found.items() if hits} == {}
 
 
@@ -291,30 +297,93 @@ IMPORT_BOUNDARY = textwrap.dedent(
     """
     import contextlib, io, sys
 
+
+    def loaded():
+        return [name for name in ("mpmath", "numpy") if name in sys.modules]
+
+
     import orbitstat
 
-    assert "numpy" not in sys.modules, "import orbitstat"
+    assert loaded() == [], "import orbitstat"
     from orbitstat.cli import main
 
-    for command in ("validate", "census", "constants", "wdist", "ldp"):
+    assert loaded() == [], "import orbitstat.cli"
+    step = sys.argv[1]
+    if step == "RandomStream":
+        orbitstat.RandomStream(1, 0)
+    else:
+        samples = ["--samples", "3"] if step == "sample" else []
         with contextlib.redirect_stdout(io.StringIO()):
-            code = main([command, "--system", "builtin:FF,q=2", "--X", "12"])
-        assert code == 0, command
-        assert "numpy" not in sys.modules, command
-    orbitstat.RandomStream(1, 0)
-    assert "numpy" in sys.modules, "RandomStream"
+            code = main([step, "--system", "builtin:FF,q=2", "--X", "12", *samples])
+        assert code == 0, step
+    print(*loaded())
+    """
+)
+
+# what each step loads after `import orbitstat` and `import orbitstat.cli`,
+# which load neither: mpmath only where a real is printed, numpy only where
+# a random stream is built
+LOADS = {
+    "validate": [],
+    "wdist": [],
+    "sample": ["numpy"],
+    "census": ["mpmath"],
+    "constants": ["mpmath"],
+    "ldp": ["mpmath"],
+    "RandomStream": ["numpy"],
+}
+
+
+def fresh_interpreter(script, *args):
+    """stdout of a new interpreter running script with the checkout's src/
+    first on its path; it must exit 0."""
+    src = str(ROOT / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script, *args], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_numpy_loads_with_the_first_random_stream():
+    # numpy serves only the Philox bytes of the sampler, and mpmath only the
+    # reals; a fresh interpreter per step is the only place where
+    # sys.modules shows what that step loads
+    assert {step: fresh_interpreter(IMPORT_BOUNDARY, step).split() for step in LOADS} == LOADS
+
+
+LAZY_EXPORTS = textwrap.dedent(
+    """
+    import importlib
+
+    import orbitstat
+
+    # a library submodule resolves on a bare import, as when __init__
+    # imported every module
+    assert orbitstat.kernels.BACKEND == "pure"
+    assert len(orbitstat.__all__) == len(set(orbitstat.__all__)) == 48
+    assert set(orbitstat.__all__) <= set(dir(orbitstat))
+    names = {}
+    exec("from orbitstat import *", names)
+    assert sorted(names.keys() - {"__builtins__"}) == sorted(orbitstat.__all__)
+    for name in orbitstat.__all__:
+        home = importlib.import_module(f"orbitstat.{orbitstat._HOMES[name]}")
+        assert names[name] is getattr(orbitstat, name) is getattr(home, name), name
+    for name in ("no_such_name", "to_mpf"):
+        try:
+            getattr(orbitstat, name)
+        except AttributeError as exc:
+            assert str(exc) == f"module 'orbitstat' has no attribute {name!r}", exc
+        else:
+            raise AssertionError(name)
     """
 )
 
 
-def test_numpy_loads_with_the_first_random_stream():
-    # numpy serves only the Philox bytes of the sampler; a fresh interpreter
-    # is the only place where sys.modules shows what an import loads
-    src = str(ROOT / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", IMPORT_BOUNDARY], env=env, capture_output=True, text=True,
-                          timeout=120)
-    assert proc.returncode == 0, proc.stderr
+def test_exports_load_on_first_read():
+    # each public name is its home module's object, read once through the
+    # package's __getattr__ and then bound in the package
+    fresh_interpreter(LAZY_EXPORTS)
 
 
 def test_benchmark_tracer_reads_what_the_library_keeps():
@@ -325,6 +394,10 @@ def test_benchmark_tracer_reads_what_the_library_keeps():
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
     tracer = tracing.Tracer()
+    # the tracer patches every orbitstat namespace that binds a traced
+    # function, the package's included: a name the package has already
+    # bound is traced and restored like the home module's
+    joint_census = orbitstat.joint_census
     tracer.install()
     try:
         cen = orbitstat.build_census(orbitstat.builtin_source("FF", q=2), 2)
@@ -333,4 +406,5 @@ def test_benchmark_tracer_reads_what_the_library_keeps():
         tracer.uninstall()
     assert tracer.counts["distribution.cells"] == 4
     assert tracer.counts["distribution.values"] == 3
+    assert orbitstat.joint_census is orbitstat.distribution.joint_census is joint_census
     assert hasattr(orbitstat.kernels, "BACKEND")
