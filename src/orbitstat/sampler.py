@@ -19,20 +19,26 @@ counter, and positions that shared generator at the counter, under a
 lock, for each 4 KB chunk it fetches. Philox output depends only on
 (key, counter), so sharing the generator changes no byte.
 
-The descent inlines RandomStream.randbelow: it reads exactly the bytes and
-makes exactly the accept decisions that one randbelow per cell would.
+The descent inlines RandomStream.randbelow: it reads exactly the bytes,
+makes exactly the accept decisions and leaves the stream in exactly the
+state that one randbelow per cell, and one per distinct-part draw, would.
 Beside the completion counts, the sampler keeps each cell's byte width
-bit_length // 8 + 1 in one compact unsigned-int array per length, and the
-span 2^(8 width) of each width in use, so a step computes neither. The
-descent holds the stream's byte window (buffer, position, block end) in
-local variables and writes the position back before every call that
-draws from the stream (a refill, distinct_parts), re-reading the window
-afterwards.
+bit_length // 8 + 1 in one compact unsigned-int array per length, the
+width of each P_ell, and the span 2^(8 width) of each width in use, so a
+step computes neither. The descent holds the stream's byte window
+(buffer, position, block end, next block) in local variables. A read that
+crosses the block end moves to the next 256-byte block inline, as
+RandomStream._refill would; only a spent buffer or a cell wider than 256
+bytes calls _refill. One copy of that read serves every cell and, for one
+copy at a length (k_ell = 1, so d_ell = 1), the randbelow(P_ell) that
+distinct_parts would make. The window is written back before the calls
+that draw from the stream (a refill, distinct_parts for k_ell >= 2) and
+read again after them, and once more when the descent ends.
 """
 
 import threading
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate
 from math import comb
@@ -40,6 +46,7 @@ from math import comb
 from orbitstat import kernels
 
 # raw 64-bit Philox words fetched at a time: 4 KB, about one long draw
+# (a 64- or 128-word first fetch: E(3,2) draws 0-1.4 us faster, FF(2) 3-5 us slower)
 _CHUNK_WORDS = 512
 _WORD = (1 << 64) - 1
 # guards the shared per-seed generators from position to fetch
@@ -113,7 +120,9 @@ class RandomStream:
             if n == 1:
                 return 0
             raise ValueError("randbelow needs a positive bound")
-        # one spare byte keeps the rejection rate under 1/256
+        # one spare byte makes span > 2n, so span >= 2n + span % n and the
+        # rejection rate span % n / span is below 1/3 (at worst 21844/65536,
+        # n = 21846, below 2^16)
         nbytes = n.bit_length() // 8 + 1
         span = 1 << (8 * nbytes)
         # span % n < n, so r < span - n already lies below the rejection
@@ -142,17 +151,22 @@ class OrbitSample:
 
     n: int
     profile: tuple
+    W: int = field(init=False, compare=False, repr=False)  # distinct primes, sum of d_ell
 
     def __post_init__(self):
-        if sum(ell * k for ell, k, _ in self.profile) != self.n:
-            raise ValueError("profile lengths do not sum to n")
+        # one pass: the sum error is raised before any entry's
+        length = W = 0
+        bad = None
         for ell, k, d in self.profile:
-            if k < 1 or d < 1 or d > k:
-                raise ValueError(f"invalid profile entry at ell={ell}")
-
-    @property
-    def W(self):
-        return sum(d for _, _, d in self.profile)
+            length += ell * k
+            W += d
+            if not 1 <= d <= k and bad is None:
+                bad = ell
+        if length != self.n:
+            raise ValueError("profile lengths do not sum to n")
+        if bad is not None:
+            raise ValueError(f"invalid profile entry at ell={bad}")
+        object.__setattr__(self, "W", W)
 
 
 def distinct_parts(P, k, rng):
@@ -160,9 +174,6 @@ def distinct_parts(P, k, rng):
     P[d] = C(P,d) C(k-1,d-1) / C(P+k-1,k), drawn with exact thresholds."""
     if P < 1 or k < 1:
         raise ValueError("P >= 1 and k >= 1 required")
-    if k == 1:
-        rng.randbelow(P)  # one copy is one type; the draw keeps the stream's bytes
-        return 1
     total = comb(P + k - 1, k)
     r = rng.randbelow(total)
     acc = 0
@@ -185,7 +196,7 @@ class OrbitSampler:
         self.X = X
         self.primes = census.primes
         totals = list(census.totals[: X + 1])
-        # suffix[ell] = coefficient table of prod_{l < ell} (1-z^l)^(-P_l)
+        # suffix[ell] = coefficient table of prod_{l <= ell} (1-z^l)^(-P_l)
         suffix = [[1] + [0] * X]
         row = suffix[0]
         for ell in range(1, X + 1):
@@ -200,44 +211,60 @@ class OrbitSampler:
         # randbelow's byte count per cell; "I" holds widths up to 2^32 - 1
         # bytes and raises OverflowError past them
         self.widths = [array("I", [v.bit_length() // 8 + 1 for v in row]) for row in suffix]
-        self.spans = {w: 1 << (8 * w) for w in set().union(*self.widths)}
-        # steps[ell] = (ell, P_ell, suffix[ell], suffix[ell - 1], widths[ell]),
-        # one tuple per descent step; steps[0] is never read
-        self.steps = list(zip(range(X + 1), self.primes, suffix, [None] + suffix, self.widths))
+        # steps[ell] = (P_ell, suffix[ell], suffix[ell - 1], widths[ell], the
+        # byte width of P_ell), one tuple per descent step; steps[0] is never read
+        pwidths = [P.bit_length() // 8 + 1 for P in self.primes[: X + 1]]
+        self.steps = list(zip(self.primes, suffix, [None] + suffix, self.widths, pwidths))
+        self.spans = {w: 1 << (8 * w) for w in set().union(*self.widths, pwidths)}
         self.cumulative = list(accumulate(totals))
         self.grand_total = self.cumulative[-1]
 
     def sample(self, rng):
-        spans = self.spans
+        steps, spans = self.steps, self.spans
         from_bytes = int.from_bytes  # a local: int.from_bytes is a lookup per call
         n = bisect_right(self.cumulative, rng.randbelow(self.grand_total))
-        buf, pos, end = rng._buf, rng._pos, rng._end
-        rem = n
+        buf, pos, end, nxt = rng._buf, rng._pos, rng._end, rng._next
+        rem = ell = n  # ell <= rem throughout: lengths above rem cannot occur
+        one = False  # the next read is randbelow(P) for one copy at ell
         profile = []
-        # lengths above n cannot occur, and each draw lowers rem
-        for ell, P, row, prev, wrow in self.steps[n:0:-1]:
-            if rem < ell or P == 0:
-                continue
+        while rem:
+            if one:
+                bound, w = P, pw
+            else:
+                P, row, prev, wrow, pw = steps[ell]
+                if not P:
+                    ell -= 1
+                    continue
+                bound, w = row[rem], wrow[rem]
             # r = rng.randbelow(bound), inlined: randbelow(1) reads no byte
-            bound = row[rem]
             r = 0
             if bound > 1:
-                w = wrow[rem]
                 span = spans[w]
                 while True:
                     stop = pos + w
                     if stop > end:
-                        rng._pos = pos
-                        rng._refill(w)
-                        buf, pos, end = rng._buf, rng._pos, rng._end
+                        if w > 256 or nxt + 256 > len(buf):
+                            rng._next = nxt
+                            rng._refill(w)
+                            buf, pos, end, nxt = rng._buf, rng._pos, rng._end, rng._next
+                        else:  # the next 256-byte block, as _refill would serve it
+                            pos = nxt
+                            end = nxt = nxt + 256
                         stop = pos + w
                     r = from_bytes(buf[pos:stop], "big")
                     pos = stop
                     if r < span - bound or r < span - span % bound:
                         r %= bound
                         break
+            if one:  # one copy is one distinct prime; the read only keeps the bytes
+                one = False
+                profile.append((ell, 1, 1))
+                rem -= ell
+                ell = rem if rem < ell else ell - 1
+                continue
             acc = prev[rem]
             if r < acc:  # k = 0: no copies at this length
+                ell -= 1
                 continue
             k = 1
             m = ell
@@ -249,12 +276,15 @@ class OrbitSampler:
                 k += 1
                 m += ell
                 binom = binom * (P + k - 1) // k
-            rng._pos = pos
+            if k == 1:  # d = 1, after the read of randbelow(P) the next pass makes
+                one = True
+                continue
+            rng._pos, rng._end, rng._next = pos, end, nxt
             profile.append((ell, k, distinct_parts(P, k, rng)))
-            buf, pos, end = rng._buf, rng._pos, rng._end
+            buf, pos, end, nxt = rng._buf, rng._pos, rng._end, rng._next
             rem -= m
-            if rem == 0:  # distinct_parts made the last read, so rng is current
-                break
+            ell = rem if rem < ell else ell - 1  # min(ell - 1, rem)
+        rng._pos, rng._end, rng._next = pos, end, nxt
         return OrbitSample(n=n, profile=tuple(reversed(profile)))
 
 

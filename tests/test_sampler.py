@@ -182,6 +182,27 @@ def test_randbelow_accept_boundary():
     assert got == old == [(span - n - 1) % n, (span - n) % n, (limit - 1) % n, 5]
 
 
+def test_randbelow_rejection_rate_is_below_a_third():
+    # b // 8 + 1 bytes for an n of b bits make span > 2n, so span % n / span,
+    # the share of reads rejected, is below 1/3; the worst n below 2^16
+    # rejects 21844 of 65536
+    def rate(n, w):
+        span = 1 << (8 * w)
+        return Fraction(span % n, span)
+
+    assert max((rate(n, n.bit_length() // 8 + 1), n) for n in range(2, 1 << 16)) == (Fraction(21844, 65536), 21846)
+    for name, params, X in (("FF", {"q": 2}, 200), ("E", {"p": 3, "n": 2}, 60)):
+        sampler = sampler_for(build_census(builtin_source(name, **params), X), X)
+        # row 0 is never read; every cell of the others is a bound >= 1
+        rows = zip(sampler.suffix[1:], sampler.widths[1:])
+        cells = [(bound, w) for row, wrow in rows for bound, w in zip(row, wrow)]
+        cells += [(P, pw) for P, _, _, _, pw in sampler.steps[1:]]
+        assert {w for _, w in cells} == set(sampler.spans)
+        for bound, w in cells:
+            assert w == bound.bit_length() // 8 + 1
+            assert rate(bound, w) < Fraction(1, 3)
+
+
 # sha256 of "n profile" lines for RandomStream(1, i), i < 300
 DRAW_DIGESTS = {
     ("FF", (("q", 2),), 200): "bfdc14337dd6c34038ad524a12a858084de7ce493c133e76b7b4768ccb825c2e",
@@ -260,41 +281,75 @@ def test_sample_accept_boundary():
         assert a._pos > len(head)
 
 
+def _reads(monkeypatch, sampler, data):
+    """(kind, start, stop) of each read the reference descent accepts on data
+    as one block: kind is "length", "cell", "one" (the randbelow(P) of one
+    copy at a length) or "parts" (distinct_parts for two or more copies)."""
+    rng = _fed(data, len(data))
+    reads, within = [], []
+    randbelow, parts = rng.randbelow, oracles.reference_distinct_parts
+
+    def recorded(n):
+        kind = within[-1] if within else "cell" if calls else "length"
+        calls.append(n)
+        r = randbelow(n)
+        if n > 1:
+            reads.append((kind, rng._pos - (n.bit_length() // 8 + 1), rng._pos))
+        return r
+
+    def flagged(P, k, rng):
+        within.append("one" if k == 1 else "parts")
+        try:
+            return parts(P, k, rng)
+        finally:
+            within.pop()
+
+    calls = []
+    rng.randbelow = recorded
+    with monkeypatch.context() as patch:
+        patch.setattr(oracles, "reference_distinct_parts", flagged)
+        oracles.reference_sample(sampler, rng)
+    return reads
+
+
 @pytest.mark.parametrize("name, params, X", [("FF", {"q": 2}, 60), ("E", {"p": 3, "n": 2}, 40)])
 def test_sample_refills_at_every_byte(monkeypatch, name, params, X):
-    # the current block ends at each byte a draw reads, so a refill comes in
-    # every place one can: the length draw, mid-descent and distinct_parts
+    # the current block ends at each byte a draw reads, so the block changes
+    # in every place it can: the length draw, mid-descent, the k = 1 read and
+    # distinct_parts. While the buffer holds the next block, sample moves to
+    # it inline; a buffer that ends at the cut makes sample call _refill
     sampler = sampler_for(build_census(builtin_source(name, **params), X), X)
-    where = []
-    inside = []
-    refill, randbelow, parts = RandomStream._refill, RandomStream.randbelow, sampler_module.distinct_parts
+    refill = RandomStream._refill
+    refills = []
 
     def counted_refill(self, nbytes):
-        where.append("parts" if "parts" in inside else inside[-1] if inside else "step")
+        refills.append((self, sys._getframe(1).f_code.co_name))
         refill(self, nbytes)
 
-    def flagged(name, call):
-        def run(*args):
-            inside.append(name)
-            try:
-                return call(*args)
-            finally:
-                inside.pop()
-        return run
-
+    inline = 0
+    ran_out = {"cell": 0, "one": 0}
     for seed in range(4):
         data = random.Random(seed).randbytes(4096)
-        whole = _fed(data, len(data))
-        sampler.sample(whole)
+        reads = _reads(monkeypatch, sampler, data)
         monkeypatch.setattr(RandomStream, "_refill", counted_refill)
-        monkeypatch.setattr(RandomStream, "randbelow", flagged("randbelow", randbelow))
-        monkeypatch.setattr(sampler_module, "distinct_parts", flagged("parts", parts))
-        for cut in range(1, whole._pos + 1):
-            _same_draw(sampler, _fed(data, cut), _fed(data, cut))
+        for cut in range(1, reads[-1][2] + 1):
+            a, b = _fed(data, cut), _fed(data, cut)
+            refills.clear()
+            _same_draw(sampler, a, b)
+            # the reference changes block only by _refill, and a reads the same
+            # blocks, so each of a's block changes without one was inline
+            inline += sum(s is b for s, _ in refills) - sum(s is a for s, _ in refills)
+            assert not any(s is a and caller == "sample" for s, caller in refills)
+        for kind in ran_out:
+            cells = [stop for k, _, stop in reads if k == kind]
+            if cells:
+                cut = cells[len(cells) // 2] - 1  # inside the read, or at its start
+                a, b = _fed(data[:cut], cut), _fed(data[:cut], cut)
+                refills.clear()
+                _same_draw(sampler, a, b)
+                ran_out[kind] += sum(s is a and caller == "sample" for s, caller in refills)
         monkeypatch.undo()
-    # the reference refills only inside randbelow; "step" and "parts" are
-    # the sampler's own refills, in its inlined steps and in distinct_parts
-    assert where.count("parts") >= 40 and where.count("step") >= 400
+    assert inline >= 400 and min(ran_out.values()) >= 2, (inline, ran_out)
 
 
 def test_sample_reads_no_byte_for_one_value_cells(per13_census):
@@ -333,6 +388,17 @@ def test_width_table_stays_small(ff2_source):
 # -- profile pieces --------------------------------------------------------------
 
 
+def _old_profile_error(n, profile):
+    """The error the two-pass check raised: the sum first, then the first
+    bad entry; None when the profile is valid."""
+    if sum(ell * k for ell, k, _ in profile) != n:
+        return "profile lengths do not sum to n"
+    for ell, k, d in profile:
+        if k < 1 or d < 1 or d > k:
+            return f"invalid profile entry at ell={ell}"
+    return None
+
+
 def test_orbit_sample_validation():
     s = OrbitSample(n=5, profile=((1, 3, 2), (2, 1, 1)))
     assert s.W == 3
@@ -340,6 +406,30 @@ def test_orbit_sample_validation():
         OrbitSample(n=4, profile=((1, 3, 2),))
     with pytest.raises(ValueError, match="invalid profile"):
         OrbitSample(n=2, profile=((1, 2, 3),))
+    # W is stored but neither compared, hashed nor shown
+    t = OrbitSample(n=5, profile=((1, 3, 2), (2, 1, 1)))
+    object.__setattr__(t, "W", 99)
+    assert s == t and hash(s) == hash(t) and repr(s) == repr(t) == "OrbitSample(n=5, profile=((1, 3, 2), (2, 1, 1)))"
+    assert s != OrbitSample(n=5, profile=((1, 3, 1), (2, 1, 1)))
+    # inputs that fail both checks (the first, second and sixth), or one,
+    # raise what the two passes did
+    cases = [(3, ((1, 2, 3),)), (9, ((1, 1, 1), (2, 0, 1))), (4, ((1, 1, 0), (3, 1, 2))),
+             (4, ((1, 2, 2), (2, 1, 2))), (5, ((1, 1, 1), (2, 0, 1), (4, 1, 2))),
+             (2, ((1, 0, 1),)), (7, ((1, 1, 1), (2, 1, 1), (4, 1, 1))), (0, ()), (1, ())]
+    for n, profile in cases:
+        expected = _old_profile_error(n, profile)
+        if expected is None:
+            assert OrbitSample(n=n, profile=profile).W == sum(d for _, _, d in profile)
+        else:
+            with pytest.raises(ValueError) as err:
+                OrbitSample(n=n, profile=profile)
+            assert str(err.value) == expected
+    # W from the one pass on the pinned draws
+    for name, params, X in DRAW_DIGESTS:
+        sampler = sampler_for(build_census(builtin_source(name, **dict(params)), X), X)
+        for i in range(300):
+            draw = sampler.sample(RandomStream(1, i))
+            assert draw.W == sum(d for _, _, d in draw.profile)
 
 
 def test_distinct_parts_distribution():
