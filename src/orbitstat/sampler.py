@@ -154,14 +154,17 @@ class OrbitSample:
     W: int = field(init=False, compare=False, repr=False)  # distinct primes, sum of d_ell
 
     def __post_init__(self):
-        # one pass: the sum error is raised before any entry's
-        length = W = 0
+        # one pass: the sum error is raised before any entry's; an entry is
+        # bad unless its length exceeds the last (the first exceeds 0) and
+        # 1 <= d <= k
+        length = W = last = 0
         bad = None
         for ell, k, d in self.profile:
             length += ell * k
             W += d
-            if not 1 <= d <= k and bad is None:
+            if not (last < ell and 1 <= d <= k) and bad is None:
                 bad = ell
+            last = ell
         if length != self.n:
             raise ValueError("profile lengths do not sum to n")
         if bad is not None:

@@ -7,6 +7,7 @@ each orbit of the monoid exactly once, so its counts are trustworthy at
 the small sizes where it is feasible.
 """
 
+import random
 from fractions import Fraction
 from functools import cache
 from itertools import permutations
@@ -750,3 +751,61 @@ def threshold_root_split(f, precision, poly_roots):
             if len(part) > 1:
                 exact = None
     return outside, exact, tuple(cyclo), tuple(unit)
+
+
+def spiral_start(f):
+    """mpmath's spiral of starting points, scaled to radius |f(0)|^(1/deg f)
+    for a trimmed f, at the working precision."""
+    n = len(f) - 1
+    radius = mp.mpf(abs(f[0])) ** (mp.mpf(1) / n) or 1
+    turn = mp.mpc(0.4, 0.9) / abs(mp.mpc(0.4, 0.9))
+    return [radius * turn**k for k in range(n)]
+
+
+def spiral_poly_roots(f, precision):
+    """The roots of f as poly_roots found them before its double-precision
+    seed: mpmath's Durand-Kerner from its spiral scaled to radius
+    |f(0)|^(1/deg f), then six Newton steps on the exact coefficients."""
+    f = poly_trim(f)
+    if len(f) < 2:
+        return []
+
+    def horner(g, x):
+        acc = 0
+        for c in reversed(g):
+            acc = acc * x + c
+        return acc
+
+    with mp.workprec(precision + 48):
+        desc = [mp.mpf(c) for c in reversed(f)]
+        roots = mp.polyroots(desc, maxsteps=200, extraprec=precision, roots_init=spiral_start(f))
+        df = [i * c for i, c in enumerate(f)][1:] or [0]
+        polished = []
+        for r in roots:
+            x = mp.mpc(r)
+            for _ in range(6):
+                dfx = horner(df, x)
+                if dfx == 0:
+                    break
+                x = x - horner(f, x) / dfx
+            polished.append(x)
+    return polished
+
+
+# ---------------------------------------------------------------------------
+# integer matrices the suite roots
+
+# GM's Salem polynomial x^4 - 3x^3 + 3x^2 - 3x + 1 as a companion matrix
+GM_COMPANION = ((0, 0, 0, -1), (1, 0, 0, 3), (0, 1, 0, -3), (0, 0, 1, 3))
+
+
+def gm_blocks(n):
+    """n copies of GM's companion matrix down the diagonal."""
+    return [[GM_COMPANION[i % 4][j % 4] if i // 4 == j // 4 else 0 for j in range(4 * n)] for i in range(4 * n)]
+
+
+def seeded_matrix(d):
+    """A d x d matrix with entries -3..3 from random.Random(d), plus 7 on
+    the diagonal."""
+    rng = random.Random(d)
+    return [[rng.randint(-3, 3) + (7 if i == j else 0) for j in range(d)] for i in range(d)]

@@ -3,7 +3,6 @@ diagnostics, schema-tagged JSON, and deterministic outputs."""
 
 import io
 import json
-import random
 import re
 import sys
 import time
@@ -19,6 +18,7 @@ from orbitstat import OrbitCensus, asymptotics, build_census, builtin_source, cl
 from orbitstat.cli import main
 
 import oracles
+from oracles import gm_blocks, seeded_matrix
 
 
 def run(capsys, *argv):
@@ -398,12 +398,6 @@ def test_repeated_irrational_eigenvalue_system(capsys, tmp_path):
     assert json.loads(out)["lambda"].startswith("6.854101966249684544613760503")
 
 
-def gm_blocks(n):
-    """n copies of GM's Salem companion matrix down the diagonal."""
-    gm = systems.gm_matrix()
-    return [[gm[i % 4][j % 4] if i // 4 == j // 4 else 0 for j in range(4 * n)] for i in range(4 * n)]
-
-
 def test_large_block_matrix_systems(capsys, tmp_path):
     # sigma_k = |det(GM^k - 1)|^3 for three GM blocks (12x12); validate's
     # cyclotomic search on five blocks (20x20) runs up to n = 801
@@ -464,13 +458,6 @@ def test_each_run_builds_its_sigma_table_once(capsys, monkeypatch, tmp_path, com
     code, _, err = run(capsys, command, "--system", system, "--X", "8", *samples)
     assert code == 0, err
     assert [X for _, X in calls] == [8]
-
-
-def seeded_matrix(d):
-    """A d x d matrix with entries -3..3 from random.Random(d), plus 7 on
-    the diagonal."""
-    rng = random.Random(d)
-    return [[rng.randint(-3, 3) + (7 if i == j else 0) for j in range(d)] for i in range(d)]
 
 
 @pytest.mark.parametrize("command,X,d", [("validate", 5, 60), ("constants", 20, 30)])

@@ -388,13 +388,15 @@ def test_width_table_stays_small(ff2_source):
 # -- profile pieces --------------------------------------------------------------
 
 
-def _old_profile_error(n, profile):
-    """The error the two-pass check raised: the sum first, then the first
-    bad entry; None when the profile is valid."""
+def _profile_error(n, profile):
+    """The error of a two-pass check: the sum first, then the first bad
+    entry, one with k < 1, d < 1, d > k, ell < 1 or ell at most the length
+    before it; None when the profile is valid."""
     if sum(ell * k for ell, k, _ in profile) != n:
         return "profile lengths do not sum to n"
-    for ell, k, d in profile:
-        if k < 1 or d < 1 or d > k:
+    lengths = [0] + [ell for ell, _, _ in profile]
+    for (ell, k, d), before in zip(profile, lengths):
+        if k < 1 or d < 1 or d > k or ell < 1 or ell <= before:
             return f"invalid profile entry at ell={ell}"
     return None
 
@@ -412,12 +414,15 @@ def test_orbit_sample_validation():
     assert s == t and hash(s) == hash(t) and repr(s) == repr(t) == "OrbitSample(n=5, profile=((1, 3, 2), (2, 1, 1)))"
     assert s != OrbitSample(n=5, profile=((1, 3, 1), (2, 1, 1)))
     # inputs that fail both checks (the first, second and sixth), or one,
-    # raise what the two passes did
+    # raise what the two passes do; the last six list a length below 1,
+    # twice or out of order, two of them also with a wrong sum
     cases = [(3, ((1, 2, 3),)), (9, ((1, 1, 1), (2, 0, 1))), (4, ((1, 1, 0), (3, 1, 2))),
              (4, ((1, 2, 2), (2, 1, 2))), (5, ((1, 1, 1), (2, 0, 1), (4, 1, 2))),
-             (2, ((1, 0, 1),)), (7, ((1, 1, 1), (2, 1, 1), (4, 1, 1))), (0, ()), (1, ())]
+             (2, ((1, 0, 1),)), (7, ((1, 1, 1), (2, 1, 1), (4, 1, 1))), (0, ()), (1, ()),
+             (0, ((0, 5, 1),)), (0, ((-1, 1, 1), (1, 1, 1))), (2, ((1, 1, 1), (1, 1, 1))),
+             (5, ((3, 1, 1), (2, 1, 1))), (9, ((3, 1, 1), (2, 1, 1))), (3, ((0, 1, 1), (1, 1, 2)))]
     for n, profile in cases:
-        expected = _old_profile_error(n, profile)
+        expected = _profile_error(n, profile)
         if expected is None:
             assert OrbitSample(n=n, profile=profile).W == sum(d for _, _, d in profile)
         else:

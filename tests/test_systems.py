@@ -1,5 +1,7 @@
 """Sources, sigma evaluation, growth rates, spectra, Dold validation."""
 
+import sys
+import threading
 from dataclasses import replace
 from fractions import Fraction
 from math import isqrt, lcm, prod
@@ -11,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbitstat import asymptotics, census, cli, distribution, kernels, polyops, systems
-from orbitstat.numtheory import PeriodicSequence, lte_params
+from orbitstat.numtheory import PeriodicSequence, is_prime, lte_params
 from orbitstat.systems import (
     FadPrime,
     FadSpec,
@@ -28,6 +30,7 @@ from orbitstat.systems import (
 )
 
 import oracles
+from oracles import gm_blocks, seeded_matrix
 
 
 # -- sigma values against the oracle formulas --------------------------------
@@ -286,6 +289,34 @@ def poly_product(*factors):
     return out
 
 
+def test_brown_primes_are_found_once_across_threads(monkeypatch):
+    # 6 threads take a gcd whose 206-bit root needs 5 primes, from a fresh
+    # prime list and with a short switch interval: each gets the gcd, and
+    # the list holds the primes below 2^61 in descending order, none twice
+    # or skipped; a later gcd tests no number for primality
+    monkeypatch.setattr(polyops, "_PRIMES", [2**61 - 1])
+    root = 3**130
+    f, g = poly_product([-root, 1], [1, 1]), poly_product([-root, 1], [3, 1])
+    got = []
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=lambda: got.append(polyops.monic_gcd(f, g))) for _ in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [[-root, 1]] * 6
+    expected = [p for p in range(2**61 - 1, 2**61 - 2000, -2) if is_prime(p)][: len(polyops._PRIMES)]
+    assert polyops._PRIMES == expected and len(expected) >= 5
+    tested = []
+    monkeypatch.setattr(polyops, "is_prime", lambda n: tested.append(n) or is_prime(n))
+    assert polyops.monic_gcd(f, g) == [-root, 1] and tested == []
+
+
 def test_root_split_parts():
     # x^2 (x - 1)^2 (x + 1) (x^2 + x + 1) (x - 3)^2 (x^4 - 3x^3 + 3x^2 - 3x + 1)
     f = poly_product([0, 1], [0, 1], [-1, 1], [-1, 1], [1, 1], [1, 1, 1], [-3, 1], [-3, 1])
@@ -319,6 +350,24 @@ def test_an_uncertified_rooting_is_repeated_at_twice_the_bits(monkeypatch):
     assert got.exact is None and got.cyclotomic == () and len(got.unit_roots) == 1
     assert abs(got.outside - expected.outside) < mp.mpf(2) ** -160
     assert abs(got.unit_roots[0] - expected.unit_roots[0]) < mp.mpf(2) ** -160
+
+
+def test_a_rooting_never_certified_stops_at_the_ceiling(monkeypatch):
+    # a poly_roots that always returns one root twice: GM's quartic is
+    # rooted at 176 bits and doubled up to the last width below
+    # MAX_ROOT_BITS, then refused with its degree and the bits reached
+    roots = polyops.poly_roots(systems.GM_POLY, 176)
+    calls = []
+
+    def doubling_a_root(poly, bits):
+        calls.append(bits)
+        return roots[:1] * 2 + roots[2:]
+
+    monkeypatch.setattr(polyops, "poly_roots", doubling_a_root)
+    with pytest.raises(ValueError, match="degree-4 part are not certified at 180224 bits"):
+        polyops.root_split(polyops.exact_split(systems.GM_POLY), 128)
+    assert calls == [176 * 2**k for k in range(11)]
+    assert 2 * calls[-1] > polyops.MAX_ROOT_BITS >= calls[-1]
 
 
 @pytest.mark.parametrize("precision", (64, 128, 256))
@@ -521,6 +570,58 @@ def salem_cosine(a, b):
     """2 cos theta: the root of y^2 - a y + (b - 2) in (-2, 2)."""
     root = (a - mp.sqrt(a * a - 4 * b + 8)) / 2
     return root if -2 < root < 2 else a - root
+
+
+def salem_splits():
+    return [polyops.exact_split(polyops.charpoly(salem_block(a, b))) for a, b in SALEM_PAIRS]
+
+
+@pytest.mark.parametrize("precision", (64, 128, 256))
+def test_root_split_is_the_same_from_the_spiral(monkeypatch, precision):
+    # the second route: mpmath from its spiral alone, as before the
+    # double-precision seed, on the builtins, the Salem blocks, three GM
+    # blocks, x^2 - S x + S and two seeded matrices
+    assert gm_blocks(1) == systems.gm_matrix()
+    params = {"FF": {"q": 2}, "E": {"p": 3, "n": 2}, "periodic": {"values": (1, 3)}}
+    splits = [fad_spec_for(builtin_source(name, **params.get(name, {}))).split for name in systems.BUILTIN_NAMES]
+    splits += salem_splits()
+    splits += [polyops.exact_split(polyops.charpoly(m)) for m in (gm_blocks(3), seeded_matrix(12), seeded_matrix(30))]
+    splits += [polyops.exact_split([2**e, -(2**e), 1]) for e in (40, 70, 100, 200)]
+    seeded = [polyops.root_split(split, precision) for split in splits]
+    monkeypatch.setattr(polyops, "poly_roots", oracles.spiral_poly_roots)
+    assert seeded == [polyops.root_split(split, precision) for split in splits]
+
+
+def test_the_double_precision_seed_leaves_mpmath_six_steps():
+    # from the seed, mpmath's Durand-Kerner meets its tolerance within 6
+    # steps as root_split first calls it at the default precision,
+    # poly_roots(f, 176); from the spiral it does not
+    parts = [list(systems.GM_POLY)] + [list(split[0].reciprocal) for split in salem_splits()]
+    parts += [polyops.charpoly(seeded_matrix(12)), polyops.charpoly(seeded_matrix(30))]
+    for f in parts:
+        seed = polyops._float_seed(f)
+        assert seed is not None and len(seed) == len(f) - 1
+        with mp.workprec(176 + 48):
+            desc = [mp.mpf(c) for c in reversed(f)]
+            mp.polyroots(desc, maxsteps=6, extraprec=176, roots_init=[mp.mpc(z) for z in seed])
+            with pytest.raises(mp.mp.NoConvergence):
+                mp.polyroots(desc, maxsteps=6, extraprec=176, roots_init=oracles.spiral_start(f))
+
+
+def test_an_overflowing_double_pass_falls_back_to_the_spiral(monkeypatch):
+    # 2^1100 has no double, so the seed gives up and mpmath starts from its
+    # spiral: the same fields as the spiral route, and Lambda = S
+    S = 2**1100
+    assert polyops._float_seed([S, -S, 1]) is None
+    split = polyops.exact_split([S, -S, 1])
+    for precision in (64, 128, 256):
+        got = polyops.root_split(split, precision)
+        assert got.exact is None and got.cyclotomic == got.unit_roots == ()
+        with mp.workprec(precision + 64):
+            assert abs(got.outside / S - 1) <= mp.mpf(2) ** (8 - precision)
+        with monkeypatch.context() as patch:
+            patch.setattr(polyops, "poly_roots", oracles.spiral_poly_roots)
+            assert polyops.root_split(split, precision) == got
 
 
 @st.composite
