@@ -11,29 +11,29 @@ otherwise.
 """
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
 import mpmath as mp
 
 from orbitstat import systems
-from orbitstat.numtheory import MAX_PERIOD, PeriodicSequence, divisors, is_prime, lte_params, minimal_period, p_valuation
+from orbitstat.numtheory import MAX_PERIOD, PeriodicSequence, Record, divisors, is_prime, lte_params, minimal_period, p_valuation
 from orbitstat.census import build_census, prime_counts
 from orbitstat.polyops import to_mpf
 
 
-@dataclass(frozen=True)
-class TruncatedSum:
+class TruncatedSum(Record):
     """A sum evaluated exactly up to an explicitly bounded tail.
 
     value is an exact rational partial sum; tail_bound is an upper bound
     (mpf, possibly with a huge negative exponent) on the dropped mass.
     tail_bound = 0 means the value is exact.
     """
+    __slots__ = ("value", "tail_bound")
 
-    value: Fraction
-    tail_bound: object  # mpf or Fraction
+    def __init__(self, value, tail_bound):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "tail_bound", tail_bound)  # mpf or Fraction
 
     @property
     def exact(self):
@@ -47,20 +47,21 @@ class TruncatedSum:
         return float(self.value)
 
 
-@dataclass(frozen=True)
-class AsymptoticConstants:
+class AsymptoticConstants(Record):
     """(B, C, Lambda) with provenance per field; growth_law leaves C None.
 
     Provenance tags: exact-closed-form | series-truncation | empirical-fit.
     tail_bounds carries truncation bounds for series-truncation entries.
     """
+    __slots__ = ("B", "C", "lam", "provenance", "tail_bounds", "notes")
 
-    B: object
-    C: object
-    lam: object
-    provenance: dict
-    tail_bounds: dict = field(default_factory=dict)
-    notes: tuple = ()
+    def __init__(self, B, C, lam, provenance, tail_bounds=None, notes=()):
+        object.__setattr__(self, "B", B)
+        object.__setattr__(self, "C", C)
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "provenance", provenance)
+        object.__setattr__(self, "tail_bounds", {} if tail_bounds is None else tail_bounds)
+        object.__setattr__(self, "notes", notes)
 
 
 # ---------------------------------------------------------------------------
@@ -322,11 +323,13 @@ def _elliptic_c(p, n, precision):
 # Lambda = 1 (rational zeta) branch
 
 
-@dataclass(frozen=True)
-class Lambda1Report:
-    B: int
-    primes: dict  # ell -> P_ell over the divisors ell of the minimal period
-    leading: Fraction  # N(X) ~ leading * X^B; leading = C / Gamma(B+1) = C / B!
+class Lambda1Report(Record):
+    __slots__ = ("B", "primes", "leading")
+
+    def __init__(self, B, primes, leading):
+        object.__setattr__(self, "B", B)
+        object.__setattr__(self, "primes", primes)  # ell -> P_ell over the divisors ell of the minimal period
+        object.__setattr__(self, "leading", leading)  # N(X) ~ leading * X^B; leading = C / Gamma(B+1) = C / B!
 
     @property
     def C(self):

@@ -15,7 +15,6 @@ command that prints no real (validate, wdist, sample) never loads mpmath.
 """
 
 import argparse
-import dataclasses
 import io
 import json
 import math
@@ -341,7 +340,7 @@ def cmd_ldp(config):
         precision=config.precision,
     )
     # the columns are the TailRow fields, in order
-    columns = [f.name for f in dataclasses.fields(ldp.TailRow)]
+    columns = ldp.TailRow.__slots__
     lines = [",".join(columns)]
     for row in report.rows:
         lines.append(",".join(str(fmt_number(getattr(row, c), config.precision)) for c in columns))

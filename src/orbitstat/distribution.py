@@ -22,32 +22,31 @@ row. Either way the classes are multiplied in one 2-adic level at a
 time, as the Euler product is (kernels.two_adic_product).
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, floor, lcm, log, log2
 
 from orbitstat.kernels import log_count_bound, two_adic_product
+from orbitstat.numtheory import Record
 from orbitstat.polyops import to_mpf
 
 
-@dataclass(frozen=True, eq=False)
-class DiscreteMeasure:
+class DiscreteMeasure(Record, eq=False):
     """A finitely supported measure: sorted (value, mass) atoms, masses > 0.
 
     Values and masses are exact rationals wherever the construction allows;
     mpf masses appear only for irrational growth rates.
     """
+    __slots__ = ("atoms", "_real")
 
-    atoms: tuple
-    _real: dict = field(default_factory=dict, init=False, repr=False)
-
-    def __post_init__(self):
-        for _, m in self.atoms:
+    def __init__(self, atoms):
+        for _, m in atoms:
             if m < 0:
                 raise ValueError("negative mass")
-        vals = [v for v, _ in self.atoms]
+        vals = [v for v, _ in atoms]
         if sorted(vals) != vals or len(set(vals)) != len(vals):
             raise ValueError("atoms must be sorted by value and distinct")
+        object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "_real", {})
 
     @classmethod
     def from_dict(cls, d):
@@ -88,33 +87,30 @@ class DiscreteMeasure:
         return self._real[precision]
 
 
-@dataclass(frozen=True, eq=False)
-class WeightedAdditive:
+class WeightedAdditive(Record, eq=False):
     """Per-length weight classes of a strongly additive statistic.
 
     primes is the P table (index 0 unused); classes[ell] lists (count,
     weight) pairs whose counts partition P_ell. A distinct prime orbit
     from a class contributes its weight once, regardless of multiplicity.
     """
+    __slots__ = ("primes", "classes")
 
-    primes: tuple
-    classes: tuple
-
-    def __post_init__(self):
-        if len(self.primes) != len(self.classes):
+    def __init__(self, primes, classes):
+        if len(primes) != len(classes):
             raise ValueError("primes and classes tables must align")
-        for ell in range(1, len(self.primes)):
+        for ell in range(1, len(primes)):
             total = 0
-            for count, weight in self.classes[ell]:
+            for count, weight in classes[ell]:
                 if count < 0:
                     raise ValueError(f"negative class count at ell={ell}")
                 if not isinstance(weight, Fraction):
                     raise ValueError("weights must be rational")
                 total += count
-            if total != self.primes[ell]:
-                raise ValueError(
-                    f"class counts at ell={ell} sum to {total}, expected P={self.primes[ell]}"
-                )
+            if total != primes[ell]:
+                raise ValueError(f"class counts at ell={ell} sum to {total}, expected P={primes[ell]}")
+        object.__setattr__(self, "primes", primes)
+        object.__setattr__(self, "classes", classes)
 
     @property
     def X(self):
@@ -147,14 +143,15 @@ def subset_weights(census_or_primes, pred, scale=Fraction(1)):
     return WeightedAdditive(P, tuple(classes))
 
 
-@dataclass(frozen=True, eq=False)
-class BivariateCensus:
+class BivariateCensus(Record, eq=False):
     """Exact joint counts: rows[n] maps an integer key to the number of
     orbits of total length n <= X whose statistic equals key / D."""
+    __slots__ = ("X", "D", "rows")
 
-    X: int
-    D: int
-    rows: tuple
+    def __init__(self, X, D, rows):
+        object.__setattr__(self, "X", X)
+        object.__setattr__(self, "D", D)
+        object.__setattr__(self, "rows", rows)
 
     @property
     def values(self):

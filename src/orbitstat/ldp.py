@@ -10,7 +10,6 @@ which the tail reports place alongside exact census tails.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
@@ -18,6 +17,7 @@ import mpmath as mp
 from mpmath.libmp import fzero, mpf_add, mpf_e, mpf_exp, mpf_log, mpf_mul, round_nearest
 
 from orbitstat.distribution import w_pmf
+from orbitstat.numtheory import Record
 from orbitstat.polyops import to_mpf
 
 
@@ -196,12 +196,13 @@ def legendre_rate(rho, x, precision=128):
         return +(theta * x - L(pw))
 
 
-@dataclass(frozen=True, eq=False)
-class RateFunction:
+class RateFunction(Record, eq=False):
     """A rate function x -> I(x) from a callable (x, precision) -> mpf,
     such as poisson_rate, subset_rate or legendre_rate on a fixed measure."""
+    __slots__ = ("rate",)
 
-    rate: object  # callable (x, precision) -> mpf
+    def __init__(self, rate):
+        object.__setattr__(self, "rate", rate)  # callable (x, precision) -> mpf
 
     @classmethod
     def poisson(cls):
@@ -233,20 +234,24 @@ def _grid_min(log_mgfs, a):
 _DEFAULT_THETA_GRID = tuple(mp.mpf("0.05") * mp.mpf("1.25") ** i for i in range(40))
 
 
-@dataclass(frozen=True)
-class TailRow:
-    X: int
-    epsilon: object
-    threshold: object  # (1 + eps) B log X
-    log_p: object  # exact log P[W >= threshold]; -inf marker when P = 0
-    normalized: object  # -log P / (B log X)
-    rate_value: object  # I(1 + eps)
-    chebyshev: object  # grid Chebyshev bound on log P
+class TailRow(Record):
+    __slots__ = ("X", "epsilon", "threshold", "log_p", "normalized", "rate_value", "chebyshev")
+
+    def __init__(self, X, epsilon, threshold, log_p, normalized, rate_value, chebyshev):
+        object.__setattr__(self, "X", X)
+        object.__setattr__(self, "epsilon", epsilon)
+        object.__setattr__(self, "threshold", threshold)  # (1 + eps) B log X
+        object.__setattr__(self, "log_p", log_p)  # exact log P[W >= threshold]; -inf marker when P = 0
+        object.__setattr__(self, "normalized", normalized)  # -log P / (B log X)
+        object.__setattr__(self, "rate_value", rate_value)  # I(1 + eps)
+        object.__setattr__(self, "chebyshev", chebyshev)  # grid Chebyshev bound on log P
 
 
-@dataclass(frozen=True, eq=False)
-class TailReport:
-    rows: tuple
+class TailReport(Record, eq=False):
+    __slots__ = ("rows",)
+
+    def __init__(self, rows):
+        object.__setattr__(self, "rows", rows)
 
 
 def _screen(atoms, thetas):

@@ -3,9 +3,11 @@ multiplicative orders, lifting-the-exponent parameters, and periodic
 gcd-sequence checks.
 
 Everything here is exact. Rationals are fractions.Fraction; no floats.
+
+Also Record, the base of the package's immutable records: this module
+imports no other of the package, so every module can import it.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -14,20 +16,21 @@ from math import gcd
 # Cesaro mean visits the lcm of every sequence's shortest period.
 MAX_PERIOD = 2**17
 
-# Deterministic Miller-Rabin witness set, valid for all n < 3.3 * 10^24
-# (covers every 64-bit input with a wide margin).
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin on the primes up to 41 is deterministic below psi_13, the least
+# strong pseudoprime to all of them (Sorenson and Webster, Math. Comp. 2017).
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
 
 
 def is_prime(n):
-    """Deterministic primality test for n below 3.3e24, probabilistic above.
-
-    Miller-Rabin with the fixed witness set; inputs here are small (prime
-    parameters of systems), so this is effectively deterministic.
-    """
+    """Deterministic primality test for n < psi_13 (about 3.3 * 10^24): a
+    larger n raises ValueError, since the fixed witnesses decide nothing
+    there."""
+    if n >= _MR_LIMIT:
+        raise ValueError(f"primality is decided only below {_MR_LIMIT}, got {n}")
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -122,19 +125,44 @@ def lte_params(n, p):
     return d, p_valuation(rest, p)
 
 
-@dataclass(frozen=True)
-class PeriodicSequence:
+class Record:
+    """Base of the immutable records: fields in __slots__, set by object.__setattr__ in __init__;
+    repr, == and hash read the fields __init__ takes, save that eq=False keeps identity."""
+    __slots__ = ()
+
+    def __init_subclass__(cls, eq=True):
+        cls._fields = cls.__init__.__code__.co_varnames[1 : cls.__init__.__code__.co_argcount]
+        if not eq:
+            cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self._fields)})"
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return [getattr(self, n) for n in self._fields] == [getattr(other, n) for n in self._fields]
+
+    def __hash__(self):
+        return hash(tuple(getattr(self, n) for n in self._fields))
+
+
+class PeriodicSequence(Record):
     """Periodic sequence a_1, a_2, ... of non-negative rationals.
 
     One period is stored; a_k reads values[(k-1) mod period]. Evaluation is
     total for k >= 1.
     """
+    __slots__ = ("values",)
 
-    values: tuple
-
-    def __post_init__(self):
+    def __init__(self, values):
         # a Fraction is kept as it is: Fraction(v) would check its type again
-        vals = tuple(v if type(v) is Fraction else Fraction(v) for v in self.values)
+        vals = tuple(v if type(v) is Fraction else Fraction(v) for v in values)
         if not vals:
             raise ValueError("period must be >= 1")
         if any(v.numerator < 0 for v in vals):

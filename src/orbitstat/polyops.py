@@ -10,13 +10,12 @@ precision, with the side of the unit circle of every root certified.
 
 import math
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import count
 from operator import mul
 
-from orbitstat.numtheory import is_prime
+from orbitstat.numtheory import Record, is_prime
 
 
 # ---------------------------------------------------------------------------
@@ -180,17 +179,18 @@ def cyclotomic_divisors(g):
     return hits, g
 
 
-@dataclass(frozen=True)
-class SquarefreePart:
+class SquarefreePart(Record):
     """A square-free factor s of a polynomial, of the given multiplicity:
     cyclotomic, each n with Phi_n | s; reciprocal, gcd(s, reversal s) with
     those Phi_n divided out; rest, s / gcd(s, reversal s), with no root on
     the unit circle (a root r there has 1/r = conj(r) as a root too)."""
+    __slots__ = ("multiplicity", "cyclotomic", "reciprocal", "rest")
 
-    multiplicity: int
-    cyclotomic: tuple
-    reciprocal: tuple
-    rest: tuple
+    def __init__(self, multiplicity, cyclotomic, reciprocal, rest):
+        object.__setattr__(self, "multiplicity", multiplicity)
+        object.__setattr__(self, "cyclotomic", cyclotomic)
+        object.__setattr__(self, "reciprocal", reciprocal)
+        object.__setattr__(self, "rest", rest)
 
 
 def exact_split(f):
@@ -409,18 +409,19 @@ def poly_roots(f, precision):
     return polished
 
 
-@dataclass(frozen=True)
-class RootSplit:
+class RootSplit(Record):
     """The roots of a monic integer polynomial, as root_split sorts them:
     outside, the mpf product of |root| > 1; exact, the same product as an
     int when every root that is not a root of unity is an integer, else
     None; cyclotomic, each n with Phi_n | f; unit_roots, the other
     unit-circle roots with Im > 0. Everything counts multiplicity."""
+    __slots__ = ("outside", "exact", "cyclotomic", "unit_roots")
 
-    outside: object
-    exact: int
-    cyclotomic: tuple
-    unit_roots: tuple
+    def __init__(self, outside, exact, cyclotomic, unit_roots):
+        object.__setattr__(self, "outside", outside)
+        object.__setattr__(self, "exact", exact)
+        object.__setattr__(self, "cyclotomic", cyclotomic)
+        object.__setattr__(self, "unit_roots", unit_roots)
 
 
 def _sides(f, roots, reciprocal):
@@ -471,7 +472,8 @@ def root_split(split, precision):
     round correctly, and again at twice the bits until _sides certifies
     every root's side; only a reciprocal part may have roots on the circle.
     A part still uncertified where doubling would pass MAX_ROOT_BITS raises
-    ValueError.
+    ValueError, and so does one mpmath does not converge on, at once: on
+    x^8 + 2^900 x^7 + 1 each doubling triples the cost and still fails.
     """
     import mpmath as mp
 
@@ -485,15 +487,16 @@ def root_split(split, precision):
             bits = max(precision + 48, max(map(abs, poly)).bit_length() + 16)
             while True:
                 with mp.workprec(bits):
-                    roots = poly_roots(poly, bits)
-                    sides = _sides(poly, roots, reciprocal)
+                    try:
+                        roots = poly_roots(poly, bits)
+                    except mp.libmp.NoConvergence:
+                        roots = None
+                    sides = None if roots is None else _sides(poly, roots, reciprocal)
                 if sides is not None:
                     break
-                if 2 * bits > MAX_ROOT_BITS:
-                    raise ValueError(
-                        f"the roots of a degree-{len(poly) - 1} part are not certified at {bits} bits, "
-                        f"and the ceiling is {MAX_ROOT_BITS}"
-                    )
+                if roots is None or 2 * bits > MAX_ROOT_BITS:
+                    why = "mpmath did not converge" if roots is None else f"the ceiling is {MAX_ROOT_BITS}"
+                    raise ValueError(f"the roots of a degree-{len(poly) - 1} part are not certified at {bits} bits: {why}")
                 bits *= 2
             with mp.workprec(bits):
                 for r, side in zip(roots, sides):

@@ -38,12 +38,12 @@ read again after them, and once more when the descent ends.
 
 import threading
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate
 from math import comb
 
 from orbitstat import kernels
+from orbitstat.numtheory import Record
 
 # raw 64-bit Philox words fetched at a time: 4 KB, about one long draw
 # (a 64- or 128-word first fetch: E(3,2) draws 0-1.4 us faster, FF(2) 3-5 us slower)
@@ -141,35 +141,33 @@ class RandomStream:
                 return r % n
 
 
-@dataclass(frozen=True)
-class OrbitSample:
+class OrbitSample(Record):
     """A sampled orbit as (total length, per-length profile).
 
     profile holds (ell, k_ell, d_ell) triples for lengths actually used:
     k_ell copies drawn at length ell, d_ell of them distinct.
     """
+    __slots__ = ("n", "profile", "W")
 
-    n: int
-    profile: tuple
-    W: int = field(init=False, compare=False, repr=False)  # distinct primes, sum of d_ell
-
-    def __post_init__(self):
+    def __init__(self, n, profile):
         # one pass: the sum error is raised before any entry's; an entry is
         # bad unless its length exceeds the last (the first exceeds 0) and
         # 1 <= d <= k
         length = W = last = 0
         bad = None
-        for ell, k, d in self.profile:
+        for ell, k, d in profile:
             length += ell * k
             W += d
             if not (last < ell and 1 <= d <= k) and bad is None:
                 bad = ell
             last = ell
-        if length != self.n:
+        if length != n:
             raise ValueError("profile lengths do not sum to n")
         if bad is not None:
             raise ValueError(f"invalid profile entry at ell={bad}")
-        object.__setattr__(self, "W", W)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "profile", profile)
+        object.__setattr__(self, "W", W)  # distinct primes, sum of d_ell
 
 
 def distinct_parts(P, k, rng):

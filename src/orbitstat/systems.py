@@ -17,11 +17,10 @@ part (which control the oscillatory factor in Cesaro means), and the Dold
 integrality check that any realizable sigma must satisfy.
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from orbitstat.numtheory import PeriodicSequence, is_gcd_sequence, is_prime, lte_params, p_valuation
+from orbitstat.numtheory import PeriodicSequence, Record, is_gcd_sequence, is_prime, lte_params, p_valuation
 from orbitstat import polyops
 
 
@@ -33,35 +32,32 @@ def _integer(name, value):
     return value
 
 
-@dataclass(frozen=True)
-class FadPrime:
+class FadPrime(Record):
     """Local data at one prime: exponent sequences s and t (integers >= 0)."""
+    __slots__ = ("p", "s", "t")
 
-    p: int
-    s: PeriodicSequence
-    t: PeriodicSequence
+    def __init__(self, p, s, t):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "t", t)
 
 
-@dataclass(frozen=True)
-class FadSpec:
+class FadSpec(Record):
     """Parameters (c, A, r, {(p, s_p, t_p)}) of a product-form sigma.
 
     The matrix factor |det(A^k - 1)| is present iff matrix is not None.
     Everything else reads the matrix through charpoly and split, each
-    computed once, on first use.
+    computed once, on first use. r defaults to the constant 1.
     """
+    __slots__ = ("c", "matrix", "r", "primes", "__dict__")  # __dict__ holds the cached properties
 
-    c: int = 1
-    matrix: tuple = None
-    r: PeriodicSequence = field(default_factory=lambda: PeriodicSequence.constant(1))
-    primes: tuple = ()
-
-    def __post_init__(self):
-        _integer("c", self.c)
-        if self.matrix is not None:
-            matrix = tuple(tuple(_integer("matrix entry", x) for x in row) for row in self.matrix)
-            object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "primes", tuple(self.primes))
+    def __init__(self, c=1, matrix=None, r=None, primes=()):
+        object.__setattr__(self, "c", _integer("c", c))
+        if matrix is not None:
+            matrix = tuple(tuple(_integer("matrix entry", x) for x in row) for row in matrix)
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "r", PeriodicSequence.constant(1) if r is None else r)
+        object.__setattr__(self, "primes", tuple(primes))
 
     @cached_property
     def charpoly(self):
@@ -107,15 +103,16 @@ class FadSpec:
         return self
 
 
-@dataclass(frozen=True)
-class SigmaSource:
+class SigmaSource(Record):
     """A sigma_k provider: one of the models in the module docstring."""
+    __slots__ = ("kind", "fad", "table", "name", "params")
 
-    kind: str  # "fad" | "table" | "builtin" (a named fad)
-    fad: FadSpec = None  # set for every kind but "table"
-    table: tuple = None
-    name: str = None
-    params: tuple = ()  # sorted (key, value) pairs for builtins
+    def __init__(self, kind, fad=None, table=None, name=None, params=()):
+        object.__setattr__(self, "kind", kind)  # "fad" | "table" | "builtin" (a named fad)
+        object.__setattr__(self, "fad", fad)  # set for every kind but "table"
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "params", params)  # sorted (key, value) pairs for builtins
 
     def param(self, key):
         for k, v in self.params:
@@ -300,12 +297,13 @@ def sigma_table(source, X):
 # growth rate
 
 
-@dataclass(frozen=True)
-class GrowthRate:
+class GrowthRate(Record):
     """Lambda = exp limsup log(sigma_k)/k with an exact value when known."""
+    __slots__ = ("value", "exact")
 
-    value: object  # mpf
-    exact: Fraction = None
+    def __init__(self, value, exact=None):
+        object.__setattr__(self, "value", value)  # mpf
+        object.__setattr__(self, "exact", exact)  # Fraction or None
 
     def __float__(self):
         return float(self.value)
@@ -369,8 +367,7 @@ def growth_rate(source, precision=128):
 # fluctuation spectrum
 
 
-@dataclass(frozen=True)
-class SpectrumReport:
+class SpectrumReport(Record):
     """Unit-circle eigenvalue data of the matrix part.
 
     contains_root_of_unity flags a root of unity among the eigenvalues,
@@ -381,10 +378,12 @@ class SpectrumReport:
     cesaro_exact_fad refuses a root of unity, certifies m <= 1 and refuses
     m >= 2.
     """
+    __slots__ = ("rate", "unit_angles", "contains_root_of_unity")
 
-    rate: GrowthRate  # c * product of |roots| > 1, as growth_rate returns it
-    unit_angles: tuple
-    contains_root_of_unity: bool
+    def __init__(self, rate, unit_angles, contains_root_of_unity):
+        object.__setattr__(self, "rate", rate)  # c * product of |roots| > 1, as growth_rate returns it
+        object.__setattr__(self, "unit_angles", unit_angles)
+        object.__setattr__(self, "contains_root_of_unity", contains_root_of_unity)
 
     @property
     def m(self):
@@ -418,11 +417,13 @@ def spectrum_for(source, precision=128):
 # Dold validation
 
 
-@dataclass(frozen=True)
-class DoldReport:
-    ok: bool
-    first_failure: tuple = None  # (ell, reason)
-    primes: tuple = None  # P_1..P_X when ok
+class DoldReport(Record):
+    __slots__ = ("ok", "first_failure", "primes")
+
+    def __init__(self, ok, first_failure=None, primes=None):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "first_failure", first_failure)  # (ell, reason)
+        object.__setattr__(self, "primes", primes)  # P_1..P_X when ok
 
 
 def validate_dold(sigma):

@@ -480,6 +480,21 @@ def test_large_matrix_runs_stay_fast(capsys, tmp_path, command, X, d):
 # -- failure modes ----------------------------------------------------------------
 
 
+# x^8 + 2^900 x^7 + 1: mpmath's root finder does not converge on it, and
+# each doubling of the bits would triple the cost of failing again
+OCTIC = polyops.companion_matrix([1, 0, 0, 0, 0, 0, 0, 2**900, 1])
+
+
+def test_a_rooting_that_does_not_converge_exits_2_at_once(capsys, tmp_path):
+    spec = tmp_path / "octic.json"
+    spec.write_text(json.dumps({"type": "fad", "matrix": OCTIC}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "constants", "--system", str(spec), "--X", "10")
+    assert time.perf_counter() - start < 5
+    assert (code, out) == (2, "")
+    assert err == f"error: {spec}:1: the roots of a degree-8 part are not certified at 917 bits: mpmath did not converge\n"
+
+
 SHORT_TABLE = "table:[2,2,2,18]"  # too short for growth_rate's tail estimate
 
 
@@ -541,6 +556,26 @@ def test_elliptic_orders_above_the_period_limit_exit_2(capsys, p):
         assert time.perf_counter() - start < 1
         assert (code, out) == (2, "")
         assert err == f"error: builtin:E,p={p},n=2:1: the order of n mod p exceeds the period limit 2^17\n"
+
+
+PSI_12 = 318665857834031151167461  # 399165290221 * 798330580441, strong pseudoprime to bases 2..37
+PSI_13 = 3317044064679887385961981  # the least strong pseudoprime to bases 2..41
+
+
+@pytest.mark.parametrize("p, needle", [
+    (PSI_12, "is not prime"),
+    (PSI_13, "primality is decided only below 3317044064679887385961981"),
+])
+def test_primes_beyond_the_witness_set_exit_2(capsys, tmp_path, p, needle):
+    # as an elliptic system's p and as the prime of a p-adic factor
+    spec = tmp_path / "padic.json"
+    spec.write_text(json.dumps({"type": "fad", "c": 2, "primes": [{"p": p, "s": {"values": [0]}, "t": {"values": [1]}}]}))
+    for system, reason in ((f"builtin:E,p={p},n={p - 1}", "p must be an odd prime" if p == PSI_12 else needle),
+                           (str(spec), f"{p} {needle}" if p == PSI_12 else needle)):
+        for sub in ("validate", "constants", "census"):
+            code, out, err = run(capsys, sub, "--system", system, "--X", "5")
+            assert (code, out) == (2, ""), (sub, system, err)
+            assert err.startswith(f"error: {system}:1: ") and reason in err
 
 
 def test_elliptic_order_within_the_period_limit(capsys):
@@ -754,6 +789,7 @@ MATRICES = (
     # x^2 - S x + S: a root 2^-e outside the unit circle, with S = 2^e
     [[0, -(2**40)], [1, 2**40]],
     [[0, -(2**200)], [1, 2**200]],
+    OCTIC,
 )
 # coprime shortest periods 367 and 373: a class walk beyond the period limit
 LONG_WALK = {

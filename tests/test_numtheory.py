@@ -21,6 +21,22 @@ def test_is_prime_against_trial_division():
     assert not nt.is_prime(2**32 - 1)
 
 
+PSI_12 = 318665857834031151167461  # 399165290221 * 798330580441
+PSI_13 = 3317044064679887385961981
+
+
+def test_is_prime_is_deterministic_up_to_its_limit():
+    # psi_12 is a strong pseudoprime to every base up to 37, which witness
+    # 41 exposes; psi_13 fools all thirteen bases, so from there on the
+    # test refuses to answer
+    assert PSI_12 == 399165290221 * 798330580441
+    assert not nt.is_prime(PSI_12)
+    assert nt.is_prime(3317044064679887385961813)  # the largest prime below psi_13
+    for n in (PSI_13, PSI_13 + 2, 2**127 - 1):
+        with pytest.raises(ValueError, match="primality is decided only below 3317044064679887385961981"):
+            nt.is_prime(n)
+
+
 def test_divisors_against_oracle():
     for n in range(1, 200):
         assert nt.divisors(n) == oracles.trial_divisors(n)

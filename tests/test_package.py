@@ -1,12 +1,12 @@
 """Package metadata agrees with the build configuration, every module uses
 what it imports, every top-level function and class and every method,
-property and dataclass field has a reader (in the package or the
-benchmark, save top-level names of the public API, which tests may read
-alone), exact-to-real conversion and powers of e each have one home, the
-CLI turns a ValueError into exit 2 in one place, the package's names load
-on first read, mpmath only where a real is computed and numpy only with the
-sampler's random streams, and the benchmark's tracer still finds the names
-it reads."""
+property and record field has a reader (in the package or the benchmark,
+save top-level names of the public API, which tests may read alone),
+exact-to-real conversion and powers of e each have one home, the CLI turns
+a ValueError into exit 2 in one place, the package's names load on first
+read, mpmath only where a real is computed, numpy (and inspect with it)
+only with the sampler's random streams and dataclasses never, and the
+benchmark's tracer still finds the names it reads."""
 
 import ast
 import importlib.util
@@ -64,13 +64,14 @@ def scan(path):
 
     The definitions map 'name' to 'top' for each top-level function and
     class, and 'Class.name' to 'member' for each method and property and to
-    'field' for each dataclass field of a top-level class, dunders aside.
+    'field' for each name in the __slots__ of a top-level class, dunders
+    aside.
     The reads are (kind, name, owner) triples: kind 'name' for every name
     and attribute, which reaches a top-level definition; 'attribute' for
     every attribute that is not assigned to, which reaches a member, save
     'self' for such an attribute of self, which reaches only a member of
-    the enclosing class; and 'fields' for the class C of each fields(C)
-    call, which reads every field of C. owner is the key of the innermost
+    the enclosing class; and 'fields' for the class C of each C.__slots__,
+    which reads every field of C. owner is the key of the innermost
     enclosing definition, or None at module level. Imports are not reads.
     Dunders, module-level ones (such as a package's __getattr__) as well as
     those of a class, are read by the interpreter and are not definitions.
@@ -84,11 +85,11 @@ def scan(path):
             reads.add(("name", node.id, owner))
         elif isinstance(node, ast.Attribute):
             reads.add(("name", node.attr, owner))
-            if not isinstance(node.ctx, ast.Store):
+            if node.attr == "__slots__":
+                reads.add(("fields", ast.unparse(node.value).rpartition(".")[2], owner))
+            elif not isinstance(node.ctx, ast.Store):
                 on_self = isinstance(node.value, ast.Name) and node.value.id == "self"
                 reads.add(("self" if on_self else "attribute", node.attr, owner))
-        elif isinstance(node, ast.Call) and node.args and ast.unparse(node.func).rpartition(".")[2] == "fields":
-            reads.add(("fields", ast.unparse(node.args[0]).rpartition(".")[2], owner))
         for child in ast.iter_child_nodes(node):
             visit(child, owner)
 
@@ -103,14 +104,16 @@ def scan(path):
         if not isinstance(top, ast.ClassDef):
             visit(top, top.name)
             continue
-        dataclass = any(ast.unparse(d).partition("(")[0].endswith("dataclass") for d in top.decorator_list)
         for node in top.decorator_list + top.bases + top.keywords:
             visit(node, top.name)
         for node in top.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 name, kind = node.name, "member"
-            elif dataclass and isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-                name, kind = node.target.id, "field"
+            elif isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["__slots__"]:
+                for name in ast.literal_eval(node.value):
+                    if not dunder(name):
+                        definitions[f"{top.name}.{name}"] = "field"
+                continue
             else:
                 name = kind = None
             if name is None or dunder(name):
@@ -211,6 +214,37 @@ def test_self_attribute_reads_only_its_own_class(tmp_path):
     ]
 
 
+RECORDS = textwrap.dedent(
+    """
+    class Row:
+        __slots__ = ("x", "y", "__dict__")
+
+        def __init__(self, x, y):
+            self.x, self.y = x, y
+
+
+    class Pair:
+        __slots__ = ("left", "right")
+
+        def __init__(self, left, right):
+            self.left, self.right = left, right
+
+
+    print(Row(1, 2).x, Row.__slots__, Pair(1, 2).left)
+    """
+)
+
+
+def test_an_unread_slot_field_is_reported(tmp_path):
+    # Row.y is read only through Row.__slots__, which reads every field of
+    # Row; nothing reads Pair.right, and __dict__ is no field
+    module = tmp_path / "records.py"
+    module.write_text(RECORDS, encoding="utf-8")
+    definitions, _ = scan(module)
+    assert [key for key, kind in definitions.items() if kind == "field"] == ["Row.x", "Row.y", "Pair.left", "Pair.right"]
+    assert unread_in({module: scan(module)}, [module]) == ["records.py: Pair.right"]
+
+
 def spellings(path, matches):
     """The nodes of a module that matches accepts, as (enclosing function,
     line) pairs."""
@@ -299,7 +333,7 @@ IMPORT_BOUNDARY = textwrap.dedent(
 
 
     def loaded():
-        return [name for name in ("mpmath", "numpy") if name in sys.modules]
+        return [name for name in ("mpmath", "numpy", "dataclasses", "inspect") if name in sys.modules]
 
 
     import orbitstat
@@ -321,16 +355,17 @@ IMPORT_BOUNDARY = textwrap.dedent(
 )
 
 # what each step loads after `import orbitstat` and `import orbitstat.cli`,
-# which load neither: mpmath only where a real is printed, numpy only where
-# a random stream is built
+# which load none of them: mpmath only where a real is printed, numpy only
+# where a random stream is built, inspect only with numpy, which imports
+# it, and dataclasses never (the records are plain classes)
 LOADS = {
     "validate": [],
     "wdist": [],
-    "sample": ["numpy"],
+    "sample": ["numpy", "inspect"],
     "census": ["mpmath"],
     "constants": ["mpmath"],
     "ldp": ["mpmath"],
-    "RandomStream": ["numpy"],
+    "RandomStream": ["numpy", "inspect"],
 }
 
 
@@ -350,6 +385,23 @@ def test_numpy_loads_with_the_first_random_stream():
     # reals; a fresh interpreter per step is the only place where
     # sys.modules shows what that step loads
     assert {step: fresh_interpreter(IMPORT_BOUNDARY, step).split() for step in LOADS} == LOADS
+
+
+def test_no_module_imports_dataclasses():
+    # a generated record class costs about 0.8 ms at import and the module
+    # 7 ms more, on every CLI process; numtheory.Record replaces both
+    imports = {}
+    for path in sorted((ROOT / "src" / "orbitstat").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.partition(".")[0] == "dataclasses" for name in names):
+                imports.setdefault(path.name, []).append(node.lineno)
+    assert imports == {}
 
 
 LAZY_EXPORTS = textwrap.dedent(

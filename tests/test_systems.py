@@ -2,7 +2,6 @@
 
 import sys
 import threading
-from dataclasses import replace
 from fractions import Fraction
 from math import isqrt, lcm, prod
 
@@ -368,6 +367,21 @@ def test_a_rooting_never_certified_stops_at_the_ceiling(monkeypatch):
         polyops.root_split(polyops.exact_split(systems.GM_POLY), 128)
     assert calls == [176 * 2**k for k in range(11)]
     assert 2 * calls[-1] > polyops.MAX_ROOT_BITS >= calls[-1]
+
+
+def test_a_rooting_that_does_not_converge_is_refused_at_once(monkeypatch):
+    # no retry at twice the bits: on x^8 + 2^900 x^7 + 1 each doubling
+    # tripled the cost and failed again
+    calls = []
+
+    def not_converging(poly, bits):
+        calls.append(bits)
+        raise mp.libmp.NoConvergence("Didn't converge in maxsteps=200 steps.")
+
+    monkeypatch.setattr(polyops, "poly_roots", not_converging)
+    with pytest.raises(ValueError, match="degree-4 part are not certified at 176 bits: mpmath did not converge"):
+        polyops.root_split(polyops.exact_split(systems.GM_POLY), 128)
+    assert calls == [176]
 
 
 @pytest.mark.parametrize("precision", (64, 128, 256))
@@ -770,13 +784,13 @@ def padic_product_forms(draw):
 def test_salem_block_has_one_irrational_unit_pair(pair, base):
     a, b = pair
     blocks = [salem_block(a, b)] if base.matrix is None else [base.matrix, salem_block(a, b)]
-    spec = replace(base, matrix=block_diagonal(blocks)).validate()
+    spec = FadSpec(base.c, block_diagonal(blocks), base.r, base.primes).validate()
     spectrum = spectrum_for(fad_source(spec))
     assert spectrum.m == 1 and not spectrum.contains_root_of_unity
     with mp.workprec(160):
         assert abs(2 * mp.cos(spectrum.unit_angles[0]) - salem_cosine(a, b)) < mp.mpf(2) ** -120
     B = asymptotics.cesaro_exact_fad(spec, spectrum=spectrum)
-    base_mean = asymptotics.fad_class_mean(replace(spec, matrix=None))
+    base_mean = asymptotics.fad_class_mean(FadSpec(spec.c, None, spec.r, spec.primes))
     assert B.value == 2 * base_mean.value and B.tail_bound == 2 * base_mean.tail_bound
 
 
