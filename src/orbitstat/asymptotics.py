@@ -277,8 +277,6 @@ def ca_log_weighted_sum(p, t):
     tail = mp.mpf(0)
     for a in range(1, w + 1):
         t_a = int(t.at(a))
-        if t_a < 0:
-            raise ValueError("t must be non-negative")
         if t_a == 0:
             total += Fraction(1, (p - 1) ** 2)  # sum_j j p^(-1-j)
             continue
@@ -308,10 +306,11 @@ def _elliptic_c(p, n, precision):
             return to_mpf(base) ** to_mpf(expo)
 
         qtol = mp.mpf(2) ** (-(precision + 8))
-        q_val = qp_product(Fraction(n**d), p, tol=qtol, precision=precision + 16)
+        y = mp.mpf(n) ** d  # n^d itself can run to millions of bits
+        q_val = qp_product(y, p, tol=qtol, precision=precision + 16)
         f1 = powf(Fraction(d), Fraction(1, d) * (1 - Fraction(1, p ** (e - 1) * (p + 1))))
         f2 = powf(Fraction(p), Fraction(p ** max(2 - e, 0), d * p ** max(e - 2, 0) * (p - 1) * (p + 1) ** 2))
-        f3 = powf(Fraction(n**d + 1, n**d - 1), Fraction(1, d) * (1 - Fraction(1, p ** (e - 1))))
+        f3 = ((y + 1) / (y - 1)) ** to_mpf(Fraction(1, d) * (1 - Fraction(1, p ** (e - 1))))
         f4 = Fraction(n, n + 1) ** 2
         f5 = q_val ** (mp.mpf(p - 1) / (d * p**e))
         C = +(f1 * f2 * f3 * to_mpf(f4) * f5)

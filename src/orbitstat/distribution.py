@@ -36,7 +36,7 @@ class DiscreteMeasure(Record, eq=False):
     Values and masses are exact rationals wherever the construction allows;
     mpf masses appear only for irrational growth rates.
     """
-    __slots__ = ("atoms", "_real")
+    __slots__ = ("atoms",)
 
     def __init__(self, atoms):
         for _, m in atoms:
@@ -46,7 +46,6 @@ class DiscreteMeasure(Record, eq=False):
         if sorted(vals) != vals or len(set(vals)) != len(vals):
             raise ValueError("atoms must be sorted by value and distinct")
         object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "_real", {})
 
     @classmethod
     def from_dict(cls, d):
@@ -77,14 +76,11 @@ class DiscreteMeasure(Record, eq=False):
         return sum(((v - mu) ** 2 * m for v, m in self.atoms), Fraction(0))
 
     def real_atoms(self, precision=128):
-        """The atoms as (value, mass) mpf pairs at precision + 16 bits,
-        converted once per precision and shared by every transform."""
-        if precision not in self._real:
-            import mpmath as mp
+        """The atoms as (value, mass) mpf pairs at precision + 16 bits."""
+        import mpmath as mp
 
-            with mp.workprec(precision + 16):
-                self._real[precision] = tuple((to_mpf(v), to_mpf(m)) for v, m in self.atoms)
-        return self._real[precision]
+        with mp.workprec(precision + 16):
+            return tuple((to_mpf(v), to_mpf(m)) for v, m in self.atoms)
 
 
 class WeightedAdditive(Record, eq=False):

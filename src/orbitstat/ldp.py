@@ -11,10 +11,8 @@ which the tail reports place alongside exact census tails.
 
 import math
 from fractions import Fraction
-from functools import cache
 
 import mpmath as mp
-from mpmath.libmp import fzero, mpf_add, mpf_e, mpf_exp, mpf_log, mpf_mul, round_nearest
 
 from orbitstat.distribution import w_pmf
 from orbitstat.numtheory import Record
@@ -60,43 +58,9 @@ def _check_probability(rho):
         raise ValueError("measure has total mass %s, not a probability" % mp.nstr(mp.mpf(total), 12))
 
 
-@cache
-def _log_e(prec):
-    """log e at prec + 10 bits, as mpmath takes it for a power of e at prec."""
-    return mpf_log(mpf_e(prec, round_nearest), prec + 10, round_nearest)
-
-
-def _e_powers(exponents):
-    """mp.e ** t for each mpf t at the working precision, bit for bit.
-
-    For a t that is neither an integer nor a half-integer, mpmath computes
-    e ** t as exp(t * log e), the product exact and log e taken afresh at
-    10 extra bits; here log e is taken once per precision. An integer or
-    half-integer t (mpf exponent >= -1, zero included) keeps mpmath's own
-    branches.
-    """
-    prec = mp.mp.prec
-    log_e = _log_e(prec)
-    powers = []
-    for t in exponents:
-        tv = t._mpf_
-        if tv[2] >= -1:
-            powers.append(mp.e ** t)
-        else:
-            powers.append(mp.make_mpf(mpf_exp(mpf_mul(tv, log_e), prec, round_nearest)))
-    return powers
-
-
-def _mass_sum(atoms, powers):
-    """Sum of mass * power over real atoms at the working precision, in
-    atom order, each step rounded as acc += m * power would: with powers
-    from _e_powers, a transform is bit-identical to the plain mpf sum of
-    mass * mp.e ** (theta * value)."""
-    prec = mp.mp.prec
-    acc = fzero
-    for (_, m), power in zip(atoms, powers):
-        acc = mpf_add(acc, mpf_mul(m._mpf_, power._mpf_, prec, round_nearest), prec, round_nearest)
-    return mp.make_mpf(acc)
+def _laplace(atoms, theta):
+    """E[e^(theta y)] over real (value, mass) atoms: exact products, the sum rounded once."""
+    return mp.fdot((m, mp.exp(theta * y)) for y, m in atoms)
 
 
 # Newton stops once |L'(theta) - x| <= _NEWTON_TOL * max(1, |x|)
@@ -132,40 +96,31 @@ def legendre_rate(rho, x, precision=128):
             return mp.inf
         if x < 0 and not has_neg:
             return mp.inf
-        if x == 0:
-            if has_pos and has_neg:
-                pass  # interior point, solved below
-            else:
-                # slope range closes at 0 from one side; the supremum is the
-                # escaping limit -L(-sign * inf) = mass strictly off zero
-                return +sum((m for y, m in atoms if y != 0), mp.mpf(0))
+        if x == 0 and not (has_pos and has_neg):
+            # slope range closes at 0 from one side; the supremum is the
+            # escaping limit -L(-sign * inf) = mass strictly off zero
+            return +sum((m for y, m in atoms if y != 0), mp.mpf(0))
 
-        # L, L' and L'' at theta are sums over the powers e^(theta y), one per atom
+        # L' and L'' at theta are dot products with the powers e^(theta y), one per atom
+        slopes = [m * y for y, m in atoms]
+        curvatures = [m * y * y for y, m in atoms]
+
         def powers(theta):
-            return _e_powers([theta * y for y, _ in atoms])
-
-        def dL(pw):
-            return sum((m * y * p for (y, m), p in zip(atoms, pw)), mp.mpf(0))
-
-        def ddL(pw):
-            return sum((m * y * y * p for (y, m), p in zip(atoms, pw)), mp.mpf(0))
-
-        def L(pw):
-            return sum((m * (p - 1) for (_, m), p in zip(atoms, pw)), mp.mpf(0))
+            return [mp.exp(theta * y) for y, _ in atoms]
 
         # bracket theta* by doubling away from 0
         lo = hi = mp.mpf(0)
         step = mp.mpf(1)
-        d0 = dL(powers(mp.mpf(0)))
+        d0 = mp.fdot(slopes, powers(lo))
         if d0 < x:
-            while dL(powers(hi)) < x:
+            while mp.fdot(slopes, powers(hi)) < x:
                 hi += step
                 step *= 2
                 if hi > 1e6:
                     raise ValueError("slope bracket failed (unreachable by atom-sign analysis)")
             lo = hi - step / 2
         elif d0 > x:
-            while dL(powers(lo)) > x:
+            while mp.fdot(slopes, powers(lo)) > x:
                 lo -= step
                 step *= 2
                 if lo < -1e6:
@@ -175,25 +130,20 @@ def legendre_rate(rho, x, precision=128):
         theta = (lo + hi) / 2
         for _ in range(200):
             pw = powers(theta)
-            g = dL(pw) - x
+            g = mp.fdot(slopes, pw) - x
             if abs(g) <= _NEWTON_TOL * max(1, abs(x)):
                 break
             if g > 0:
                 hi = theta
             else:
                 lo = theta
-            curvature = ddL(pw)
-            if curvature > 0:
-                candidate = theta - g / curvature
-            else:
-                candidate = theta
-            if lo < candidate < hi:
-                theta = candidate
-            else:
-                theta = (lo + hi) / 2
+            # L'' > 0: every atom has m > 0 and some atom y != 0
+            candidate = theta - g / mp.fdot(curvatures, pw)
+            theta = candidate if lo < candidate < hi else (lo + hi) / 2
         else:  # theta moved after the last powers were taken
             pw = powers(theta)
-        return +(theta * x - L(pw))
+        # L(theta) = sum m (e^(theta y) - 1)
+        return +(theta * x - mp.fdot((m, p - 1) for (_, m), p in zip(atoms, pw)))
 
 
 class RateFunction(Record, eq=False):
@@ -286,10 +236,10 @@ def tail_report(bc, constants, epsilons, rate, xs=None, precision=128):
     tail tends to 1, so I(1+eps) is no exponent of it).
 
     The Chebyshev column is chebyshev_bound over the default grid on the
-    plain mpf transform, bit for bit. A float screen of every grid theta
-    keeps only those where the minimum can fall; each kept (window, theta)
-    takes its transform once, one e^(theta y) per value of the window and
-    one log, shared by every eps.
+    transform fdot(m, exp(theta y)), bit for bit. A float screen of every
+    grid theta keeps only those where the minimum can fall; each kept
+    (window, theta) takes its transform once, one e^(theta y) per value of
+    the window and one log, shared by every eps.
     """
     lam = constants.lam
     if lam == 1:
@@ -328,14 +278,14 @@ def tail_report(bc, constants, epsilons, rate, xs=None, precision=128):
             # + 3 theta |a|). In all |float - c_i| <= u (10 M_i + 4n + 3 theta |a|)
             # <= 2^-52 (n + 10)(M_i + theta |a|), as M_i >= 2.
             # mpf, v = 2^-(precision + 16): mass and value conversions round
-            # twice each, theta y once, and log e is off by v, so e^(theta y)
-            # is off by 4.01 v theta |y| relative; exp and mass * power add v
-            # each and the additions of positive terms (n - 1) v. The masses
-            # sum to 1, so |log E| <= theta max|y|; the log, theta a and the
-            # subtraction round once each. Below 37 bits theta itself rounds,
-            # which moves c_i by v theta (max|y| + |a|). In all |mpf - c_i| <=
-            # v (1.01 n + 3.03 + 7.05 theta max|y| + 3 theta |a|)
-            # <= v (n + 10)(M_i + theta |a|).
+            # twice each and theta y once, so theta y is off by 3.01 v theta |y|
+            # and e^(theta y) by as much relative, plus v for exp itself; fdot
+            # multiplies exactly and rounds the sum once, so the transform is
+            # off by v (4.01 + 3.01 theta max|y|) relative. The masses sum to 1,
+            # so |log E| <= theta max|y|; the log, theta a and the subtraction
+            # round once each. Below 37 bits theta itself rounds, which moves
+            # c_i by v theta (max|y| + |a|). In all |mpf - c_i| <=
+            # v (4.06 + 6.05 theta max|y| + 3 theta |a|) <= v (n + 10)(M_i + theta |a|).
             # Both are taken four times over, for second-order terms and
             # mpmath's last-ulp rounding. Then |float - mpf| <= err_i, so the
             # theta whose mpf value is least has float - err <= min(float + err).
@@ -359,8 +309,7 @@ def tail_report(bc, constants, epsilons, rate, xs=None, precision=128):
                 kept = [i for i, (c, err) in enumerate(bounds) if c - err <= cut]
                 for i in kept:
                     if i not in log_mgfs:
-                        powers = _e_powers([thetas[i] * y for y, _ in real])
-                        log_mgfs[i] = mp.log(_mass_sum(real, powers))
+                        log_mgfs[i] = mp.log(_laplace(real, thetas[i]))
                 cheb = _grid_min([(thetas[i], log_mgfs[i]) for i in kept], threshold)
                 rows.append(
                     TailRow(

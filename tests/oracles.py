@@ -521,14 +521,11 @@ def _real(x):
 
 
 def naive_laplace(atoms, theta, precision):
-    """Sum of mass * mp.e ** (theta * value) over exact (value, mass)
-    atoms, in order, at precision + 16 bits."""
+    """The dot product of the masses with mp.exp(theta * value) over exact
+    (value, mass) atoms, at precision + 16 bits: fdot rounds the sum once."""
     with mp.workprec(precision + 16):
         theta = _real(theta)
-        acc = mp.mpf(0)
-        for v, m in atoms:
-            acc += _real(m) * mp.e ** (theta * _real(v))
-        return acc
+        return mp.fdot([_real(m) for _, m in atoms], [mp.exp(theta * _real(v)) for v, _ in atoms])
 
 
 def naive_tail_rows(windows, B, epsilons, thetas, precision):

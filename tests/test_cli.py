@@ -477,6 +477,17 @@ def test_large_matrix_runs_stay_fast(capsys, tmp_path, command, X, d):
         assert json.loads(out)["lambda"] == "1096298957140271324325725628.0"
 
 
+def test_elliptic_constant_never_forms_n_to_the_order(capsys):
+    # n = 2^64 has order d = 50001 mod 100003, so n^d has about 3.2 million
+    # bits; C takes n^d as an mpf, in about 0.3 s on a shared 2-vCPU VM,
+    # where the exact n^d took 28 s. The budget is twice the 2 s target
+    start = time.perf_counter()
+    code, out, err = run(capsys, "constants", "--system", "builtin:E,p=100003,n=18446744073709551616")
+    assert time.perf_counter() - start < 4
+    assert code == 0 and err == ""
+    assert json.loads(out)["C"] == "1.00021641288793569515694307875521015"
+
+
 # -- failure modes ----------------------------------------------------------------
 
 

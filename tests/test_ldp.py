@@ -1,7 +1,6 @@
 """Rate functions: closed forms vs the numeric Legendre transform, plus
 Chebyshev bounds that must dominate every exact census tail."""
 
-import random
 from fractions import Fraction
 from functools import partial
 
@@ -92,44 +91,6 @@ def test_subset_rate_at_infinity_and_nan():
         assert subset_rate(mp.inf, 3, r) == mp.inf
         with pytest.raises(ValueError, match="nan"):
             subset_rate(mp.nan, 3, r)
-
-
-# -- powers of e and transforms at mpmath's word level ----------------------------
-
-
-def test_e_powers_is_bit_identical_to_mp_e_power():
-    rng = random.Random(14)
-    # integers and half-integers up to 200 take mpmath's own branches, whose
-    # bits differ from exp(t log e) on many of them
-    fixed = [k / 4 for k in range(-40, 41)] + [k / 2 for k in range(-400, 401)]
-    fixed += [0, 1e-30, 2.0**-200, 1000.3]
-    for precision in (53, 69, 144, 216, 300):
-        with mp.workprec(precision):
-            # random t in (-50, 50) carrying every bit of the precision
-            drawn = [mp.mpf(rng.getrandbits(precision)) / 2**precision * 100 - 50 for _ in range(100)]
-            exponents = drawn + [mp.mpf(t) for t in fixed]
-            expected = [(mp.e ** t)._mpf_ for t in exponents]
-            assert [p._mpf_ for p in ldp._e_powers(exponents)] == expected
-
-
-def test_mass_sum_is_bit_identical_to_the_mpf_loop():
-    rng = random.Random(14)
-
-    def draw(precision):
-        """A signed mpf with every bit of the precision, of size 2^-60..2^60."""
-        man = rng.getrandbits(precision) | 1 << (precision - 1)
-        return mp.mpf((rng.choice((-1, 1)) * man, rng.randint(-60, 60) - precision))
-
-    for precision in (53, 128, 200):
-        with mp.workprec(precision):
-            # masses and powers of both signs and mixed sizes, so that sums cancel
-            atoms = [(None, draw(precision)) for _ in range(200)]
-            powers = [draw(precision) for _ in range(200)]
-            acc = mp.mpf(0)
-            for (_, m), p in zip(atoms, powers):
-                acc += m * p
-            assert ldp._mass_sum(atoms, powers)._mpf_ == acc._mpf_
-            assert ldp._mass_sum([], [])._mpf_ == mp.mpf(0)._mpf_
 
 
 # -- the Legendre solver ---------------------------------------------------------
@@ -306,31 +267,30 @@ def test_tail_report_refuses_negative_epsilon(ff2_census):
 
 
 def full_grid_bound(bc, X, threshold, precision=128):
-    """chebyshev_bound over the whole default grid on the plain mpf transform."""
+    """chebyshev_bound over the whole default grid on the fdot transform."""
     mgf = partial(oracles.naive_laplace, w_pmf(bc, X).atoms, precision=precision)
     return chebyshev_bound(mgf, threshold, _DEFAULT_THETA_GRID, precision)
 
 
 def counting_transforms(monkeypatch, bc, xs, precision=128):
-    """Patch _e_powers to record each transform as its (window, grid index):
-    a call's exponents are theta * y over one window's real atoms."""
+    """Patch _laplace to record each transform as its (window, grid index):
+    a call takes one window's real atoms and one grid theta."""
     with mp.workprec(precision + 16):
         thetas = [to_mpf(theta) for theta in _DEFAULT_THETA_GRID]
         keys = {}
         for X in xs:
             real = w_pmf(bc, X).real_atoms(precision)
             for i, theta in enumerate(thetas):
-                keys.setdefault(tuple(theta * y for y, _ in real), (X, i))
+                keys.setdefault((real, theta), (X, i))
     assert len(keys) == len(xs) * len(thetas)
     transformed = []
-    e_powers = ldp._e_powers
+    laplace = ldp._laplace
 
-    def counting_e_powers(exponents):
-        exponents = list(exponents)
-        transformed.append(keys[tuple(exponents)])
-        return e_powers(exponents)
+    def counting_laplace(atoms, theta):
+        transformed.append(keys[(tuple(atoms), theta)])
+        return laplace(atoms, theta)
 
-    monkeypatch.setattr(ldp, "_e_powers", counting_e_powers)
+    monkeypatch.setattr(ldp, "_laplace", counting_laplace)
     return transformed
 
 
@@ -423,7 +383,7 @@ def bits(value):
     ids=["FF2", "E32", "GA", "GM"],
 )
 def test_tail_report_matches_naive_oracle(name, params):
-    # every row, bit for bit, against plain mp.e ** (theta * y) and mpf sums
+    # every row, bit for bit, against mp.exp(theta * y) and one fdot per transform
     source = builtin_source(name, **params)
     cen = build_census(source, 40)
     constants = constants_for(source, cen=cen)

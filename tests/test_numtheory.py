@@ -142,3 +142,93 @@ def test_is_gcd_sequence_matches_the_pairwise_check():
     assert not nt.is_gcd_sequence(_values([-1]))
     assert not nt.is_gcd_sequence(_values([1, -2]))
     assert nt.is_gcd_sequence(_values([0]))
+
+
+# -- the records -------------------------------------------------------------------
+
+
+def every_record():
+    """One instance of each Record class, reached through the fields,
+    tuples and dicts of a few results on E(3,2), GA and x^2 - x - 1."""
+    from orbitstat import (
+        RandomStream,
+        RateFunction,
+        build_census,
+        builtin_source,
+        ca_log_weighted_sum,
+        constants_for,
+        joint_census,
+        lambda1_analysis,
+        sample_orbit,
+        sigma_table,
+        spectrum_for,
+        tail_report,
+        unit_weights,
+        validate_dold,
+        w_pmf,
+    )
+    from orbitstat.polyops import exact_split, root_split
+
+    source = builtin_source("E", p=3, n=2)
+    cen = build_census(source, 12)
+    weights = unit_weights(cen)
+    bc = joint_census(weights, 12, census=cen)
+    constants = constants_for(source, cen=cen)
+    rate = RateFunction.poisson()
+    split = exact_split([-1, -1, 1])
+    roots = [
+        source,
+        constants,
+        ca_log_weighted_sum(3, (0, 1)),
+        lambda1_analysis((1, 3)),
+        spectrum_for(builtin_source("GA")),
+        split,
+        root_split(split, 64),
+        validate_dold(sigma_table(source, 12)),
+        weights,
+        bc,
+        w_pmf(bc, 12),
+        rate,
+        tail_report(bc, constants, (Fraction(1),), rate, xs=(12,)),
+        sample_orbit(cen, 12, RandomStream(1, 0)),
+    ]
+    found, seen = {}, set()
+    while roots:
+        x = roots.pop()
+        if id(x) in seen:
+            continue
+        seen.add(id(x))
+        if isinstance(x, nt.Record):
+            found.setdefault(type(x), x)
+            roots += [getattr(x, name) for name in x.__slots__ if name != "__dict__"]
+        elif isinstance(x, (tuple, list)):
+            roots += x
+        elif isinstance(x, dict):
+            roots += x.values()
+    return found
+
+
+def record_classes(cls=nt.Record):
+    return {sub for child in cls.__subclasses__() for sub in (child, *record_classes(child))}
+
+
+IDENTITY_RECORDS = {"DiscreteMeasure", "WeightedAdditive", "BivariateCensus", "RateFunction", "TailReport"}
+
+
+def test_records_are_immutable_and_compare_only_with_their_own_type():
+    records = every_record()
+    assert set(records) == record_classes() and len(records) == 19
+    for cls, record in records.items():
+        name = record._fields[0]
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+        fields = tuple(getattr(record, n) for n in record._fields)
+        # another type never equals a record, not even its own fields
+        assert record != fields and record != object()
+        copy = cls(*fields)
+        if cls.__name__ in IDENTITY_RECORDS:
+            assert copy != record and record == record and hash(record) == object.__hash__(record)
+        else:
+            assert copy == record

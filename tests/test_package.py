@@ -2,7 +2,8 @@
 what it imports, every top-level function and class and every method,
 property and record field has a reader (in the package or the benchmark,
 save top-level names of the public API, which tests may read alone),
-exact-to-real conversion and powers of e each have one home, the CLI turns
+exact-to-real conversion has one home, no module works at mpmath's word
+level and every power of e is mp.exp, the CLI turns
 a ValueError into exit 2 in one place, the package's names load on first
 read, mpmath only where a real is computed, numpy (and inspect with it)
 only with the sampler's random streams and dataclasses never, and the
@@ -275,8 +276,27 @@ def is_fraction_conversion(node):
 
 
 def is_e_power(node):
-    """mp.e ** <x>"""
-    return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow) and ast.unparse(node.left) == "mp.e"
+    """mp.e ** <x> or mp.power(mp.e, <x>)"""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+        return ast.unparse(node.left) == "mp.e"
+    return isinstance(node, ast.Call) and ast.unparse(node.func) == "mp.power" and ast.unparse(node.args[0]) == "mp.e"
+
+
+def is_mp_exp(node):
+    """mp.exp(<x>)"""
+    return isinstance(node, ast.Call) and ast.unparse(node.func) == "mp.exp"
+
+
+def is_word_level(node):
+    """An import from mpmath.libmp, a read of an mpf's _mpf_ tuple or a
+    call of make_mpf."""
+    if isinstance(node, ast.ImportFrom):
+        return (node.module or "").startswith("mpmath.libmp")
+    if isinstance(node, ast.Import):
+        return any(alias.name.startswith("mpmath.libmp") for alias in node.names)
+    if isinstance(node, ast.Attribute):
+        return node.attr in ("_mpf_", "make_mpf")
+    return isinstance(node, ast.Name) and node.id == "make_mpf"
 
 
 def test_fraction_to_mpf_has_one_home():
@@ -290,15 +310,16 @@ def test_fraction_to_mpf_has_one_home():
     assert {name: hits for name, hits in found.items() if hits} == {}
 
 
-def test_e_power_has_one_home():
-    # _e_powers takes log e once per precision and is bit-identical to
-    # mp.e ** t, so every other power of e goes through it
-    found = {
-        path.name: spellings(path, is_e_power)
-        for path in sorted((ROOT / "src" / "orbitstat").glob("*.py"))
-    }
-    assert [function for function, _ in found.pop("ldp.py")] == ["_e_powers"]
-    assert {name: hits for name, hits in found.items() if hits} == {}
+def test_no_module_works_at_mpmath_word_level():
+    # every real goes through mpmath's public mpf arithmetic, and every power
+    # of e is mp.exp, which rounds once: mp.e ** t rounds e first and would
+    # move the last bits of the transforms the tail report and the Legendre
+    # solver share
+    paths = sorted((ROOT / "src" / "orbitstat").glob("*.py"))
+    assert {path.name: hits for path in paths if (hits := spellings(path, is_word_level))} == {}
+    assert {path.name: hits for path in paths if (hits := spellings(path, is_e_power))} == {}
+    ldp_path = ROOT / "src" / "orbitstat" / "ldp.py"
+    assert sorted({function for function, _ in spellings(ldp_path, is_mp_exp)}) == ["_laplace", "powers"]
 
 
 def value_error_handlers(path):
