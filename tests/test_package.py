@@ -279,7 +279,12 @@ def is_e_power(node):
     """mp.e ** <x> or mp.power(mp.e, <x>)"""
     if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
         return ast.unparse(node.left) == "mp.e"
-    return isinstance(node, ast.Call) and ast.unparse(node.func) == "mp.power" and ast.unparse(node.args[0]) == "mp.e"
+    return (
+        isinstance(node, ast.Call)
+        and ast.unparse(node.func) == "mp.power"
+        and bool(node.args)
+        and ast.unparse(node.args[0]) == "mp.e"
+    )
 
 
 def is_mp_exp(node):
